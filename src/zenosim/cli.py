@@ -9,8 +9,9 @@ Commands:
 
 Curves are CSV with '#'-prefixed provenance headers then tau_ms,mean,stderr
 rows; fit and scaling summaries are JSON. The environment variable
-ZENO_SEED overrides any configured seed. Exit codes: 0 success, 2 config
-or parse error, 3 I/O error.
+ZENO_SEED overrides any configured seed (for reproduce, the base seed that
+each curve's seed is derived from). Exit codes: 0 success, 2 config or
+parse error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -51,13 +52,21 @@ class ConfigError(ValueError):
 
 
 def _effective_seed(seed: int) -> int:
+    """ZENO_SEED if set, else the given seed; either must lie in [0, 2**64)."""
     env = os.environ.get("ZENO_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as e:
             raise ConfigError(f"ZENO_SEED is not an integer: {env!r}") from e
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
     return seed
+
+
+def _reject_constant(name: str):
+    """json parse_constant hook: NaN and Infinity are not valid config values."""
+    raise ConfigError(f"non-finite number {name} in config")
 
 
 def plan_from_config(cfg: Dict) -> ExperimentPlan:
@@ -162,7 +171,8 @@ def _json_dumps(obj) -> str:
 
 def cmd_simulate(args) -> int:
     try:
-        cfg = json.loads(Path(args.config).read_text())
+        cfg = json.loads(Path(args.config).read_text(),
+                         parse_constant=_reject_constant)
     except OSError as e:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return EXIT_IO
@@ -313,7 +323,7 @@ def _simulate(t2_star, state, observable, readout, n, taus, shots, seed,
     plan = ExperimentPlan(
         noise=NoiseModel(t2_star), initial_state=state, observable=observable,
         readout=readout, n_projections=n, tau_grid=taus, shots=shots,
-        seed=_effective_seed(seed), amplitude=amplitude)
+        seed=seed, amplitude=amplitude)
     return run_ensemble(plan)
 
 
@@ -352,7 +362,7 @@ def _avg_logical_curves(t2_star, states, observable, n, taus, shots, seed,
         curves = run_ensemble(ExperimentPlan(
             noise=NoiseModel(t2_star), initial_state=label,
             observable=observable, readout=tuple(words), n_projections=n,
-            tau_grid=taus, shots=shots, seed=_effective_seed(seed) + 1000 * j,
+            tau_grid=taus, shots=shots, seed=seed + 1000 * j,
             amplitude=amplitude))
         values = {c.readout: _scale_corr(c.mean, amplitude) for c in curves}
         fid = np.array([
@@ -372,7 +382,7 @@ def _avg_state_fidelity_curves(t2_star, states, observable, n, taus, shots,
         (curve,) = run_ensemble(ExperimentPlan(
             noise=NoiseModel(t2_star), initial_state=label,
             observable=observable, readout=(f"F:{label}",), n_projections=n,
-            tau_grid=taus, shots=shots, seed=_effective_seed(seed) + 1000 * j,
+            tau_grid=taus, shots=shots, seed=seed + 1000 * j,
             amplitude=amplitude))
         fid = _scale_fid(curve.mean, amplitude, dim)
         acc = fid if acc is None else acc + fid
@@ -425,12 +435,13 @@ def _reproduce_fig4b(out: Path, shots: int, seed: int) -> Dict:
     taus = np.array(_tau_grid(40.0, 20))
     n_set = (0, 2, 4)
     summary = {}
-    for label in logical.LOGICAL_3SPIN:
+    for j, label in enumerate(logical.LOGICAL_3SPIN):
         for n in n_set:
+            state_seed = seed + n + 1000 * j
             fid = _avg_logical_curves(T2_STAR, (label,), "XXX", n, tuple(taus),
-                                      shots, seed + n, AMPLITUDE_LOGICAL)
+                                      shots, state_seed, AMPLITUDE_LOGICAL)
             hdr = {"figure": "fig4b", "state": label, "n_projections": n,
-                   "seed": seed + n, "readout": "logical_fidelity", "shots": shots}
+                   "seed": state_seed, "readout": "logical_fidelity", "shots": shots}
             _write(out / f"fig4b_{label}_N{n}.csv",
                    _curve_csv_simple(taus, fid, hdr))
             summary[f"{label}_N{n}_final"] = float(fid[-1])
@@ -464,8 +475,9 @@ def cmd_reproduce(args) -> int:
         print(f"error: unknown figure id {args.figure!r}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(args.out)
-    summary = _FIGURES[args.figure](out, args.shots, args.seed)
-    summary["seed"] = _effective_seed(args.seed)
+    seed = _effective_seed(args.seed)
+    summary = _FIGURES[args.figure](out, args.shots, seed)
+    summary["seed"] = seed
     summary["shots"] = args.shots
     _write(out / f"{args.figure}_summary.json", _json_dumps(summary))
     print(out / f"{args.figure}_summary.json")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -147,8 +147,3 @@ def sqrt_e_time(n_projections: int, t2eff: float) -> float:
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def normalized_sqrt_e_times(n_values: Sequence[int]) -> Mapping[int, float]:
-    """1/sqrt(e)-times for each even N, normalized to the N=0 value."""
-    base = sqrt_e_time(0, 1.0)
-    return {int(n): sqrt_e_time(int(n), 1.0) / base for n in n_values}

@@ -74,15 +74,6 @@ def product_state(factors: Sequence[str]) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def ket_to_density(psi: np.ndarray) -> np.ndarray:
-    """Density matrix |psi><psi| of a normalized state vector."""
-    psi = np.asarray(psi, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state vector not normalized (norm {norm})")
-    return np.outer(psi, psi.conj())
-
-
 def num_spins(rho: np.ndarray) -> int:
     """Register size of a density matrix; raises on non-power-of-two dims."""
     dim = rho.shape[0]
@@ -90,18 +81,6 @@ def num_spins(rho: np.ndarray) -> int:
     if rho.shape != (dim, dim) or 2**k != dim or not 1 <= k <= MAX_SPINS:
         raise ValueError(f"bad density-matrix shape {rho.shape}")
     return k
-
-
-def check_density(rho: np.ndarray) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
-    num_spins(rho)
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-        raise ValueError("density matrix not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-12:
-        raise ValueError("density matrix trace != 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -1e-10:
-        raise ValueError("density matrix has negative eigenvalue")
-    return rho
 
 
 def dephasing_phases(deltas: Sequence[float], t: float, k: int) -> np.ndarray:

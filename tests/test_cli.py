@@ -71,6 +71,24 @@ class TestSimulate:
         assert cb.metadata["seed"] == 777
         assert not np.array_equal(ca.mean, cb.mean)
 
+    def test_nan_dephasing_time_rejected(self, config, tmp_path, capsys):
+        path, cfg = config
+        path.write_text(json.dumps(dict(cfg, t2_star=[float("nan")])))
+        assert "NaN" in path.read_text()
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_negative_seed_env_rejected(self, config, tmp_path, monkeypatch, capsys):
+        path, _ = config
+        monkeypatch.setenv("ZENO_SEED", "-3")
+        for argv in (["simulate", "--config", str(path), "--out", str(tmp_path / "s")],
+                     ["reproduce", "fig2c", "--out", str(tmp_path / "r")]):
+            assert main(argv) == 2
+            assert "seed" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
 
 class TestAnalytic:
     def test_values(self, tmp_path):
@@ -174,6 +192,14 @@ class TestReproduce:
         summary = json.loads((out / "fig4b_summary.json").read_text())
         assert summary["states"] == ["00L", "X0L", "PhiPlusL"]
         assert len(list(out.glob("fig4b_*.csv"))) == 9
+
+    def test_fig4b_states_have_distinct_seeds(self, tmp_path):
+        out = tmp_path / "fig4b"
+        assert main(["reproduce", "fig4b", "--out", str(out), "--shots", "20"]) == 0
+        for n in (0, 2, 4):
+            seeds = {parse_curve_csv(p.read_text()).metadata["seed"]
+                     for p in out.glob(f"fig4b_*_N{n}.csv")}
+            assert len(seeds) == 3, (n, seeds)
 
     def test_fig3b_crossings(self, tmp_path):
         out = tmp_path / "fig3b"

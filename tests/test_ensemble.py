@@ -1,11 +1,18 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zenosim import ensemble
+from zenosim.channel import project
 from zenosim.ensemble import (DecayCurve, ExperimentPlan, NoiseModel,
                               run_ensemble, run_shot, sample_detunings)
+from zenosim.logical import resolve_state
 from zenosim.model import DecayParams, decay_value, single_shot_expectation
+from zenosim.spins import evolve_dephasing, expectation, state_fidelity
 
 
 def make_plan(**kw):
@@ -16,21 +23,45 @@ def make_plan(**kw):
     return ExperimentPlan(**base)
 
 
+def dense_reference(plan, deltas, tau):
+    """Readouts from step-by-step dense evolve_dephasing and project calls."""
+    psi = resolve_state(plan.initial_state)
+    rho = np.outer(psi, psi.conj())
+    seg = tau / (plan.n_projections + 1)
+    for _ in range(plan.n_projections):
+        rho = project(plan.observable, evolve_dephasing(rho, deltas, seg))
+    rho = evolve_dephasing(rho, deltas, seg)
+    return np.array([
+        state_fidelity(rho, resolve_state(r[2:])) if r.startswith("F:")
+        else expectation(rho, r)
+        for r in plan.readout
+    ])
+
+
 class TestSampleDetunings:
     def test_deterministic(self):
         noise = NoiseModel((12.4, 8.2))
-        a = sample_detunings(42, 7, 3, noise)
-        b = sample_detunings(42, 7, 3, noise)
+        a = sample_detunings(42, 3, 7, noise)
+        b = sample_detunings(42, 3, 7, noise)
+        assert a.shape == (7, 2)
         assert np.array_equal(a, b)
+        # a longer block extends the same stream
+        assert np.array_equal(sample_detunings(42, 3, 20, noise)[:7], a)
 
     def test_distinct_across_shots(self):
         noise = NoiseModel((12.4,))
-        draws = {tuple(sample_detunings(1, s, 0, noise)) for s in range(50)}
+        draws = {tuple(row) for row in sample_detunings(1, 0, 50, noise)}
         assert len(draws) == 50
+
+    def test_distinct_across_points(self):
+        noise = NoiseModel((12.4, 8.2))
+        blocks = [sample_detunings(1, p, 50, noise) for p in range(3)]
+        draws = {tuple(row) for b in blocks for row in b}
+        assert len(draws) == 150
 
     def test_sample_width(self):
         noise = NoiseModel((12.4,))
-        x = np.array([sample_detunings(5, s, 0, noise)[0] for s in range(100_000)])
+        x = sample_detunings(5, 0, 100_000, noise)[:, 0]
         sigma = math.sqrt(2) / 12.4
         assert abs(x.std() - sigma) / sigma < 0.01
         assert abs(x.mean()) < 4 * sigma / math.sqrt(100_000)
@@ -117,13 +148,64 @@ class TestRunEnsemble:
     def test_batched_matches_scalar_path(self):
         plan = make_plan(noise=NoiseModel((12.4, 8.2)), initial_state="X,X",
                          observable="XX", readout=("XX", "ZZ", "F:X,X"),
-                         n_projections=3, tau_grid=(2.5,), shots=40)
-        curve_means = np.array([c.mean[0] for c in run_ensemble(plan)])
-        vals = np.stack([
-            run_shot(plan, sample_detunings(plan.seed, s, 0, plan.noise), 2.5)
-            for s in range(plan.shots)
-        ])
-        assert np.allclose(curve_means, vals.mean(axis=0), atol=1e-12)
+                         n_projections=3, tau_grid=(2.5, 6.0), shots=40)
+        curves = run_ensemble(plan)
+        for p, tau in enumerate(plan.tau_grid):
+            block = sample_detunings(plan.seed, p, plan.shots, plan.noise)
+            vals = np.stack([dense_reference(plan, d, tau) for d in block])
+            curve_means = np.array([c.mean[p] for c in curves])
+            assert np.allclose(curve_means, vals.mean(axis=0), atol=1e-12)
+
+
+PAULI_WORDS = st.integers(1, 4).flatmap(
+    lambda k: st.text("IXYZ", min_size=k, max_size=k)).filter(lambda w: set(w) != {"I"})
+
+
+class TestKernelProperties:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 4).flatmap(lambda k: st.lists(
+               st.floats(-0.5, 0.5), min_size=k, max_size=k)),
+           st.integers(0, 32), st.floats(0.0, 40.0))
+    def test_x_words_match_closed_form(self, deltas, n, tau):
+        k = len(deltas)
+        plan = make_plan(noise=NoiseModel((10.0,) * k),
+                         initial_state=",".join(["X"] * k), observable="X" * k,
+                         readout=("X" * k,), n_projections=n)
+        got = run_shot(plan, deltas, tau)[0]
+        want = single_shot_expectation(deltas, tau / (n + 1), n)
+        assert abs(got - want) < 1e-10
+
+    @settings(deadline=None, max_examples=60)
+    @given(PAULI_WORDS, st.data(), st.integers(0, 8), st.floats(0.0, 40.0))
+    def test_any_word_matches_dense_reference(self, word, data, n, tau):
+        k = len(word)
+        labels = data.draw(st.lists(st.sampled_from(["0", "1", "X", "-X", "Y", "-Y"]),
+                                    min_size=k, max_size=k))
+        readout = tuple(data.draw(st.lists(st.text("IXYZ", min_size=k, max_size=k),
+                                           min_size=1, max_size=3)))
+        deltas = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=k, max_size=k))
+        plan = make_plan(noise=NoiseModel((10.0,) * k), initial_state=",".join(labels),
+                         observable=word, readout=readout + ("F:" + ",".join(labels),),
+                         n_projections=n)
+        got = run_shot(plan, deltas, tau)
+        assert np.max(np.abs(got - dense_reference(plan, deltas, tau))) < 1e-12
+
+    @settings(deadline=None, max_examples=40)
+    @given(PAULI_WORDS.filter(lambda w: len(w) <= 3), st.integers(0, 6),
+           st.integers(1, 30), st.integers(1, 4), st.integers(1, 7))
+    def test_chunking_does_not_change_means(self, word, n, shots, points, rows):
+        k = len(word)
+        plan = make_plan(noise=NoiseModel((12.4, 8.2, 21.0)[:k]),
+                         initial_state=",".join(["X"] * k), observable=word,
+                         readout=(word, "Z" * k), n_projections=n,
+                         tau_grid=tuple(3.0 * (p + 1) for p in range(points)),
+                         shots=shots)
+        whole = run_ensemble(plan)
+        with mock.patch.object(ensemble, "_CHUNK_ENTRIES", rows * 4**k):
+            chunked = run_ensemble(plan)
+        for a, b in zip(whole, chunked):
+            assert np.max(np.abs(a.mean - b.mean)) < 1e-14
+            assert np.max(np.abs(a.stderr - b.stderr)) < 1e-14
 
 
 class TestValidation:
@@ -132,6 +214,20 @@ class TestValidation:
             make_plan(tau_grid=(2.0, 1.0))
         with pytest.raises(ValueError):
             make_plan(tau_grid=())
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                make_plan(tau_grid=(1.0, bad))
+
+    def test_non_finite_dephasing_time(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                NoiseModel((12.4, bad))
+
+    def test_seed_range(self):
+        for bad in (-3, 2**64):
+            with pytest.raises(ValueError):
+                make_plan(seed=bad)
+        make_plan(seed=2**64 - 1)
 
     def test_observable_length(self):
         with pytest.raises(ValueError):
