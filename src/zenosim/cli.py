@@ -196,17 +196,16 @@ def cmd_simulate(args) -> int:
 def cmd_analytic(args) -> int:
     try:
         taus = [float(t) for t in args.tau.split(",")]
-        lines = ["# zenosim analytic v1",
-                 f"# n_projections: {args.n}",
-                 f"# t2eff_ms: {_fmt(args.t2eff)}",
-                 "tau_ms,value"]
-        for t in taus:
-            v = model.decay_value(model.DecayParams(
-                args.n, t, args.t2eff, args.amplitude, args.offset))
-            lines.append(f"{_fmt(t)},{_fmt(v)}")
+        values = model.decay_curve(args.n, taus, args.t2eff, args.amplitude,
+                                   args.offset)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    lines = ["# zenosim analytic v1",
+             f"# n_projections: {args.n}",
+             f"# t2eff_ms: {_fmt(args.t2eff)}",
+             "tau_ms,value"]
+    lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(taus, values)]
     text = "\n".join(lines) + "\n"
     if args.out:
         _write(Path(args.out), text)
@@ -473,6 +472,9 @@ _FIGURES = {
 def cmd_reproduce(args) -> int:
     if args.figure not in _FIGURES:
         print(f"error: unknown figure id {args.figure!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.shots < 1:
+        print(f"error: --shots must be >= 1, got {args.shots}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(args.out)
     seed = _effective_seed(args.seed)

@@ -54,6 +54,8 @@ class ExperimentPlan:
 
     readout entries are Pauli words ("XX") for correlators or "F:<spec>"
     for state fidelity with a resolvable state spec (see resolve_state).
+    The initial state, every fidelity target and every readout word must
+    fit the register of k = len(noise.t2_star) spins.
     amplitude/offset are carried for analysis-time comparison curves only.
     """
 
@@ -85,9 +87,18 @@ class ExperimentPlan:
                              "strictly increasing")
         if not self.readout:
             raise ValueError("need at least one readout")
+        dim = 2**self.k
+        if resolve_state(self.initial_state).shape != (dim,):
+            raise ValueError(f"initial state {self.initial_state!r} does not match "
+                             f"the {self.k}-spin register")
         for r in self.readout:
-            if not r.startswith(FIDELITY_PREFIX):
-                validate_word(r)
+            if r.startswith(FIDELITY_PREFIX):
+                if resolve_state(r[len(FIDELITY_PREFIX):]).shape != (dim,):
+                    raise ValueError(f"fidelity target {r!r} does not match "
+                                     f"the {self.k}-spin register")
+            elif len(validate_word(r)) != self.k:
+                raise ValueError(f"readout word {r!r} does not match "
+                                 f"the {self.k}-spin register")
 
     @property
     def k(self) -> int:
@@ -143,17 +154,12 @@ def _word_action(word: str) -> Tuple[np.ndarray, np.ndarray]:
 
 def _readout_weights(plan: ExperimentPlan) -> np.ndarray:
     """(dim**2, n_readouts) matrix w with readout values Re(rho.ravel() @ w)."""
-    dim = 2**plan.k
     cols = []
     for r in plan.readout:
         if r.startswith(FIDELITY_PREFIX):
             psi = resolve_state(r[len(FIDELITY_PREFIX):])
-            if psi.shape != (dim,):
-                raise ValueError(f"fidelity target {r!r} has wrong register size")
             cols.append(np.outer(psi.conj(), psi).ravel())
         else:
-            if len(r) != plan.k:
-                raise ValueError(f"readout word {r!r} has wrong register size")
             cols.append(pauli_matrix(r).T.ravel())
     return np.stack(cols, axis=1)
 
@@ -172,8 +178,6 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
     k = plan.k
     dim = 2**k
     psi = resolve_state(plan.initial_state)
-    if psi.shape != (dim,):
-        raise ValueError("initial state does not match register size")
     rho0 = np.outer(psi, psi.conj()).ravel()
     weights = _readout_weights(plan)
     perm, sign = _word_action(plan.observable)

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .ensemble import DecayCurve
-from .model import DecayParams, decay_value, sqrt_e_time
+from .model import decay_curve, sqrt_e_time
 
 MAX_ITER = 200
 REL_TOL = 1e-9
@@ -69,10 +69,9 @@ class CorrectedValue(NamedTuple):
 
 
 def _numeric_jacobian(residual: Callable[[np.ndarray], np.ndarray],
-                      p: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of the residual vector."""
-    r0 = residual(p)
-    jac = np.empty((r0.size, p.size))
+                      p: np.ndarray, size: int) -> np.ndarray:
+    """Central-difference Jacobian of the residual vector of length `size`."""
+    jac = np.empty((size, p.size))
     for j in range(p.size):
         h = 1e-7 * max(abs(p[j]), 1e-3)
         pp, pm = p.copy(), p.copy()
@@ -96,7 +95,7 @@ def least_squares(residual: Callable[[np.ndarray], np.ndarray],
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        jac = _numeric_jacobian(residual, p)
+        jac = _numeric_jacobian(residual, p, r.size)
         jtj = jac.T @ jac
         g = jac.T @ r
         step_ok = False
@@ -123,7 +122,7 @@ def least_squares(residual: Callable[[np.ndarray], np.ndarray],
             converged = True
             break
 
-    jac = _numeric_jacobian(residual, p)
+    jac = _numeric_jacobian(residual, p, r.size)
     dof = max(r.size - p.size, 1)
     try:
         cov = np.linalg.inv(jac.T @ jac) * (cost / dof)
@@ -210,11 +209,9 @@ def fit_decay(curve: DecayCurve, n_projections: int,
 
     def residual(p):
         a, t, off = p
-        t = abs(t)
-        model = np.array([
-            decay_value(DecayParams(n_projections, float(x), max(t, 1e-9)))
-            for x in tau
-        ])
+        if math.isnan(t):  # NaN cost: least_squares rejects the step
+            return np.full(tau.size, math.nan)
+        model = decay_curve(n_projections, tau, max(abs(t), 1e-9))
         return w * (off + a * model - y)
 
     p, errs, rss, converged, it = least_squares(residual, [a0, t2_guess, off0])

@@ -3,20 +3,31 @@
 The central object is the binomial-sum decay of a joint x-type observable
 under N equidistant projections during a total evolution time tau, with
 quasi-static Gaussian detuning noise folded into a single effective
-dephasing time. Intermediate fixed-detuning expressions are kept as
-deterministic oracles for the matrix-level simulator.
+dephasing time. :func:`decay_curve` evaluates it for a whole tau grid at
+once, in log space: each binomial weight is formed as exp(log weight -
+exponent) with normalized log weights, so the sum stays finite for every
+N, and only the O(sqrt(N)) weights that do not underflow are kept.
+Intermediate fixed-detuning expressions are kept as deterministic oracles
+for the matrix-level simulator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
 SQRT_E_LEVEL = math.exp(-0.5)
+
+# exp(x) underflows to zero in float64 below this.
+_LOG_UNDERFLOW = -746.0
+# Matrix entries per decay_curve chunk: 2**16 float64 is 512 KiB.
+_CURVE_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -38,15 +49,6 @@ class DecayParams:
             raise ValueError("amplitude must lie in [0, 1]")
 
 
-def binomial(n: int, k: int) -> float:
-    """Binomial coefficient; exact below n=32, log-gamma float above."""
-    if k < 0 or k > n:
-        return 0.0
-    if n < 32:
-        return float(math.comb(n, k))
-    return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
-
-
 def effective_t2(t2_list: Sequence[float]) -> float:
     """Quadrature combination of per-spin dephasing times.
 
@@ -60,27 +62,63 @@ def effective_t2(t2_list: Sequence[float]) -> float:
     return float(np.sum(t2**-2.0) ** -0.5)
 
 
-def decay_value(p: DecayParams) -> float:
-    """Expected observable decay after N equidistant projections.
+@functools.lru_cache(maxsize=16)
+def _binomial_terms(n_projections: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Time factors f_l = 1 - 2l/(N+1) and log weights ln(C(N+1, l) / 2^(N+1)).
 
-    offset + A/2^(N+1) * sum_l C(N+1, l) * exp(-(t_l/T)^2) with
-    t_l = tau - 2l/(N+1) * tau.
+    The log binomials come from lgamma and are normalized in two steps
+    (subtract the largest, then the log of the sum), so the weights sum to
+    1 to rounding. Only l with |l - (N+1)/2| <= sqrt(373 (N+1)) + 1 are
+    kept: by Hoeffding's bound every other weight lies below e^-746 and
+    underflows to zero anyway. For N+1 <= 1490 that is every l. The arrays
+    are shared by every caller and therefore read-only.
     """
-    n1 = p.n_projections + 1
-    total = 0.0
-    for l in range(n1 + 1):
-        t = p.tau - 2.0 * l / n1 * p.tau
-        total += binomial(n1, l) * math.exp(-((t / p.t2eff) ** 2))
-    return p.offset + p.amplitude * total / 2.0**n1
+    n1 = n_projections + 1
+    half = math.sqrt(-_LOG_UNDERFLOW / 2 * n1) + 1.0
+    ls = range(max(0, math.ceil(n1 / 2 - half)), min(n1, math.floor(n1 / 2 + half)) + 1)
+    top = math.lgamma(n1 + 1)
+    logw = np.array([top - math.lgamma(l + 1) - math.lgamma(n1 - l + 1) for l in ls])
+    logw -= logw.max()
+    logw -= math.log(np.exp(logw).sum())
+    frac = 1.0 - 2.0 * np.array(ls) / n1
+    frac.setflags(write=False)
+    logw.setflags(write=False)
+    return frac, logw
 
 
 def decay_curve(n_projections: int, taus: Sequence[float], t2eff: float,
                 amplitude: float = 1.0, offset: float = 0.0) -> np.ndarray:
-    """Vector of decay_value over a tau grid."""
-    return np.array([
-        decay_value(DecayParams(n_projections, float(t), t2eff, amplitude, offset))
-        for t in taus
-    ])
+    """Expected observable decay after N equidistant projections, per tau.
+
+    offset + A/2^(N+1) * sum_l C(N+1, l) * exp(-(tau f_l / T)^2) with
+    f_l = 1 - 2l/(N+1), evaluated as sum_l exp(log w_l - (tau f_l / T)^2)
+    for a (tau, l) block at a time. Finite for every N >= 0.
+    """
+    n = operator.index(n_projections)
+    if n < 0:
+        raise ValueError("projection count must be >= 0")
+    if not t2eff > 0:
+        raise ValueError("effective dephasing time must be positive")
+    if not 0 <= amplitude <= 1:
+        raise ValueError("amplitude must lie in [0, 1]")
+    if not math.isfinite(offset):
+        raise ValueError("offset must be finite")
+    taus = np.asarray(taus, dtype=float).ravel()
+    if not np.isfinite(taus).all():
+        raise ValueError("evolution times must be finite")
+    frac, logw = _binomial_terms(n)
+    rows = max(1, _CURVE_ENTRIES // frac.size)
+    total = np.empty(taus.size)
+    for lo in range(0, taus.size, rows):
+        x = taus[lo:lo + rows, None] * frac / t2eff
+        total[lo:lo + rows] = np.exp(logw - x * x).sum(axis=1)
+    return offset + amplitude * total
+
+
+def decay_value(p: DecayParams) -> float:
+    """decay_curve at the single time p.tau."""
+    return float(decay_curve(p.n_projections, [p.tau], p.t2eff,
+                             p.amplitude, p.offset)[0])
 
 
 def single_shot_expectation(deltas: Sequence[float], t: float, n_projections: int) -> float:
@@ -111,8 +149,8 @@ def odd_n_asymptote(n_projections: int) -> float:
     """
     if n_projections < 1 or n_projections % 2 == 0:
         raise ValueError(f"plateau only exists for odd N >= 1, got {n_projections}")
-    n1 = n_projections + 1
-    return binomial(n1, n1 // 2) / 2.0**n1
+    frac, logw = _binomial_terms(n_projections)
+    return math.exp(logw[frac == 0][0])
 
 
 def sqrt_e_time(n_projections: int, t2eff: float) -> float:
@@ -133,10 +171,13 @@ def sqrt_e_time(n_projections: int, t2eff: float) -> float:
     hi = 20.0 * (n_projections + 1) * t2eff
     grid = np.linspace(0.0, hi, 400)
     lo = None
+    fa = f(grid[0])
     for a, b in zip(grid[:-1], grid[1:]):
-        if f(a) > 0 >= f(b):
+        fb = f(b)
+        if fa > 0 >= fb:
             lo, hi = a, b
             break
+        fa = fb
     if lo is None:
         raise RuntimeError(f"no 1/sqrt(e) crossing found for N={n_projections}")
     while (hi - lo) > 1e-9 * hi:

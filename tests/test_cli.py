@@ -80,6 +80,14 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_register_size_mismatch_rejected(self, config, tmp_path, capsys):
+        path, cfg = config
+        path.write_text(json.dumps(dict(cfg, t2_star=[12.4, 8.2], initial_state="X")))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert "register" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_negative_seed_env_rejected(self, config, tmp_path, monkeypatch, capsys):
         path, _ = config
         monkeypatch.setenv("ZENO_SEED", "-3")
@@ -100,6 +108,23 @@ class TestAnalytic:
         vals = [float(r.split(",")[1]) for r in rows]
         assert vals[0] == pytest.approx(1.0)
         assert vals[1] == pytest.approx(np.exp(-1.0))
+
+    def test_large_n_finite(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert main(["analytic", "--n", "4095", "--t2eff", "10",
+                     "--tau", "0,25,50,100,200,400", "--out", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines()
+                if l and not l.startswith("#") and not l.startswith("tau_ms")]
+        vals = np.array([float(r.split(",")[1]) for r in rows])
+        assert vals.size == 6 and np.all(np.isfinite(vals))
+        assert vals[0] == pytest.approx(1.0, abs=1e-14)
+        assert np.all(np.diff(vals) < 0)
+
+    def test_non_finite_input_rejected(self, tmp_path, capsys):
+        for argv in (["--tau", "0,inf", "--t2eff", "5"],
+                     ["--tau", "0,1", "--t2eff", "nan"]):
+            assert main(["analytic", "--n", "2", *argv]) == 2
+            assert "error:" in capsys.readouterr().err
 
 
 class TestFitCommand:
@@ -161,6 +186,12 @@ class TestReproduce:
         main(["reproduce", "fig5", "--out", str(b)])
         assert (a / "fig5_summary.json").read_bytes() == \
             (b / "fig5_summary.json").read_bytes()
+
+    def test_zero_shots_rejected(self, tmp_path, capsys):
+        out = tmp_path / "fig2c"
+        assert main(["reproduce", "fig2c", "--out", str(out), "--shots", "0"]) == 2
+        assert "--shots" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_figure(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -233,6 +233,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_plan(observable="XX")
 
+    def test_register_size(self):
+        for kw in ({"initial_state": "X,X"}, {"readout": ("XX",)},
+                   {"readout": ("X", "F:X,X")}, {"readout": ("F:+L",)}):
+            with pytest.raises(ValueError, match="register"):
+                make_plan(**kw)
+        make_plan(noise=NoiseModel((12.4, 8.2)), initial_state="+L",
+                  observable="XX", readout=("XX", "F:+L", "F:X,X"))
+
     def test_curve_invariants(self):
         with pytest.raises(ValueError):
             DecayCurve(np.array([1.0]), np.array([0.5]), np.array([-0.1]), 0, "X")

@@ -75,6 +75,12 @@ class TestFitDecay:
         with pytest.raises(FitError):
             fit_decay(curve_from(np.linspace(0, 10, 10), np.ones(10)), 0)
 
+    def test_nan_guess_fails_as_fit_error(self):
+        tau = np.linspace(0, 40, 30)
+        with pytest.raises(FitError):
+            fit_decay(curve_from(tau, decay_curve(4, tau, 6.5), n=4), 4,
+                      t2_guess=float("nan"))
+
     def test_calibration_of_std_errors(self):
         # parameters recovered within 3 reported std errors in >= 95% of
         # independently seeded noisy trials

@@ -1,11 +1,25 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zenosim.model import (DecayParams, decay_value, effective_t2,
+from zenosim import model
+from zenosim.model import (DecayParams, decay_curve, decay_value, effective_t2,
                            odd_n_asymptote, single_shot_expectation,
                            sqrt_e_time)
+
+
+def exact_decay(n, tau, t2eff):
+    """Binomial sum with integer binomials, each weight C(N+1, l)/2^(N+1)
+    divided exactly, summed term by term in Python."""
+    n1, c, total = n + 1, 1, 0.0
+    for l in range(n1 + 1):
+        total += c / 2**n1 * math.exp(-((tau * (1 - 2 * l / n1) / t2eff) ** 2))
+        c = c * (n1 - l) // (l + 1)
+    return total
 
 
 class TestEffectiveT2:
@@ -80,6 +94,77 @@ class TestDecayValue:
             DecayParams(0, 1.0, 5.0, amplitude=1.5)
 
 
+class TestDecayCurve:
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(0, 5000), st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8),
+           st.floats(1e-6, 1e6))
+    def test_finite_and_bounded(self, n, taus, t2eff):
+        got = decay_curve(n, taus, t2eff)
+        assert got.shape == (len(taus),)
+        assert np.all(np.isfinite(got))
+        assert np.all(got >= 0) and np.all(got <= 1 + 1e-15)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 5000), st.floats(1e-6, 1e6))
+    def test_unity_at_origin(self, n, t2eff):
+        assert abs(decay_curve(n, [0.0], t2eff)[0] - 1.0) <= 1e-14
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 63), st.floats(0.0, 200.0), st.floats(0.1, 50.0))
+    def test_matches_exact_sum(self, n, tau, t2eff):
+        assert abs(decay_curve(n, [tau], t2eff)[0] - exact_decay(n, tau, t2eff)) <= 1e-12
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 5000), st.lists(st.floats(0.0, 1e4), min_size=1, max_size=6),
+           st.floats(0.1, 100.0), st.floats(0.0, 1.0), st.floats(-1.0, 1.0))
+    def test_decay_value_is_curve_element(self, n, taus, t2eff, a, off):
+        curve = decay_curve(n, taus, t2eff, a, off)
+        for tau, want in zip(taus, curve):
+            assert abs(decay_value(DecayParams(n, tau, t2eff, a, off)) - want) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1023, 2047, 4095])
+    def test_large_n_matches_exact_sum(self, n):
+        taus = [0.0, 25.0, 50.0, 100.0, 200.0, 400.0]
+        got = decay_curve(n, taus, 10.0)
+        want = [exact_decay(n, t, 10.0) for t in taus]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_window_beyond_full_range(self):
+        # N+1 = 1600 keeps only the l whose weight does not underflow
+        frac, _ = model._binomial_terms(1599)
+        assert frac.size < 1601
+        got = decay_curve(1599, [0.0, 30.0, 1e4], 1.0)
+        want = [exact_decay(1599, t, 1.0) for t in (0.0, 30.0, 1e4)]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_huge_n_needs_sqrt_n_terms(self):
+        t0 = time.perf_counter()
+        got = decay_curve(10**8, [0.0, 1e3], 1.0)
+        assert time.perf_counter() - t0 < 2.0
+        assert np.all(np.isfinite(got))
+        assert got[0] == pytest.approx(1.0, abs=1e-12)
+        assert 0 < got[1] < 1
+        assert model._binomial_terms(10**8)[0].size < 2 * math.sqrt(373 * 10**8) + 4
+
+    def test_chunking_does_not_change_values(self, monkeypatch):
+        taus = np.linspace(0.0, 40.0, 37)
+        whole = decay_curve(300, taus, 2.0)
+        monkeypatch.setattr(model, "_CURVE_ENTRIES", 5 * 302)
+        assert np.array_equal(decay_curve(300, taus, 2.0), whole)
+
+    def test_invalid_inputs(self):
+        for args in [(-1, [1.0], 5.0), (0, [1.0], 0.0), (0, [1.0], math.nan),
+                     (0, [math.nan], 5.0), (0, [math.inf], 5.0)]:
+            with pytest.raises(ValueError):
+                decay_curve(*args)
+        with pytest.raises(ValueError):
+            decay_curve(0, [1.0], 5.0, amplitude=1.5)
+        with pytest.raises(ValueError):
+            decay_curve(0, [1.0], 5.0, offset=math.nan)
+        with pytest.raises(TypeError):
+            decay_curve(2.5, [1.0], 5.0)
+
+
 class TestSingleShotExpectation:
     def test_zero_detuning(self):
         assert single_shot_expectation([0.0], 3.0, 5) == pytest.approx(1.0)
@@ -108,6 +193,14 @@ class TestOddNAsymptote:
     def test_even_rejected(self):
         with pytest.raises(ValueError):
             odd_n_asymptote(2)
+
+    @pytest.mark.parametrize("n", [1023, 4095])
+    def test_large_n_finite(self, n):
+        got = odd_n_asymptote(n)
+        assert math.isfinite(got)
+        assert got == pytest.approx(math.comb(n + 1, (n + 1) // 2) / 2 ** (n + 1),
+                                    rel=1e-12)
+        assert got == pytest.approx(decay_curve(n, [1e7], 1.0)[0], rel=1e-12)
 
 
 class TestSqrtETime:
