@@ -19,15 +19,18 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import logical, model
-from .ensemble import DecayCurve, ExperimentPlan, NoiseModel, run_ensemble
+from .ensemble import (DecayCurve, ExperimentPlan, NoiseModel, readout_operator,
+                       run_ensemble)
 from .fitting import FitError, FitResult, fit_decay, fit_gaussian, fit_scaling
 
 EXIT_CONFIG = 2
@@ -41,10 +44,8 @@ AMPLITUDE_LOGICAL = 0.89
 _PLAN_KEYS = {
     "t2_star": list, "initial_state": str, "observable": str,
     "readout": list, "n_projections": int, "tau_grid": list,
-    "shots": int, "seed": int, "amplitude": (int, float), "offset": (int, float),
+    "shots": int, "seed": int,
 }
-_PLAN_REQUIRED = ("t2_star", "initial_state", "observable", "readout",
-                  "n_projections", "tau_grid", "shots", "seed")
 
 
 class ConfigError(ValueError):
@@ -74,7 +75,7 @@ def plan_from_config(cfg: Dict) -> ExperimentPlan:
     unknown = set(cfg) - set(_PLAN_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = [k for k in _PLAN_REQUIRED if k not in cfg]
+    missing = [k for k in _PLAN_KEYS if k not in cfg]
     if missing:
         raise ConfigError(f"missing config keys: {missing}")
     for key, typ in _PLAN_KEYS.items():
@@ -90,8 +91,6 @@ def plan_from_config(cfg: Dict) -> ExperimentPlan:
             tau_grid=tuple(float(t) for t in cfg["tau_grid"]),
             shots=cfg["shots"],
             seed=_effective_seed(cfg["seed"]),
-            amplitude=float(cfg.get("amplitude", 1.0)),
-            offset=float(cfg.get("offset", 0.0)),
         )
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
@@ -169,21 +168,28 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, default=default) + "\n"
 
 
-def cmd_simulate(args) -> int:
+def _read_json(path: str, **kw):
+    """json.loads(text, **kw) of a file; IOError if unreadable, ConfigError if not JSON."""
     try:
-        cfg = json.loads(Path(args.config).read_text(),
-                         parse_constant=_reject_constant)
+        text = Path(path).read_text()
     except OSError as e:
-        print(f"error: cannot read config: {e}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as e:
-        print(f"error: invalid config JSON: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise IOError(f"cannot read {path}: {e}") from e
     try:
-        plan = plan_from_config(cfg)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return json.loads(text, **kw)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"invalid JSON in {path}: {e}") from e
+
+
+def _emit(out: Optional[str], text: str) -> None:
+    """Write text to the file out, or to stdout when out is not given."""
+    if out:
+        _write(Path(out), text)
+    else:
+        sys.stdout.write(text)
+
+
+def cmd_simulate(args) -> int:
+    plan = plan_from_config(_read_json(args.config, parse_constant=_reject_constant))
     curves = run_ensemble(plan)
     out = Path(args.out)
     for i, curve in enumerate(curves):
@@ -199,18 +205,13 @@ def cmd_analytic(args) -> int:
         values = model.decay_curve(args.n, taus, args.t2eff, args.amplitude,
                                    args.offset)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(e)) from e
     lines = ["# zenosim analytic v1",
              f"# n_projections: {args.n}",
              f"# t2eff_ms: {_fmt(args.t2eff)}",
              "tau_ms,value"]
     lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(taus, values)]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -225,19 +226,16 @@ def _fit_curve(curve: DecayCurve, n: int,
 def cmd_fit(args) -> int:
     paths = sorted(glob.glob(args.input))
     if not paths:
-        print(f"error: no files match {args.input!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"no files match {args.input!r}")
     rows = []
     n_failed = 0
     for path in paths:
         try:
             curve = parse_curve_csv(Path(path).read_text())
         except OSError as e:
-            print(f"error: cannot read {path}: {e}", file=sys.stderr)
-            return EXIT_IO
-        except (ValueError, json.JSONDecodeError) as e:
-            print(f"error: cannot parse {path}: {e}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise IOError(f"cannot read {path}: {e}") from e
+        except ValueError as e:
+            raise ConfigError(f"cannot parse {path}: {e}") from e
         n = args.n if args.n is not None else curve.n_projections
         row = {"file": os.path.basename(path), "n_projections": n}
         try:
@@ -247,48 +245,44 @@ def cmd_fit(args) -> int:
             row.update({"converged": False, "error": str(e)})
             n_failed += 1
         rows.append(row)
-    text = _json_dumps({"fits": rows})
-    if args.out:
-        _write(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, _json_dumps({"fits": rows}))
     return 0 if n_failed < len(rows) else EXIT_CONFIG
+
+
+def _scaling_times(data) -> Dict[int, float]:
+    """N -> decay time: {"times": {N: t}}, or sqrt_e_time of converged even-N fit rows."""
+    if not isinstance(data, dict):
+        raise ConfigError("scaling input must be a JSON object")
+    try:
+        pairs = (list(data["times"].items()) if "times" in data else
+                 [(r.get("n_projections"), r.get("T2eff_ms"))
+                  for r in data.get("fits", []) if r.get("converged")])
+    except (AttributeError, TypeError) as e:
+        raise ConfigError(f"malformed scaling input: {e}") from e
+    times = {}
+    for n, t in pairs:
+        if isinstance(n, bool) or not str(n).isdigit():
+            raise ConfigError(f"projection count {n!r} is not a nonnegative integer")
+        if (isinstance(t, bool) or not isinstance(t, (int, float))
+                or not (math.isfinite(t) and t > 0)):
+            raise ConfigError(f"time {t!r} for N={n} is not finite and positive")
+        if "times" in data:
+            times[int(n)] = float(t)
+        elif int(n) % 2 == 0:
+            times[int(n)] = model.sqrt_e_time(int(n), float(t))
+    return times
 
 
 def cmd_scaling(args) -> int:
     try:
-        data = json.loads(Path(args.input).read_text())
-    except OSError as e:
-        print(f"error: cannot read {args.input}: {e}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as e:
-        print(f"error: invalid JSON: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    times: Dict[int, float] = {}
-    if "times" in data:
-        times = {int(k): float(v) for k, v in data["times"].items()}
-    elif "fits" in data:
-        for row in data["fits"]:
-            if not row.get("converged"):
-                continue
-            n = int(row["n_projections"])
-            if n % 2 != 0:
-                continue
-            times[n] = model.sqrt_e_time(n, float(row["T2eff_ms"]))
-    try:
-        fit = fit_scaling(times)
+        fit = fit_scaling(_scaling_times(_read_json(args.input)))
     except FitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    text = _json_dumps({
+        raise ConfigError(str(e)) from e
+    _emit(args.out, _json_dumps({
         "mu": fit.mu, "nu": fit.nu,
         "mu_err": fit.mu_err, "nu_err": fit.nu_err,
         "normalized_times": {str(k): v for k, v in fit.normalized_times.items()},
-    })
-    if args.out:
-        _write(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
+    }))
     return 0
 
 
@@ -296,16 +290,6 @@ def cmd_scaling(args) -> int:
 
 def _tau_grid(stop: float, points: int = 24) -> tuple:
     return tuple(np.round(np.linspace(0.0, stop, points), 6))
-
-
-def _scale_corr(mean: np.ndarray, amplitude: float) -> np.ndarray:
-    """Analysis-time global amplitude on a correlator mean."""
-    return amplitude * mean
-
-
-def _scale_fid(mean: np.ndarray, amplitude: float, dim: int) -> np.ndarray:
-    """Analysis-time global amplitude on a state-fidelity mean."""
-    return amplitude * mean + (1.0 - amplitude) / dim
 
 
 def _crossing_time(tau: np.ndarray, y: np.ndarray, level: float) -> Optional[float]:
@@ -317,135 +301,96 @@ def _crossing_time(tau: np.ndarray, y: np.ndarray, level: float) -> Optional[flo
     return None
 
 
-def _simulate(t2_star, state, observable, readout, n, taus, shots, seed,
-              amplitude=1.0):
-    plan = ExperimentPlan(
-        noise=NoiseModel(t2_star), initial_state=state, observable=observable,
-        readout=readout, n_projections=n, tau_grid=taus, shots=shots,
-        seed=seed, amplitude=amplitude)
-    return run_ensemble(plan)
+def _avg_curve(t2_star, states, prefix, n, taus, shots, seed, amplitude,
+               **header) -> DecayCurve:
+    """Mean over states of each state's readout prefix + label, amplitude applied.
+
+    State j runs with seed + 1000*j under projections of X...X. Each mean
+    maps to A*v + (1-A)*floor, floor being the readout's value on the
+    maximally mixed state; the independent states' standard errors, times
+    A, add in quadrature. header entries extend the curve's metadata.
+    """
+    dim = 2 ** len(t2_star)
+    means, errs = [], []
+    for j, state in enumerate(states):
+        readout = prefix + state
+        (curve,) = run_ensemble(ExperimentPlan(
+            noise=NoiseModel(t2_star), initial_state=state,
+            observable="X" * len(t2_star), readout=(readout,), n_projections=n,
+            tau_grid=taus, shots=shots, seed=seed + 1000 * j))
+        floor = np.trace(readout_operator(readout)).real / dim
+        means.append(amplitude * curve.mean + (1.0 - amplitude) * floor)
+        errs.append(amplitude * curve.stderr)
+    meta = {"t2_star": list(t2_star), "observable": "X" * len(t2_star),
+            "states": list(states), "n_projections": n, "shots": shots,
+            "seed": seed, "amplitude": amplitude, "readout": prefix + "<state>",
+            **header}
+    return DecayCurve(np.asarray(taus, dtype=float), np.mean(means, axis=0),
+                      np.sqrt(np.sum(np.square(errs), axis=0)) / len(states),
+                      n, meta["readout"], meta)
 
 
 def _reproduce_fig2c(out: Path, shots: int, seed: int) -> Dict:
     taus = _tau_grid(60.0)
     n_set = (0, 2, 4, 8, 16)
     fits = {}
-    ref = None
     for n in n_set:
-        (curve,) = _simulate((T2_STAR[0],), "X", "X", ("X",), n, taus, shots,
-                             seed + n, AMPLITUDE_SINGLE)
-        scaled = DecayCurve(curve.tau, _scale_corr(curve.mean, AMPLITUDE_SINGLE),
-                            AMPLITUDE_SINGLE * curve.stderr, n, curve.readout,
-                            curve.metadata)
-        _write(out / f"fig2c_N{n}.csv", curve_to_csv(scaled))
-        res = _fit_curve(scaled, n, reference=ref, t2_guess=T2_STAR[0])
-        if n == 0:
-            ref = res
-        fits[n] = res
-    sqrt_e = {n: (model.sqrt_e_time(n, fits[n].t2eff) if n % 2 == 0 else None)
-              for n in n_set}
+        # the empty prefix reads the state's own X correlator
+        curve = _avg_curve((T2_STAR[0],), ("X",), "", n, taus, shots, seed + n,
+                           AMPLITUDE_SINGLE, readout="X")
+        _write(out / f"fig2c_N{n}.csv", curve_to_csv(curve))
+        fits[n] = _fit_curve(curve, n, reference=fits.get(0), t2_guess=T2_STAR[0])
     return {
         "figure": "fig2c",
         "n_set": list(n_set),
         "fits": {str(n): fits[n].as_dict() for n in n_set},
-        "sqrt_e_times_ms": {str(n): sqrt_e[n] for n in n_set},
+        "sqrt_e_times_ms": {str(n): model.sqrt_e_time(n, fits[n].t2eff)
+                            for n in n_set},
     }
 
 
-def _avg_logical_curves(t2_star, states, observable, n, taus, shots, seed,
-                        amplitude):
-    """Average restricted logical fidelity over a set of logical states."""
-    acc = None
-    for j, label in enumerate(states):
-        words = [w for w, _ in logical.logical_components(label)]
-        curves = run_ensemble(ExperimentPlan(
-            noise=NoiseModel(t2_star), initial_state=label,
-            observable=observable, readout=tuple(words), n_projections=n,
-            tau_grid=taus, shots=shots, seed=seed + 1000 * j,
-            amplitude=amplitude))
-        values = {c.readout: _scale_corr(c.mean, amplitude) for c in curves}
-        fid = np.array([
-            logical.components_to_fidelity(label, {w: values[w][i] for w in values})
-            for i in range(len(taus))
-        ])
-        acc = fid if acc is None else acc + fid
-    return acc / len(states)
+# Per figure: T2*, state groups (one curve per group and N, averaged over
+# its states), readout prefix ("L:" restricted logical or "F:" full-state
+# fidelity), readout name, N set, tau grid, crossing level (None: report
+# each curve's final value) and summary key.
+_FIDELITY_FIGURES = {
+    # one logical qubit in <XX> = +1, against the 2/3 classical-memory line
+    "fig3b": (T2_STAR[:2], (logical.CARDINAL_2SPIN,), "L:", "avg_logical_fidelity",
+              (0, 2, 4, 6, 16), _tau_grid(320.0, 32), 2.0 / 3.0,
+              "classical_memory_crossings_ms"),
+    # logical entangled states, against the 1/2 entanglement witness
+    "fig3c": (T2_STAR[:2], (logical.ENTANGLED_2SPIN,), "F:", "avg_entangled_fidelity",
+              (0, 2, 4, 6), _tau_grid(100.0, 25), 0.5, "entanglement_persistence_ms"),
+    # two logical qubits in <XXX> = +1, one curve per state
+    "fig4b": (T2_STAR, tuple((s,) for s in logical.LOGICAL_3SPIN), "L:",
+              "logical_fidelity", (0, 2, 4), _tau_grid(40.0, 20), None,
+              "final_fidelities"),
+}
 
 
-def _avg_state_fidelity_curves(t2_star, states, observable, n, taus, shots,
-                               seed, amplitude):
-    """Average full-state fidelity with the ideal targets, amplitude applied."""
-    dim = 2 ** len(t2_star)
-    acc = None
-    for j, label in enumerate(states):
-        (curve,) = run_ensemble(ExperimentPlan(
-            noise=NoiseModel(t2_star), initial_state=label,
-            observable=observable, readout=(f"F:{label}",), n_projections=n,
-            tau_grid=taus, shots=shots, seed=seed + 1000 * j,
-            amplitude=amplitude))
-        fid = _scale_fid(curve.mean, amplitude, dim)
-        acc = fid if acc is None else acc + fid
-    return acc / len(states)
-
-
-def _curve_csv_simple(tau, y, header: Dict) -> str:
-    lines = ["# zenosim curve v1", "# config: " + json.dumps(header, sort_keys=True),
-             f"# seed: {header.get('seed')}",
-             f"# n_projections: {header.get('n_projections')}",
-             f"# readout: {header.get('readout')}",
-             "tau_ms,mean,stderr"]
-    for t, m in zip(tau, y):
-        lines.append(f"{_fmt(t)},{_fmt(m)},0")
-    return "\n".join(lines) + "\n"
-
-
-def _reproduce_fig3b(out: Path, shots: int, seed: int) -> Dict:
-    taus = np.array(_tau_grid(320.0, 32))
-    n_set = (0, 2, 4, 6, 16)
-    crossings = {}
-    for n in n_set:
-        fid = _avg_logical_curves(T2_STAR[:2], logical.CARDINAL_2SPIN, "XX", n,
-                                  tuple(taus), shots, seed + n, AMPLITUDE_LOGICAL)
-        hdr = {"figure": "fig3b", "n_projections": n, "seed": seed + n,
-               "readout": "avg_logical_fidelity", "shots": shots}
-        _write(out / f"fig3b_N{n}.csv", _curve_csv_simple(taus, fid, hdr))
-        crossings[n] = _crossing_time(taus, fid, 2.0 / 3.0)
-    return {"figure": "fig3b", "n_set": list(n_set),
-            "classical_memory_crossings_ms": {str(n): crossings[n] for n in n_set}}
-
-
-def _reproduce_fig3c(out: Path, shots: int, seed: int) -> Dict:
-    taus = np.array(_tau_grid(100.0, 25))
-    n_set = (0, 2, 4, 6)
-    crossings = {}
-    for n in n_set:
-        fid = _avg_state_fidelity_curves(T2_STAR[:2], logical.ENTANGLED_2SPIN,
-                                         "XX", n, tuple(taus), shots, seed + n,
-                                         AMPLITUDE_LOGICAL)
-        hdr = {"figure": "fig3c", "n_projections": n, "seed": seed + n,
-               "readout": "avg_entangled_fidelity", "shots": shots}
-        _write(out / f"fig3c_N{n}.csv", _curve_csv_simple(taus, fid, hdr))
-        crossings[n] = _crossing_time(taus, fid, 0.5)
-    return {"figure": "fig3c", "n_set": list(n_set),
-            "entanglement_persistence_ms": {str(n): crossings[n] for n in n_set}}
-
-
-def _reproduce_fig4b(out: Path, shots: int, seed: int) -> Dict:
-    taus = np.array(_tau_grid(40.0, 20))
-    n_set = (0, 2, 4)
-    summary = {}
-    for j, label in enumerate(logical.LOGICAL_3SPIN):
+def _reproduce_fidelity(fig: str, out: Path, shots: int, seed: int) -> Dict:
+    """One figure of _FIDELITY_FIGURES; state j of its list has seed + N + 1000*j."""
+    t2_star, groups, prefix, readout, n_set, taus, level, key = _FIDELITY_FIGURES[fig]
+    states = sum(groups, ())
+    per_state = len(groups) > 1
+    values = {}
+    for group in groups:
+        j = states.index(group[0])
+        label = {"state": group[0]} if per_state else {}
         for n in n_set:
-            state_seed = seed + n + 1000 * j
-            fid = _avg_logical_curves(T2_STAR, (label,), "XXX", n, tuple(taus),
-                                      shots, state_seed, AMPLITUDE_LOGICAL)
-            hdr = {"figure": "fig4b", "state": label, "n_projections": n,
-                   "seed": state_seed, "readout": "logical_fidelity", "shots": shots}
-            _write(out / f"fig4b_{label}_N{n}.csv",
-                   _curve_csv_simple(taus, fid, hdr))
-            summary[f"{label}_N{n}_final"] = float(fid[-1])
-    return {"figure": "fig4b", "n_set": list(n_set),
-            "states": list(logical.LOGICAL_3SPIN), "final_fidelities": summary}
+            curve = _avg_curve(t2_star, group, prefix, n, taus, shots,
+                               seed + n + 1000 * j, AMPLITUDE_LOGICAL,
+                               figure=fig, readout=readout, **label)
+            name = f"{fig}_{group[0]}_N{n}" if per_state else f"{fig}_N{n}"
+            _write(out / f"{name}.csv", curve_to_csv(curve))
+            if level is None:
+                values[f"{group[0]}_N{n}_final"] = float(curve.mean[-1])
+            else:
+                values[str(n)] = _crossing_time(curve.tau, curve.mean, level)
+    summary = {"figure": fig, "n_set": list(n_set), key: values}
+    if per_state:
+        summary["states"] = list(states)
+    return summary
 
 
 def _reproduce_fig5(out: Path, shots: int, seed: int) -> Dict:
@@ -460,22 +405,13 @@ def _reproduce_fig5(out: Path, shots: int, seed: int) -> Dict:
             "normalized_times": {str(n): fit.normalized_times[n] for n in n_set}}
 
 
-_FIGURES = {
-    "fig2c": _reproduce_fig2c,
-    "fig3b": _reproduce_fig3b,
-    "fig3c": _reproduce_fig3c,
-    "fig4b": _reproduce_fig4b,
-    "fig5": _reproduce_fig5,
-}
+_FIGURES = {"fig2c": _reproduce_fig2c, "fig5": _reproduce_fig5,
+            **{f: partial(_reproduce_fidelity, f) for f in _FIDELITY_FIGURES}}
 
 
 def cmd_reproduce(args) -> int:
-    if args.figure not in _FIGURES:
-        print(f"error: unknown figure id {args.figure!r}", file=sys.stderr)
-        return EXIT_CONFIG
     if args.shots < 1:
-        print(f"error: --shots must be >= 1, got {args.shots}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--shots must be >= 1, got {args.shots}")
     out = Path(args.out)
     seed = _effective_seed(args.seed)
     summary = _FIGURES[args.figure](out, args.shots, seed)

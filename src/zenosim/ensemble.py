@@ -20,10 +20,11 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .logical import resolve_state
+from .logical import logical_operator, resolve_state
 from .spins import basis_signs, pauli_matrix, validate_word
 
 FIDELITY_PREFIX = "F:"
+LOGICAL_PREFIX = "L:"
 
 # Density-matrix entries per kernel chunk: 2**16 complex128 is 1 MiB per
 # working array, so a chunk's state, mirror and step arrays stay in L2.
@@ -52,11 +53,13 @@ class NoiseModel:
 class ExperimentPlan:
     """Full description of one simulated projection experiment.
 
-    readout entries are Pauli words ("XX") for correlators or "F:<spec>"
-    for state fidelity with a resolvable state spec (see resolve_state).
-    The initial state, every fidelity target and every readout word must
-    fit the register of k = len(noise.t2_star) spins.
-    amplitude/offset are carried for analysis-time comparison curves only.
+    Each readout is a Hermitian operator M read as Re Tr(rho M) on every
+    shot: a Pauli word ("XX") for a correlator, "F:<spec>" for the
+    fidelity with a resolvable state spec (see resolve_state), or
+    "L:<label>" for the restricted logical fidelity of a logical label
+    (see logical_operator). The initial state and every readout operator
+    must fit the register of k = len(noise.t2_star) spins. Analysis-time
+    amplitudes are not part of the plan; the figure pipelines apply them.
     """
 
     noise: NoiseModel
@@ -67,8 +70,6 @@ class ExperimentPlan:
     tau_grid: Tuple[float, ...]
     shots: int
     seed: int
-    amplitude: float = 1.0
-    offset: float = 0.0
 
     def __post_init__(self):
         validate_word(self.observable)
@@ -92,12 +93,8 @@ class ExperimentPlan:
             raise ValueError(f"initial state {self.initial_state!r} does not match "
                              f"the {self.k}-spin register")
         for r in self.readout:
-            if r.startswith(FIDELITY_PREFIX):
-                if resolve_state(r[len(FIDELITY_PREFIX):]).shape != (dim,):
-                    raise ValueError(f"fidelity target {r!r} does not match "
-                                     f"the {self.k}-spin register")
-            elif len(validate_word(r)) != self.k:
-                raise ValueError(f"readout word {r!r} does not match "
+            if readout_operator(r).shape != (dim, dim):
+                raise ValueError(f"readout {r!r} does not match "
                                  f"the {self.k}-spin register")
 
     @property
@@ -152,16 +149,19 @@ def _word_action(word: str) -> Tuple[np.ndarray, np.ndarray]:
     return perm, basis_signs(k)[perm][:, phased].prod(axis=1)
 
 
+def readout_operator(readout: str) -> np.ndarray:
+    """Operator M with readout value Re Tr(rho M): a Pauli word, F:<spec> or L:<label>."""
+    if readout.startswith(FIDELITY_PREFIX):
+        psi = resolve_state(readout[len(FIDELITY_PREFIX):])
+        return np.outer(psi, psi.conj())
+    if readout.startswith(LOGICAL_PREFIX):
+        return logical_operator(readout[len(LOGICAL_PREFIX):])
+    return pauli_matrix(readout)
+
+
 def _readout_weights(plan: ExperimentPlan) -> np.ndarray:
     """(dim**2, n_readouts) matrix w with readout values Re(rho.ravel() @ w)."""
-    cols = []
-    for r in plan.readout:
-        if r.startswith(FIDELITY_PREFIX):
-            psi = resolve_state(r[len(FIDELITY_PREFIX):])
-            cols.append(np.outer(psi.conj(), psi).ravel())
-        else:
-            cols.append(pauli_matrix(r).T.ravel())
-    return np.stack(cols, axis=1)
+    return np.stack([readout_operator(r).T.ravel() for r in plan.readout], axis=1)
 
 
 def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.ndarray:
@@ -250,8 +250,6 @@ def run_ensemble(plan: ExperimentPlan) -> List[DecayCurve]:
         "n_projections": plan.n_projections,
         "shots": plan.shots,
         "seed": plan.seed,
-        "amplitude": plan.amplitude,
-        "offset": plan.offset,
     }
     return [
         DecayCurve(taus.copy(), means[:, i].copy(), errs[:, i].copy(),

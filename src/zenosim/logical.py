@@ -12,11 +12,11 @@ projection channel preserves every logical expectation value exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Tuple
 
 import numpy as np
 
-from .spins import expectation, num_spins, product_ket, state_fidelity
+from .spins import pauli_matrix, product_ket, state_fidelity
 
 _SQ2 = np.sqrt(2.0)
 
@@ -124,26 +124,29 @@ def logical_fidelity(rho: np.ndarray, label: str) -> float:
     return state_fidelity(rho, logical_target(label))
 
 
-def logical_pauli_fidelity(rho: np.ndarray, label: str) -> float:
-    """Logical fidelity from logical-operator expectations only.
+def logical_operator(label: str) -> np.ndarray:
+    """Operator M whose expectation Re Tr(rho M) is the restricted logical fidelity.
 
-    F = (1 + sum coeff * <word>) / 2**m. Coincides with the full-state
-    fidelity for states inside the projected subspace but treats the
-    subspace projector as resolved, e.g. the maximally mixed two-spin
-    state has logical fidelity 1/2 while its full-state fidelity is 1/4.
+    M = (I + sum coeff * W) / 2**m over the label's correlator components
+    W, with m read-out logical qubits (one on two spins, two on three).
     """
     comps = logical_components(label)
     m = 1 if len(comps) == 1 else 2
-    total = sum(coeff * expectation(rho, word) for word, coeff in comps)
-    return (1.0 + total) / 2.0**m
+    op = np.eye(2 ** len(comps[0][0]), dtype=complex)
+    for word, coeff in comps:
+        op += coeff * pauli_matrix(word)
+    return op / 2.0**m
 
 
-def components_to_fidelity(label: str, values: Mapping[str, float]) -> float:
-    """Restricted logical fidelity from pre-measured correlator means."""
-    comps = logical_components(label)
-    m = 1 if len(comps) == 1 else 2
-    total = sum(coeff * values[word] for word, coeff in comps)
-    return (1.0 + total) / 2.0**m
+def logical_pauli_fidelity(rho: np.ndarray, label: str) -> float:
+    """Logical fidelity from logical-operator expectations only, Re Tr(rho M).
+
+    Coincides with the full-state fidelity for states inside the projected
+    subspace but treats the subspace projector as resolved, e.g. the
+    maximally mixed two-spin state has logical fidelity 1/2 while its
+    full-state fidelity is 1/4.
+    """
+    return float(np.trace(rho @ logical_operator(label)).real)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from zenosim.channel import ancilla_project, project
-from zenosim.cli import _avg_logical_curves, _avg_state_fidelity_curves, main
+from zenosim.cli import _avg_curve, main
 from zenosim.ensemble import (ExperimentPlan, NoiseModel, run_ensemble,
                               run_shot, sample_detunings)
 from zenosim.fitting import fit_decay, fit_gaussian, fit_scaling
@@ -205,8 +205,8 @@ def test_criterion_8_logical_protection():
     taus_mem = tuple(np.round(np.linspace(0.0, 320.0, 32), 9))
     mem = {}
     for n in (0, 2, 4, 6, 16):
-        fid = _avg_logical_curves(T2_STAR[:2], CARDINAL_2SPIN, "XX", n,
-                                  taus_mem, shots, SEED + 11 * n, amp)
+        fid = _avg_curve(T2_STAR[:2], CARDINAL_2SPIN, "L:", n, taus_mem, shots,
+                         SEED + 11 * n, amp).mean
         mem[n] = crossing(taus_mem, fid, 2.0 / 3.0)
     assert mem[0] is not None
     for n in (2, 4, 6, 16):
@@ -215,8 +215,8 @@ def test_criterion_8_logical_protection():
     taus_ent = tuple(np.round(np.linspace(0.0, 100.0, 25), 9))
     ent = {}
     for n in (0, 2, 4, 6):
-        fid = _avg_state_fidelity_curves(T2_STAR[:2], ENTANGLED_2SPIN, "XX", n,
-                                         taus_ent, shots, SEED + 13 * n, amp)
+        fid = _avg_curve(T2_STAR[:2], ENTANGLED_2SPIN, "F:", n, taus_ent, shots,
+                         SEED + 13 * n, amp).mean
         ent[n] = crossing(taus_ent, fid, 0.5)
     assert ent[0] is not None
     for n in (2, 4, 6):

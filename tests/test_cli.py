@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from zenosim.cli import main, parse_curve_csv
+from zenosim.cli import AMPLITUDE_LOGICAL, T2_STAR, _avg_curve, main, parse_curve_csv
+from zenosim.ensemble import ExperimentPlan, NoiseModel, run_ensemble
+from zenosim.logical import CARDINAL_2SPIN
 from zenosim.model import sqrt_e_time
 
 
@@ -82,11 +84,21 @@ class TestSimulate:
 
     def test_register_size_mismatch_rejected(self, config, tmp_path, capsys):
         path, cfg = config
-        path.write_text(json.dumps(dict(cfg, t2_star=[12.4, 8.2], initial_state="X")))
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
-        assert "register" in capsys.readouterr().err
-        assert not list(tmp_path.rglob("*.csv"))
+        for bad in ({"t2_star": [12.4, 8.2], "initial_state": "X"},
+                    {"t2_star": [12.4, 8.2], "initial_state": "X,X",
+                     "observable": "XX", "readout": ["L:00L"]}):
+            path.write_text(json.dumps(dict(cfg, **bad)))
+            out = tmp_path / "out"
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+            assert "register" in capsys.readouterr().err
+            assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("key", ["amplitude", "offset"])
+    def test_analysis_keys_rejected(self, config, tmp_path, capsys, key):
+        path, cfg = config
+        path.write_text(json.dumps(dict(cfg, **{key: 0.9})))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
 
     def test_negative_seed_env_rejected(self, config, tmp_path, monkeypatch, capsys):
         path, _ = config
@@ -170,6 +182,21 @@ class TestScalingCommand:
         inp.write_text(json.dumps({"times": {"2": 2.1, "4": 2.8}}))
         assert main(["scaling", "--in", str(inp)]) == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"times": {"0": "x"}}',
+        '{"fits": [{"converged": true, "n_projections": 0, "T2eff_ms": 0}]}',
+        '{"fits": [{"converged": true, "n_projections": 2, "T2eff_ms": NaN}]}',
+        '{"times": {"0": 1.0, "2": Infinity, "4": 2.0}}',
+        '{"times": {"0": 1.0, "2.5": 1.5, "4": 2.0}}',
+        '[1.0, 1.5, 2.0]',
+    ])
+    def test_bad_input_rejected(self, tmp_path, capsys, text):
+        inp = tmp_path / "bad.json"
+        inp.write_text(text)
+        assert main(["scaling", "--in", str(inp)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
 
 class TestReproduce:
     def test_fig5_summary(self, tmp_path, capsys):
@@ -240,3 +267,45 @@ class TestReproduce:
         cross = summary["classical_memory_crossings_ms"]
         for n in ("2", "4", "6", "16"):
             assert cross[n] > cross["0"]
+
+    @pytest.mark.parametrize("fig,floor", [("fig3b", 0.5), ("fig3c", 0.25),
+                                           ("fig4b", 0.25)])
+    def test_fidelity_curves_have_error_bars(self, tmp_path, fig, floor):
+        out = tmp_path / fig
+        assert main(["reproduce", fig, "--out", str(out), "--shots", "20"]) == 0
+        at_zero = AMPLITUDE_LOGICAL + (1 - AMPLITUDE_LOGICAL) * floor
+        for path in out.glob(f"{fig}_*N*.csv"):
+            curve = parse_curve_csv(path.read_text())
+            assert curve.mean[0] == pytest.approx(at_zero, abs=1e-12)
+            assert np.all(curve.stderr[curve.tau > 0] > 0), path.name
+            assert curve.metadata["amplitude"] == AMPLITUDE_LOGICAL
+            assert {"figure", "n_projections", "seed", "readout", "shots", "t2_star",
+                    "observable", "states"} <= set(curve.metadata)
+
+
+class TestAvgCurve:
+    TAUS = (0.0, 5.0, 20.0, 60.0)
+
+    def _run(self, t2_star, state, n, seed):
+        (curve,) = run_ensemble(ExperimentPlan(
+            noise=NoiseModel(t2_star), initial_state=state,
+            observable="X" * len(t2_star), readout=(f"L:{state}",), n_projections=n,
+            tau_grid=self.TAUS, shots=50, seed=seed))
+        return curve
+
+    def test_states_add_in_quadrature(self):
+        amp, seed = 0.89, 31
+        curve = _avg_curve(T2_STAR[:2], CARDINAL_2SPIN, "L:", 2, self.TAUS, 50,
+                           seed, amp)
+        runs = [self._run(T2_STAR[:2], s, 2, seed + 1000 * j)
+                for j, s in enumerate(CARDINAL_2SPIN)]
+        want_mean = sum(amp * r.mean + (1 - amp) / 2 for r in runs) / len(runs)
+        want_err = amp * np.sqrt(sum(r.stderr**2 for r in runs)) / len(runs)
+        assert np.max(np.abs(curve.mean - want_mean)) <= 1e-15
+        assert np.max(np.abs(curve.stderr - want_err)) <= 1e-15
+        assert np.all(curve.stderr[1:] > 0)
+
+    def test_single_state_scales_readout_error(self):
+        curve = _avg_curve(T2_STAR, ("X0L",), "L:", 4, self.TAUS, 50, 77, 0.89)
+        run = self._run(T2_STAR, "X0L", 4, 77)
+        assert np.max(np.abs(curve.stderr - 0.89 * run.stderr)) <= 1e-15

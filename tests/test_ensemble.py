@@ -10,7 +10,7 @@ from zenosim import ensemble
 from zenosim.channel import project
 from zenosim.ensemble import (DecayCurve, ExperimentPlan, NoiseModel,
                               run_ensemble, run_shot, sample_detunings)
-from zenosim.logical import resolve_state
+from zenosim.logical import logical_pauli_fidelity, resolve_state
 from zenosim.model import DecayParams, decay_value, single_shot_expectation
 from zenosim.spins import evolve_dephasing, expectation, state_fidelity
 
@@ -33,6 +33,7 @@ def dense_reference(plan, deltas, tau):
     rho = evolve_dephasing(rho, deltas, seg)
     return np.array([
         state_fidelity(rho, resolve_state(r[2:])) if r.startswith("F:")
+        else logical_pauli_fidelity(rho, r[2:]) if r.startswith("L:")
         else expectation(rho, r)
         for r in plan.readout
     ])
@@ -147,7 +148,8 @@ class TestRunEnsemble:
 
     def test_batched_matches_scalar_path(self):
         plan = make_plan(noise=NoiseModel((12.4, 8.2)), initial_state="X,X",
-                         observable="XX", readout=("XX", "ZZ", "F:X,X"),
+                         observable="XX",
+                         readout=("XX", "ZZ", "F:X,X", "L:0L", "L:+iL"),
                          n_projections=3, tau_grid=(2.5, 6.0), shots=40)
         curves = run_ensemble(plan)
         for p, tau in enumerate(plan.tau_grid):
@@ -155,6 +157,11 @@ class TestRunEnsemble:
             vals = np.stack([dense_reference(plan, d, tau) for d in block])
             curve_means = np.array([c.mean[p] for c in curves])
             assert np.allclose(curve_means, vals.mean(axis=0), atol=1e-12)
+            # per-shot values, so an L: readout's error bar holds the
+            # covariance of its correlators
+            curve_errs = np.array([c.stderr[p] for c in curves])
+            want_errs = vals.std(axis=0, ddof=1) / np.sqrt(plan.shots)
+            assert np.allclose(curve_errs, want_errs, atol=1e-12)
 
 
 PAULI_WORDS = st.integers(1, 4).flatmap(
@@ -238,8 +245,13 @@ class TestValidation:
                    {"readout": ("X", "F:X,X")}, {"readout": ("F:+L",)}):
             with pytest.raises(ValueError, match="register"):
                 make_plan(**kw)
-        make_plan(noise=NoiseModel((12.4, 8.2)), initial_state="+L",
-                  observable="XX", readout=("XX", "F:+L", "F:X,X"))
+        two_spins = dict(noise=NoiseModel((12.4, 8.2)), initial_state="+L",
+                         observable="XX")
+        with pytest.raises(ValueError, match="register"):
+            make_plan(readout=("L:00L",), **two_spins)
+        with pytest.raises(ValueError, match="unknown logical label"):
+            make_plan(readout=("L:2L",), **two_spins)
+        make_plan(readout=("XX", "F:+L", "F:X,X", "L:+L"), **two_spins)
 
     def test_curve_invariants(self):
         with pytest.raises(ValueError):

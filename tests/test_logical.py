@@ -11,6 +11,8 @@ from zenosim.logical import (CARDINAL_2SPIN, LOGICAL_3SPIN, LOGICAL_OPS_2SPIN,
                              logical_target, resolve_state, thresholds)
 from zenosim.spins import expectation, pauli_matrix, product_ket, product_state, state_fidelity
 
+from test_spins import random_density
+
 
 def op(name, table):
     word, sign = table[name]
@@ -125,6 +127,15 @@ class TestLogicalFidelity:
         rho = np.outer(logical_target(label), logical_target(label).conj())
         assert logical_fidelity(rho, label) == pytest.approx(1.0, abs=1e-10)
         assert logical_pauli_fidelity(rho, label) == pytest.approx(1.0, abs=1e-10)
+
+    def test_operator_matches_component_sum(self):
+        rng = np.random.default_rng(5)
+        for label in list(CARDINAL_2SPIN) + list(LOGICAL_3SPIN):
+            comps = logical_components(label)
+            rho = random_density(len(comps[0][0]), rng)
+            m = 1 if len(comps) == 1 else 2  # read-out logical qubits
+            want = (1 + sum(c * expectation(rho, w) for w, c in comps)) / 2**m
+            assert logical_pauli_fidelity(rho, label) == pytest.approx(want, abs=1e-12)
 
     def test_mixed_state_split(self):
         rho = np.eye(4) / 4
