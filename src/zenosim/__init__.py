@@ -3,8 +3,8 @@
 from .spins import (evolve_dephasing, expectation, pauli_matrix, product_ket,
                     product_state, state_fidelity)
 from .channel import ProjectorPair, ancilla_project, project, projectors
-from .model import (DecayParams, decay_curve, decay_value, effective_t2,
-                    odd_n_asymptote, single_shot_expectation, sqrt_e_time)
+from .model import (decay_curve, effective_t2, odd_n_asymptote,
+                    single_shot_expectation, sqrt_e_time)
 from .ensemble import (DecayCurve, ExperimentPlan, NoiseModel, run_ensemble,
                        run_shot, sample_detunings)
 from .logical import (CARDINAL_2SPIN, ENTANGLED_2SPIN, LOGICAL_3SPIN,
@@ -13,8 +13,7 @@ from .logical import (CARDINAL_2SPIN, ENTANGLED_2SPIN, LOGICAL_3SPIN,
                       logical_state_3spin, logical_target, resolve_state,
                       thresholds)
 from .fitting import (CorrectedValue, FitError, FitResult, ScalingFit,
-                      apply_readout_correction, fit_decay, fit_gaussian,
-                      fit_scaling)
+                      apply_readout_correction, fit_decay, fit_scaling)
 
 __version__ = "0.1.0"
 
@@ -22,7 +21,7 @@ __all__ = [
     "pauli_matrix", "product_ket", "product_state", "evolve_dephasing",
     "expectation", "state_fidelity",
     "ProjectorPair", "projectors", "project", "ancilla_project",
-    "DecayParams", "decay_value", "decay_curve", "effective_t2",
+    "decay_curve", "effective_t2",
     "single_shot_expectation", "odd_n_asymptote", "sqrt_e_time",
     "NoiseModel", "ExperimentPlan", "DecayCurve", "sample_detunings",
     "run_shot", "run_ensemble",
@@ -31,5 +30,5 @@ __all__ = [
     "logical_fidelity", "logical_pauli_fidelity", "logical_components",
     "resolve_state", "thresholds",
     "FitResult", "ScalingFit", "FitError", "CorrectedValue",
-    "fit_gaussian", "fit_decay", "fit_scaling", "apply_readout_correction",
+    "fit_decay", "fit_scaling", "apply_readout_correction",
 ]

@@ -31,7 +31,7 @@ import numpy as np
 from . import logical, model
 from .ensemble import (DecayCurve, ExperimentPlan, NoiseModel, readout_operator,
                        run_ensemble)
-from .fitting import FitError, FitResult, fit_decay, fit_gaussian, fit_scaling
+from .fitting import FitError, fit_decay, fit_scaling
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -65,6 +65,11 @@ def _effective_seed(seed: int) -> int:
     return seed
 
 
+def _json_is(value, kind) -> bool:
+    """isinstance for parsed JSON: true and false are not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _reject_constant(name: str):
     """json parse_constant hook: NaN and Infinity are not valid config values."""
     raise ConfigError(f"non-finite number {name} in config")
@@ -79,8 +84,11 @@ def plan_from_config(cfg: Dict) -> ExperimentPlan:
     if missing:
         raise ConfigError(f"missing config keys: {missing}")
     for key, typ in _PLAN_KEYS.items():
-        if key in cfg and not isinstance(cfg[key], typ):
+        if not _json_is(cfg[key], typ):
             raise ConfigError(f"config key {key!r} has wrong type")
+    for key in ("t2_star", "tau_grid"):
+        if not all(_json_is(x, (int, float)) for x in cfg[key]):
+            raise ConfigError(f"config key {key!r} must hold numbers only")
     try:
         return ExperimentPlan(
             noise=NoiseModel(tuple(float(t) for t in cfg["t2_star"])),
@@ -92,7 +100,7 @@ def plan_from_config(cfg: Dict) -> ExperimentPlan:
             shots=cfg["shots"],
             seed=_effective_seed(cfg["seed"]),
         )
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
         raise ConfigError(str(e)) from e
 
 
@@ -143,6 +151,8 @@ def parse_curve_csv(text: str) -> DecayCurve:
     if not saw_header or not rows:
         raise ValueError("not a curve CSV: missing header or data rows")
     arr = np.asarray(rows)
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite tau, mean or stderr in curve rows")
     return DecayCurve(arr[:, 0], arr[:, 1], arr[:, 2], n_projections, readout, meta)
 
 
@@ -215,14 +225,6 @@ def cmd_analytic(args) -> int:
     return 0
 
 
-def _fit_curve(curve: DecayCurve, n: int,
-               reference: Optional[FitResult] = None,
-               t2_guess: Optional[float] = None) -> FitResult:
-    if n == 0:
-        return fit_gaussian(curve)
-    return fit_decay(curve, n, reference=reference, t2_guess=t2_guess)
-
-
 def cmd_fit(args) -> int:
     paths = sorted(glob.glob(args.input))
     if not paths:
@@ -239,7 +241,7 @@ def cmd_fit(args) -> int:
         n = args.n if args.n is not None else curve.n_projections
         row = {"file": os.path.basename(path), "n_projections": n}
         try:
-            res = _fit_curve(curve, n, t2_guess=args.t2_guess)
+            res = fit_decay(curve, n, t2_guess=args.t2_guess)
             row.update(res.as_dict())
         except FitError as e:
             row.update({"converged": False, "error": str(e)})
@@ -263,8 +265,7 @@ def _scaling_times(data) -> Dict[int, float]:
     for n, t in pairs:
         if isinstance(n, bool) or not str(n).isdigit():
             raise ConfigError(f"projection count {n!r} is not a nonnegative integer")
-        if (isinstance(t, bool) or not isinstance(t, (int, float))
-                or not (math.isfinite(t) and t > 0)):
+        if not (_json_is(t, (int, float)) and math.isfinite(t) and t > 0):
             raise ConfigError(f"time {t!r} for N={n} is not finite and positive")
         if "times" in data:
             times[int(n)] = float(t)
@@ -301,6 +302,13 @@ def _crossing_time(tau: np.ndarray, y: np.ndarray, level: float) -> Optional[flo
     return None
 
 
+def _check_top_seed(seed: int) -> None:
+    """ConfigError if a figure's largest derived seed (base + offsets) is >= 2**64."""
+    if seed >= 2**64:
+        raise ConfigError(f"derived seed {seed} lies outside [0, 2**64); "
+                          "use a smaller base seed")
+
+
 def _avg_curve(t2_star, states, prefix, n, taus, shots, seed, amplitude,
                **header) -> DecayCurve:
     """Mean over states of each state's readout prefix + label, amplitude applied.
@@ -333,13 +341,14 @@ def _avg_curve(t2_star, states, prefix, n, taus, shots, seed, amplitude,
 def _reproduce_fig2c(out: Path, shots: int, seed: int) -> Dict:
     taus = _tau_grid(60.0)
     n_set = (0, 2, 4, 8, 16)
+    _check_top_seed(seed + max(n_set))
     fits = {}
     for n in n_set:
         # the empty prefix reads the state's own X correlator
         curve = _avg_curve((T2_STAR[0],), ("X",), "", n, taus, shots, seed + n,
                            AMPLITUDE_SINGLE, readout="X")
         _write(out / f"fig2c_N{n}.csv", curve_to_csv(curve))
-        fits[n] = _fit_curve(curve, n, reference=fits.get(0), t2_guess=T2_STAR[0])
+        fits[n] = fit_decay(curve, n, reference=fits.get(0), t2_guess=T2_STAR[0])
     return {
         "figure": "fig2c",
         "n_set": list(n_set),
@@ -372,6 +381,7 @@ def _reproduce_fidelity(fig: str, out: Path, shots: int, seed: int) -> Dict:
     """One figure of _FIDELITY_FIGURES; state j of its list has seed + N + 1000*j."""
     t2_star, groups, prefix, readout, n_set, taus, level, key = _FIDELITY_FIGURES[fig]
     states = sum(groups, ())
+    _check_top_seed(seed + max(n_set) + 1000 * (len(states) - 1))
     per_state = len(groups) > 1
     values = {}
     for group in groups:

@@ -146,49 +146,25 @@ def _weights(curve: DecayCurve) -> np.ndarray:
     return 1.0 / np.clip(se, 1e-3 * top, None)
 
 
-def fit_gaussian(curve: DecayCurve) -> FitResult:
-    """Fit offset + A*exp(-(tau/T)^2) to a projection-free decay curve."""
-    tau = np.asarray(curve.tau, dtype=float)
-    y = np.asarray(curve.mean, dtype=float)
-    if tau.size < 4:
-        raise FitError("need at least 4 points for a Gaussian fit")
-    if np.ptp(y) < 1e-12:
-        raise FitError("degenerate data: curve is constant")
-    w = _weights(curve)
-
-    def residual(p):
-        a, t, off = p
-        return w * (off + a * np.exp(-((tau / t) ** 2)) - y)
-
-    span = max(tau[-1], 1e-6)
-    p0 = [np.ptp(y), span / 2, float(np.min(y))]
-    p, errs, rss, converged, it = least_squares(residual, p0)
-    if not converged:
-        raise FitError(f"Gaussian fit did not converge in {it} iterations")
-    a, t, off = p
-    if t < 0:  # sign-symmetric model; report the positive branch
-        t = -t
-    return FitResult(a, t, off,
-                     {"A": errs[0], "T2eff_ms": errs[1], "offset": errs[2]},
-                     rss, converged, it)
-
-
 def fit_decay(curve: DecayCurve, n_projections: int,
               reference: Optional[FitResult] = None,
               t2_guess: Optional[float] = None) -> FitResult:
     """Fit the N-projection binomial-sum decay with free (A, T2eff, offset).
 
+    Serves every N >= 0; at N = 0 the model is offset + A*exp(-(tau/T)^2).
     Initial amplitude and offset come from a projection-free reference fit
     of the same dataset family when given, else A=1, offset=0. The T2eff
     guess should be the quadrature combination of nominal per-spin values;
     without one a crossing-time heuristic on the data is used.
     """
-    if n_projections < 1:
-        raise FitError("use fit_gaussian for the projection-free curve")
+    if n_projections < 0:
+        raise FitError(f"projection count must be >= 0, got {n_projections}")
     tau = np.asarray(curve.tau, dtype=float)
     y = np.asarray(curve.mean, dtype=float)
-    if tau.size < 5:
-        raise FitError("need at least 5 points for a decay fit")
+    if tau.size < 4:
+        raise FitError("need at least 4 points for a decay fit")
+    if np.ptp(y) < 1e-12:
+        raise FitError("degenerate data: curve is constant")
     w = _weights(curve)
 
     if reference is not None:

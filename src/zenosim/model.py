@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from itertools import product
 from typing import Sequence, Tuple
 
@@ -28,25 +27,6 @@ SQRT_E_LEVEL = math.exp(-0.5)
 _LOG_UNDERFLOW = -746.0
 # Matrix entries per decay_curve chunk: 2**16 float64 is 512 KiB.
 _CURVE_ENTRIES = 2**16
-
-
-@dataclass(frozen=True)
-class DecayParams:
-    """Parameters of the projected-decay curve."""
-
-    n_projections: int
-    tau: float
-    t2eff: float
-    amplitude: float = 1.0
-    offset: float = 0.0
-
-    def __post_init__(self):
-        if self.n_projections < 0:
-            raise ValueError("projection count must be >= 0")
-        if self.t2eff <= 0:
-            raise ValueError("effective dephasing time must be positive")
-        if not 0 <= self.amplitude <= 1:
-            raise ValueError("amplitude must lie in [0, 1]")
 
 
 def effective_t2(t2_list: Sequence[float]) -> float:
@@ -115,12 +95,6 @@ def decay_curve(n_projections: int, taus: Sequence[float], t2eff: float,
     return offset + amplitude * total
 
 
-def decay_value(p: DecayParams) -> float:
-    """decay_curve at the single time p.tau."""
-    return float(decay_curve(p.n_projections, [p.tau], p.t2eff,
-                             p.amplitude, p.offset)[0])
-
-
 def single_shot_expectation(deltas: Sequence[float], t: float, n_projections: int) -> float:
     """Fixed-detuning expectation of the k-spin x-word after N projections.
 
@@ -153,38 +127,40 @@ def odd_n_asymptote(n_projections: int) -> float:
     return math.exp(logw[frac == 0][0])
 
 
+@functools.cache
+def _unit_sqrt_e_time(n_projections: int) -> float:
+    """1/sqrt(e) crossing of the decay at T2eff = 1.
+
+    One decay_curve scan of a uniform grid brackets the first sign change,
+    then bisection narrows it to 1e-9 relative.
+    """
+    hi = 20.0 * (n_projections + 1)
+    grid = np.linspace(0.0, hi, 400)
+    above = decay_curve(n_projections, grid, 1.0) > SQRT_E_LEVEL
+    first = np.nonzero(above[:-1] & ~above[1:])[0]
+    if first.size == 0:
+        raise RuntimeError(f"no 1/sqrt(e) crossing found for N={n_projections}")
+    lo, hi = grid[first[0]], grid[first[0] + 1]
+    while (hi - lo) > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if decay_curve(n_projections, [mid], 1.0)[0] > SQRT_E_LEVEL:
+            lo = mid
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi))
+
+
 def sqrt_e_time(n_projections: int, t2eff: float) -> float:
     """Smallest tau where the normalized decay crosses 1/sqrt(e).
 
     Restricted to even N: odd-N curves plateau above the crossing level for
-    N >= 3 and the scaling analysis only uses even N. Found by a uniform
-    scan for the first sign change followed by bisection.
+    N >= 3 and the scaling analysis only uses even N. The decay depends on
+    tau only through tau/T2eff, so the crossing is T2eff times the T2eff = 1
+    crossing, which is computed once per N.
     """
-    if n_projections % 2 != 0:
+    n = operator.index(n_projections)
+    if n % 2 != 0:
         raise ValueError("crossing time defined for even N only")
-    if t2eff <= 0:
-        raise ValueError("effective dephasing time must be positive")
-
-    def f(tau: float) -> float:
-        return decay_value(DecayParams(n_projections, tau, t2eff)) - SQRT_E_LEVEL
-
-    hi = 20.0 * (n_projections + 1) * t2eff
-    grid = np.linspace(0.0, hi, 400)
-    lo = None
-    fa = f(grid[0])
-    for a, b in zip(grid[:-1], grid[1:]):
-        fb = f(b)
-        if fa > 0 >= fb:
-            lo, hi = a, b
-            break
-        fa = fb
-    if lo is None:
-        raise RuntimeError(f"no 1/sqrt(e) crossing found for N={n_projections}")
-    while (hi - lo) > 1e-9 * hi:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
+    if not (math.isfinite(t2eff) and t2eff > 0):
+        raise ValueError("effective dephasing time must be finite and positive")
+    return float(t2eff) * _unit_sqrt_e_time(n)

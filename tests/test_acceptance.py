@@ -17,11 +17,10 @@ from zenosim.channel import ancilla_project, project
 from zenosim.cli import _avg_curve, main
 from zenosim.ensemble import (ExperimentPlan, NoiseModel, run_ensemble,
                               run_shot, sample_detunings)
-from zenosim.fitting import fit_decay, fit_gaussian, fit_scaling
+from zenosim.fitting import fit_decay, fit_scaling
 from zenosim.logical import CARDINAL_2SPIN, ENTANGLED_2SPIN
-from zenosim.model import (DecayParams, decay_value, effective_t2,
-                           odd_n_asymptote, single_shot_expectation,
-                           sqrt_e_time)
+from zenosim.model import (decay_curve, effective_t2, odd_n_asymptote,
+                           single_shot_expectation, sqrt_e_time)
 from zenosim.spins import expectation, pauli_matrix
 
 from test_spins import random_density
@@ -70,10 +69,10 @@ def test_criterion_1_n0_reduces_to_gaussian():
         t2 = rng.uniform(0.5, 25)
         a = rng.uniform(0, 1)
         off = rng.uniform(-0.3, 0.3)
-        got = decay_value(DecayParams(0, tau, t2, a, off))
+        got = decay_curve(0, [tau], t2, a, off)[0]
         want = off + a * math.exp(-((tau / t2) ** 2))
         assert abs(got - want) < 1e-12
-    _report(1, "decay_value(N=0) equals offset + A*exp(-(tau/T)^2) to 1e-12 "
+    _report(1, "decay_curve(N=0) equals offset + A*exp(-(tau/T)^2) to 1e-12 "
                "on 1000 random draws")
 
 
@@ -106,20 +105,19 @@ def test_criterion_3_monte_carlo_vs_analytic(mc_dataset):
     total = 0
     bad = 0
     for (k, n), curve in mc_dataset.items():
-        t2eff = effective_t2(T2_STAR[:k])
-        for tau, m, se in zip(curve.tau, curve.mean, curve.stderr):
-            want = decay_value(DecayParams(n, tau, t2eff))
+        wants = decay_curve(n, curve.tau, effective_t2(T2_STAR[:k]))
+        for want, m, se in zip(wants, curve.mean, curve.stderr):
             total += 1
             if abs(m - want) > 4 * se + 1e-12:
                 bad += 1
     assert bad / total <= 0.05
-    _report(3, f"ensemble means within 4 stderr of decay_value on "
+    _report(3, f"ensemble means within 4 stderr of decay_curve on "
                f"{total - bad}/{total} grid points")
 
 
 def test_criterion_4_effective_t2_rule(mc_dataset):
-    fit2 = fit_gaussian(mc_dataset[(2, 0)])
-    fit3 = fit_gaussian(mc_dataset[(3, 0)])
+    fit2 = fit_decay(mc_dataset[(2, 0)], 0)
+    fit3 = fit_decay(mc_dataset[(3, 0)], 0)
     want2, want3 = 6.84, 6.50
     assert abs(fit2.t2eff - want2) < 4 * fit2.std_errors["T2eff_ms"]
     assert abs(fit3.t2eff - want3) < 4 * fit3.std_errors["T2eff_ms"]
@@ -138,7 +136,7 @@ def test_criterion_5_scaling_law(mc_dataset):
     even_n = [n for n in N_SET if n % 2 == 0 and n > 0]
     base_ratio = sqrt_e_time(0, 1.0)
     for k in (1, 2, 3):
-        ref = fit_gaussian(mc_dataset[(k, 0)])
+        ref = fit_decay(mc_dataset[(k, 0)], 0)
         for n in even_n:
             res = fit_decay(mc_dataset[(k, n)], n, reference=ref,
                             t2_guess=effective_t2(T2_STAR[:k]))

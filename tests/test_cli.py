@@ -100,6 +100,19 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [
+        {"shots": True}, {"n_projections": True}, {"seed": False},
+        {"t2_star": ["12.4"]}, {"t2_star": [True]}, {"tau_grid": ["0", "1e0"]},
+        {"t2_star": [10**400]},
+    ])
+    def test_bad_number_values_rejected(self, config, tmp_path, capsys, bad):
+        path, cfg = config
+        path.write_text(json.dumps(dict(cfg, **bad)))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_negative_seed_env_rejected(self, config, tmp_path, monkeypatch, capsys):
         path, _ = config
         monkeypatch.setenv("ZENO_SEED", "-3")
@@ -162,6 +175,17 @@ class TestFitCommand:
         (tmp_path / "bad.csv").write_text("this,is\nnot,a,curve\n")
         assert main(["fit", "--in", str(tmp_path / "*.csv")]) == 2
 
+    @pytest.mark.parametrize("n,row", [(2, "inf,0.5,0.01"), (0, "-inf,0.5,0.01"),
+                                       (0, "3,nan,0.01"), (2, "3,0.5,nan")])
+    def test_non_finite_rows_rejected(self, tmp_path, capsys, n, row):
+        self._write_gaussian(tmp_path / "c.csv")
+        text = (tmp_path / "c.csv").read_text()
+        (tmp_path / "c.csv").write_text(
+            text.replace("# n_projections: 0", f"# n_projections: {n}") + row + "\n")
+        assert main(["fit", "--in", str(tmp_path / "*.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse") and err.count("\n") == 1, err
+
     def test_no_match(self, tmp_path):
         assert main(["fit", "--in", str(tmp_path / "*.csv")]) == 2
 
@@ -218,6 +242,16 @@ class TestReproduce:
         out = tmp_path / "fig2c"
         assert main(["reproduce", "fig2c", "--out", str(out), "--shots", "0"]) == 2
         assert "--shots" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fig", ["fig2c", "fig3b", "fig3c", "fig4b"])
+    def test_derived_seed_overflow_rejected(self, tmp_path, capsys, fig):
+        # a valid base seed whose seed + N + 1000*j passes 2**64 - 1
+        out = tmp_path / fig
+        assert main(["reproduce", fig, "--out", str(out), "--shots", "1",
+                     "--seed", str(2**64 - 16)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
         assert not out.exists()
 
     def test_unknown_figure(self, tmp_path):

@@ -11,7 +11,7 @@ from zenosim.channel import project
 from zenosim.ensemble import (DecayCurve, ExperimentPlan, NoiseModel,
                               run_ensemble, run_shot, sample_detunings)
 from zenosim.logical import logical_pauli_fidelity, resolve_state
-from zenosim.model import DecayParams, decay_value, single_shot_expectation
+from zenosim.model import decay_curve, single_shot_expectation
 from zenosim.spins import evolve_dephasing, expectation, state_fidelity
 
 
@@ -109,9 +109,8 @@ class TestRunEnsemble:
                          observable="XX", readout=("XX",),
                          tau_grid=(3.0, 6.84, 12.0), shots=20_000)
         curve = run_ensemble(plan)[0]
-        for tau, m, se in zip(curve.tau, curve.mean, curve.stderr):
-            want = decay_value(DecayParams(0, tau, 6.8397))
-            assert abs(m - want) < 4 * se
+        want = decay_curve(0, curve.tau, 6.8397)
+        assert np.all(np.abs(curve.mean - want) < 4 * curve.stderr)
 
     def test_more_projections_protect(self):
         common = dict(tau_grid=(40.0,), shots=10_000)

@@ -3,8 +3,8 @@ import pytest
 
 from zenosim.ensemble import DecayCurve
 from zenosim.fitting import (FitError, apply_readout_correction, fit_decay,
-                             fit_gaussian, fit_scaling, least_squares)
-from zenosim.model import DecayParams, decay_curve, decay_value, sqrt_e_time
+                             fit_scaling, least_squares)
+from zenosim.model import decay_curve, sqrt_e_time
 
 
 def curve_from(tau, y, stderr=None, n=0):
@@ -15,10 +15,12 @@ def curve_from(tau, y, stderr=None, n=0):
 
 
 class TestFitGaussian:
+    """fit_decay at N = 0, where the model is offset + A*exp(-(tau/T)^2)."""
+
     def test_noiseless_recovery(self):
         tau = np.linspace(0, 20, 25)
         y = 0.05 + 0.9 * np.exp(-((tau / 6.5) ** 2))
-        res = fit_gaussian(curve_from(tau, y))
+        res = fit_decay(curve_from(tau, y), 0)
         assert res.converged
         assert res.amplitude == pytest.approx(0.9, abs=1e-6)
         assert res.t2eff == pytest.approx(6.5, abs=1e-6)
@@ -29,16 +31,16 @@ class TestFitGaussian:
         tau = np.linspace(0, 30, 20)
         se = np.full_like(tau, 0.01)
         y = np.exp(-((tau / 12.4) ** 2)) + rng.normal(scale=0.01, size=tau.size)
-        res = fit_gaussian(curve_from(tau, y, se))
+        res = fit_decay(curve_from(tau, y, se), 0)
         assert abs(res.t2eff - 12.4) < 4 * res.std_errors["T2eff_ms"]
 
     def test_constant_data_rejected(self):
         with pytest.raises(FitError):
-            fit_gaussian(curve_from(np.linspace(0, 10, 8), np.full(8, 0.3)))
+            fit_decay(curve_from(np.linspace(0, 10, 8), np.full(8, 0.3)), 0)
 
     def test_too_few_points(self):
         with pytest.raises(FitError):
-            fit_gaussian(curve_from([0, 1, 2], [1.0, 0.5, 0.1]))
+            fit_decay(curve_from([0, 1, 2], [1.0, 0.5, 0.1]), 0)
 
 
 class TestFitDecay:
@@ -53,7 +55,7 @@ class TestFitDecay:
 
     def test_reference_guesses(self):
         tau = np.linspace(0, 30, 25)
-        ref = fit_gaussian(curve_from(tau, 0.02 + 0.9 * np.exp(-((tau / 6.8) ** 2))))
+        ref = fit_decay(curve_from(tau, 0.02 + 0.9 * np.exp(-((tau / 6.8) ** 2))), 0)
         y = 0.02 + 0.9 * decay_curve(2, tau, 6.8)
         res = fit_decay(curve_from(tau, y, n=2), 2, reference=ref, t2_guess=6.8)
         assert res.t2eff == pytest.approx(6.8, abs=1e-6)
@@ -71,9 +73,19 @@ class TestFitDecay:
         plateau = res.offset + res.amplitude / 2
         assert plateau == pytest.approx(0.03 + 0.45, abs=1e-5)
 
-    def test_n0_rejected(self):
+    def test_negative_n_rejected(self):
+        tau = np.linspace(0, 10, 10)
         with pytest.raises(FitError):
-            fit_decay(curve_from(np.linspace(0, 10, 10), np.ones(10)), 0)
+            fit_decay(curve_from(tau, np.exp(-((tau / 5.0) ** 2))), -1)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_four_points_suffice(self, n):
+        tau = np.linspace(0, 30, 4)
+        y = 0.05 + 0.9 * decay_curve(n, tau, 6.5)
+        res = fit_decay(curve_from(tau, y, n=n), n, t2_guess=6.0)
+        assert res.t2eff == pytest.approx(6.5, abs=1e-6)
+        with pytest.raises(FitError):
+            fit_decay(curve_from(tau[:3], y[:3], n=n), n, t2_guess=6.0)
 
     def test_nan_guess_fails_as_fit_error(self):
         tau = np.linspace(0, 40, 30)

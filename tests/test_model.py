@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenosim import model
-from zenosim.model import (DecayParams, decay_curve, decay_value, effective_t2,
+from zenosim.model import (SQRT_E_LEVEL, decay_curve, effective_t2,
                            odd_n_asymptote, single_shot_expectation,
                            sqrt_e_time)
 
@@ -45,19 +45,18 @@ class TestDecayValue:
             t2 = rng.uniform(1, 25)
             a = rng.uniform(0, 1)
             off = rng.uniform(-0.2, 0.2)
-            got = decay_value(DecayParams(0, tau, t2, a, off))
+            got = decay_curve(0, [tau], t2, a, off)[0]
             assert got == pytest.approx(off + a * math.exp(-((tau / t2) ** 2)),
                                         abs=1e-12)
 
     def test_n1_long_time_plateau(self):
-        val = decay_value(DecayParams(1, 1e4, 5.0, 0.8, 0.1))
+        val = decay_curve(1, [1e4], 5.0, 0.8, 0.1)[0]
         assert val == pytest.approx(0.1 + 0.8 / 2, abs=1e-12)
 
     def test_n2_at_t2eff(self):
         # independent closed-form evaluation of the four binomial terms
         expected = (2 * math.exp(-1) + 6 * math.exp(-1 / 9)) / 8
-        assert decay_value(DecayParams(2, 6.5, 6.5)) == pytest.approx(expected,
-                                                                     abs=1e-12)
+        assert decay_curve(2, [6.5], 6.5)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_n2_against_gaussian_ensemble_oracle(self):
         # brute-force average of the fixed-detuning expression over 10^6
@@ -66,32 +65,22 @@ class TestDecayValue:
         rng = np.random.default_rng(123)
         deltas = rng.normal(scale=math.sqrt(2) / t2, size=1_000_000)
         mc = np.mean(np.cos(deltas * tau / (n + 1)) ** (n + 1))
-        assert decay_value(DecayParams(n, tau, t2)) == pytest.approx(
+        assert decay_curve(n, [tau], t2)[0] == pytest.approx(
             mc, abs=4 * np.std(np.cos(deltas * tau / 3) ** 3) / 1000)
 
     def test_symmetry_and_origin(self):
-        p = DecayParams(3, 4.2, 6.5, 0.9, 0.05)
-        m = DecayParams(3, -4.2, 6.5, 0.9, 0.05)
-        assert decay_value(p) == pytest.approx(decay_value(m), abs=1e-14)
-        assert decay_value(DecayParams(3, 0.0, 6.5, 0.9, 0.05)) == pytest.approx(
-            0.95, abs=1e-12)
+        p, m, zero = decay_curve(3, [4.2, -4.2, 0.0], 6.5, 0.9, 0.05)
+        assert p == pytest.approx(m, abs=1e-14)
+        assert zero == pytest.approx(0.95, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_even_n_vanishes(self, n):
-        assert decay_value(DecayParams(n, 1e4, 5.0)) < 1e-12
+        assert decay_curve(n, [1e4], 5.0)[0] < 1e-12
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_odd_n_plateau(self, n):
-        assert decay_value(DecayParams(n, 1e4, 5.0)) == pytest.approx(
+        assert decay_curve(n, [1e4], 5.0)[0] == pytest.approx(
             odd_n_asymptote(n), abs=1e-12)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            DecayParams(-1, 1.0, 5.0)
-        with pytest.raises(ValueError):
-            DecayParams(0, 1.0, -5.0)
-        with pytest.raises(ValueError):
-            DecayParams(0, 1.0, 5.0, amplitude=1.5)
 
 
 class TestDecayCurve:
@@ -117,10 +106,11 @@ class TestDecayCurve:
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 5000), st.lists(st.floats(0.0, 1e4), min_size=1, max_size=6),
            st.floats(0.1, 100.0), st.floats(0.0, 1.0), st.floats(-1.0, 1.0))
-    def test_decay_value_is_curve_element(self, n, taus, t2eff, a, off):
+    def test_each_element_equals_single_point(self, n, taus, t2eff, a, off):
+        # a grid evaluates each tau exactly as a one-point call does
         curve = decay_curve(n, taus, t2eff, a, off)
         for tau, want in zip(taus, curve):
-            assert abs(decay_value(DecayParams(n, tau, t2eff, a, off)) - want) <= 1e-15
+            assert decay_curve(n, [tau], t2eff, a, off)[0] == want
 
     @pytest.mark.parametrize("n", [1023, 2047, 4095])
     def test_large_n_matches_exact_sum(self, n):
@@ -153,7 +143,8 @@ class TestDecayCurve:
         assert np.array_equal(decay_curve(300, taus, 2.0), whole)
 
     def test_invalid_inputs(self):
-        for args in [(-1, [1.0], 5.0), (0, [1.0], 0.0), (0, [1.0], math.nan),
+        for args in [(-1, [1.0], 5.0), (0, [1.0], 0.0), (0, [1.0], -5.0),
+                     (0, [1.0], math.nan),
                      (0, [math.nan], 5.0), (0, [math.inf], 5.0)]:
             with pytest.raises(ValueError):
                 decay_curve(*args)
@@ -220,9 +211,37 @@ class TestSqrtETime:
     def test_crossing_level(self):
         for n in (0, 2, 4, 8, 16):
             tau = sqrt_e_time(n, 7.7)
-            assert decay_value(DecayParams(n, tau, 7.7)) == pytest.approx(
+            assert decay_curve(n, [tau], 7.7)[0] == pytest.approx(
                 math.exp(-0.5), rel=1e-7)
 
     def test_odd_rejected(self):
         with pytest.raises(ValueError):
             sqrt_e_time(1, 5.0)
+
+    @pytest.mark.parametrize("t2eff", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_t2eff_rejected(self, t2eff):
+        with pytest.raises(ValueError):
+            sqrt_e_time(2, t2eff)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 40), st.floats(1e-3, 1e3))
+    def test_proportional_to_t2eff(self, half_n, t2eff):
+        n = 2 * half_n
+        assert sqrt_e_time(n, t2eff) == t2eff * sqrt_e_time(n, 1.0)
+
+    def test_matches_point_by_point_scan(self):
+        # reference: walk the grid one point at a time, then bisect
+        for n in range(0, 81, 2):
+            grid = np.linspace(0.0, 20.0 * (n + 1), 400)
+            i = 0
+            while not (decay_curve(n, [grid[i]], 1.0)[0] > SQRT_E_LEVEL
+                       >= decay_curve(n, [grid[i + 1]], 1.0)[0]):
+                i += 1
+            lo, hi = grid[i], grid[i + 1]
+            while hi - lo > 1e-9 * hi:
+                mid = 0.5 * (lo + hi)
+                if decay_curve(n, [mid], 1.0)[0] > SQRT_E_LEVEL:
+                    lo = mid
+                else:
+                    hi = mid
+            assert sqrt_e_time(n, 1.0) == 0.5 * (lo + hi)
