@@ -82,6 +82,14 @@ class TestDecayValue:
         assert decay_curve(n, [1e4], 5.0)[0] == pytest.approx(
             odd_n_asymptote(n), abs=1e-12)
 
+    def test_invalid_params(self):
+        with pytest.raises(ValueError):
+            decay_curve(-1, [1.0], 5.0)
+        with pytest.raises(ValueError):
+            decay_curve(0, [1.0], -5.0)
+        with pytest.raises(ValueError):
+            decay_curve(0, [1.0], 5.0, amplitude=1.5)
+
 
 class TestDecayCurve:
     @settings(deadline=None, max_examples=80)
@@ -143,8 +151,7 @@ class TestDecayCurve:
         assert np.array_equal(decay_curve(300, taus, 2.0), whole)
 
     def test_invalid_inputs(self):
-        for args in [(-1, [1.0], 5.0), (0, [1.0], 0.0), (0, [1.0], -5.0),
-                     (0, [1.0], math.nan),
+        for args in [(-1, [1.0], 5.0), (0, [1.0], 0.0), (0, [1.0], math.nan),
                      (0, [math.nan], 5.0), (0, [math.inf], 5.0)]:
             with pytest.raises(ValueError):
                 decay_curve(*args)
