@@ -316,16 +316,22 @@ def _avg_curve(t2_star, states, prefix, n, taus, shots, seed, amplitude,
     State j runs with seed + 1000*j under projections of X...X. Each mean
     maps to A*v + (1-A)*floor, floor being the readout's value on the
     maximally mixed state; the independent states' standard errors, times
-    A, add in quadrature. header entries extend the curve's metadata.
+    A, add in quadrature. header entries extend the curve's metadata. A
+    plan the ensemble rejects, such as one past its Monte-Carlo size
+    limit, is a ConfigError.
     """
     dim = 2 ** len(t2_star)
     means, errs = [], []
     for j, state in enumerate(states):
         readout = prefix + state
-        (curve,) = run_ensemble(ExperimentPlan(
-            noise=NoiseModel(t2_star), initial_state=state,
-            observable="X" * len(t2_star), readout=(readout,), n_projections=n,
-            tau_grid=taus, shots=shots, seed=seed + 1000 * j))
+        try:
+            plan = ExperimentPlan(
+                noise=NoiseModel(t2_star), initial_state=state,
+                observable="X" * len(t2_star), readout=(readout,), n_projections=n,
+                tau_grid=taus, shots=shots, seed=seed + 1000 * j)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+        (curve,) = run_ensemble(plan)
         floor = np.trace(readout_operator(readout)).real / dim
         means.append(amplitude * curve.mean + (1.0 - amplitude) * floor)
         errs.append(amplitude * curve.stderr)
@@ -342,19 +348,23 @@ def _reproduce_fig2c(out: Path, shots: int, seed: int) -> Dict:
     taus = _tau_grid(60.0)
     n_set = (0, 2, 4, 8, 16)
     _check_top_seed(seed + max(n_set))
-    fits = {}
+    fits, rows = {}, {}
     for n in n_set:
         # the empty prefix reads the state's own X correlator
         curve = _avg_curve((T2_STAR[0],), ("X",), "", n, taus, shots, seed + n,
                            AMPLITUDE_SINGLE, readout="X")
         _write(out / f"fig2c_N{n}.csv", curve_to_csv(curve))
-        fits[n] = fit_decay(curve, n, reference=fits.get(0), t2_guess=T2_STAR[0])
+        try:
+            fits[n] = fit_decay(curve, n, reference=fits.get(0), t2_guess=T2_STAR[0])
+            rows[n] = fits[n].as_dict()
+        except FitError as e:
+            rows[n] = {"converged": False, "error": str(e)}
     return {
         "figure": "fig2c",
         "n_set": list(n_set),
-        "fits": {str(n): fits[n].as_dict() for n in n_set},
+        "fits": {str(n): rows[n] for n in n_set},
         "sqrt_e_times_ms": {str(n): model.sqrt_e_time(n, fits[n].t2eff)
-                            for n in n_set},
+                            if n in fits else None for n in n_set},
     }
 
 

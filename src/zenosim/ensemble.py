@@ -8,15 +8,19 @@ stream keyed by (seed, point), so results are reproducible independent of
 execution order or batching.
 
 One kernel simulates a flat batch of (point, shot) rows in cache-sized
-chunks. :func:`run_ensemble` runs every point and shot of a plan through
-it; :func:`run_shot` runs one row for given detunings.
+chunks, with no loop over projections: it evaluates each read-out entry
+of the final density matrix in closed form, in one pass whose cost grows
+only as log N. :func:`run_ensemble` runs every point and shot of a plan
+through it; :func:`run_shot` runs one row for given detunings. The tables
+the kernel reads are built once per (initial state, observable, readout).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -26,9 +30,14 @@ from .spins import basis_signs, pauli_matrix, validate_word
 FIDELITY_PREFIX = "F:"
 LOGICAL_PREFIX = "L:"
 
-# Density-matrix entries per kernel chunk: 2**16 complex128 is 1 MiB per
-# working array, so a chunk's state, mirror and step arrays stay in L2.
-_CHUNK_ENTRIES = 2**16
+# Entry pairs per kernel chunk: 2**13 complex128 is 128 KiB per working
+# array, small enough for malloc to reuse rather than map afresh, and the
+# chunk's dozen temporaries stay in L2.
+_CHUNK_ENTRIES = 2**13
+
+# Largest Monte-Carlo size of one plan, rows = tau points x shots. The
+# detunings of a plan are drawn at once, so this bounds its memory too.
+MAX_ROWS = 2**24
 
 
 @dataclass(frozen=True)
@@ -86,16 +95,12 @@ class ExperimentPlan:
                 or np.any(np.diff(taus) <= 0)):
             raise ValueError("tau grid must be nonempty, finite, nonnegative, "
                              "strictly increasing")
+        if taus.size * self.shots > MAX_ROWS:
+            raise ValueError(f"{taus.size} tau points x {self.shots} shots exceed "
+                             f"the limit of {MAX_ROWS} Monte-Carlo rows per plan")
         if not self.readout:
             raise ValueError("need at least one readout")
-        dim = 2**self.k
-        if resolve_state(self.initial_state).shape != (dim,):
-            raise ValueError(f"initial state {self.initial_state!r} does not match "
-                             f"the {self.k}-spin register")
-        for r in self.readout:
-            if readout_operator(r).shape != (dim, dim):
-                raise ValueError(f"readout {r!r} does not match "
-                                 f"the {self.k}-spin register")
+        _plan_tables(self.initial_state, self.observable, self.readout)
 
     @property
     def k(self) -> int:
@@ -159,9 +164,78 @@ def readout_operator(readout: str) -> np.ndarray:
     return pauli_matrix(readout)
 
 
-def _readout_weights(plan: ExperimentPlan) -> np.ndarray:
-    """(dim**2, n_readouts) matrix w with readout values Re(rho.ravel() @ w)."""
-    return np.stack([readout_operator(r).T.ravel() for r in plan.readout], axis=1)
+class _Tables(NamedTuple):
+    """Kernel tables of a plan: one line per pair {e, e'} of the readout support.
+
+    e = (a, b) is a density-matrix entry and e' = (p(a), p(b)) its mirror
+    under O rho O, with sign sigma_e. Mirror-side columns are taken in the
+    sigma frame, so the signs appear only here.
+    """
+
+    z: np.ndarray               # (k, dim) spin signs per basis state
+    a: np.ndarray               # (pairs,) row index of e
+    b: np.ndarray               # column index of e
+    pa: np.ndarray              # p(a), row index of e'
+    pb: np.ndarray              # p(b), column index of e'
+    rho0: np.ndarray            # rho0[e]
+    mirror0: np.ndarray         # sigma_e rho0[e']
+    weights: np.ndarray         # (pairs, n_readouts), readout weights of e
+    mirror_weights: np.ndarray  # sigma_e times the weights of e'; 0 when e' = e
+
+
+@lru_cache(maxsize=256)
+def _plan_tables(initial_state: str, observable: str,
+                 readout: Tuple[str, ...]) -> _Tables:
+    """Kernel tables of a plan, built once per (initial state, observable, readout).
+
+    The register size k is len(observable). The support is every entry
+    with a nonzero readout weight, joined with its mirror; each pair
+    {e, e'} appears once, as its smaller flat index e. Raises ValueError
+    if the initial state or a readout operator does not fit the k-spin
+    register. The arrays are shared by every caller, so they are read-only.
+    """
+    k = len(observable)
+    dim = 2**k
+    psi = resolve_state(initial_state)
+    if psi.shape != (dim,):
+        raise ValueError(f"initial state {initial_state!r} does not match "
+                         f"the {k}-spin register")
+    ops = [readout_operator(r) for r in readout]
+    for r, op in zip(readout, ops):
+        if op.shape != (dim, dim):
+            raise ValueError(f"readout {r!r} does not match the {k}-spin register")
+    weights = np.stack([op.T.ravel() for op in ops], axis=1)
+    perm, sign = _word_action(observable)
+    mirror = (perm[:, None] * dim + perm[None, :]).ravel()
+    sigma = np.outer(sign, sign).ravel()
+    weighted = np.any(weights != 0, axis=1)
+    e = np.flatnonzero((weighted | weighted[mirror]) & (np.arange(dim * dim) <= mirror))
+    m = mirror[e]
+    rho0 = np.outer(psi, psi.conj()).ravel()
+    tables = _Tables(z=basis_signs(k).T, a=e // dim, b=e % dim, pa=m // dim, pb=m % dim,
+                     rho0=rho0[e], mirror0=sigma[e] * rho0[m], weights=weights[e],
+                     mirror_weights=np.where((m != e)[:, None],
+                                             sigma[e, None] * weights[m], 0))
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
+def _power(g: np.ndarray, m: int):
+    """g**m for an integer m >= 0 (1.0 for m = 0) by repeated squaring.
+
+    It takes at most 2 log2(m) products, where numpy's own complex power
+    costs about ten per element below m = 100 and about three hundred
+    above, where it turns to exp(m log g).
+    """
+    result = 1.0
+    while m:
+        if m & 1:
+            result = result * g
+        m >>= 1
+        if m:
+            g = g * g
+    return result
 
 
 def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.ndarray:
@@ -169,41 +243,36 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
 
     Row i starts in the plan's initial state and alternates N+1 free
     segments of duration seg[i] under detunings deltas[i] with N
-    projections of the plan observable. Rows run in chunks of
-    _CHUNK_ENTRIES // dim**2, each density matrix flattened to dim**2
-    entries: evolution is an in-place product with the phase outer
-    product, and the projection a gather by the observable's index
-    permutation times its signs.
-    """
-    k = plan.k
-    dim = 2**k
-    psi = resolve_state(plan.initial_state)
-    rho0 = np.outer(psi, psi.conj()).ravel()
-    weights = _readout_weights(plan)
-    perm, sign = _word_action(plan.observable)
-    flat_perm = (perm[:, None] * dim + perm[None, :]).ravel()
-    flat_sign = np.outer(sign, sign).ravel()
-    signed = not np.all(flat_sign == 1)
-    z = basis_signs(k).T
+    projections of the plan observable, in closed form. A free segment
+    multiplies entry e = (a, b) by the phase phi_e = u_a conj(u_b). The
+    projection (rho + O rho O)/2 leaves rho[e'] = sigma_e rho[e], after
+    which each further segment and projection multiplies the pair by
+    g = (phi_e + phi_e')/2. So, for N >= 1,
 
+        rho_N[e] = phi_e/2 g**(N-1) (phi_e rho0[e] + sigma_e phi_e' rho0[e'])
+
+    and rho_N[e'] = sigma_e phi_e'/phi_e rho_N[e], while rho_0[e] = phi_e rho0[e].
+    Only the readout support is evaluated, one line per pair {e, e'}: one
+    exp per basis state, a fixed number of products per pair and about
+    2 log2(N) more for g**(N-1). Rows run in chunks of _CHUNK_ENTRIES // pairs.
+    """
+    t = _plan_tables(plan.initial_state, plan.observable, plan.readout)
+    n = plan.n_projections
     rows = len(seg)
-    chunk = max(1, _CHUNK_ENTRIES // dim**2)
-    out = np.empty((rows, weights.shape[1]))
+    chunk = max(1, _CHUNK_ENTRIES // max(1, len(t.a)))
+    out = np.empty((rows, t.weights.shape[1]))
     for lo in range(0, rows, chunk):
         hi = min(lo + chunk, rows)
-        u = np.exp(-0.5j * seg[lo:hi, None] * (deltas[lo:hi] @ z))
-        step = (u[:, :, None] * u.conj()[:, None, :]).reshape(hi - lo, dim * dim)
-        rho = step * rho0
-        if plan.n_projections:
-            step *= 0.5  # the projection's 1/2, folded into the next segment
-            mirrored = np.empty_like(rho)
-            for _ in range(plan.n_projections):
-                np.take(rho, flat_perm, axis=1, out=mirrored, mode="clip")
-                if signed:
-                    mirrored *= flat_sign
-                rho += mirrored
-                rho *= step
-        out[lo:hi] = (rho @ weights).real
+        u = np.exp(-0.5j * seg[lo:hi, None] * (deltas[lo:hi] @ t.z))
+        v = u.conj()
+        phi = u[:, t.a] * v[:, t.b]
+        phi_m = u[:, t.pa] * v[:, t.pb]
+        # y = rho[e] and y_m = sigma_e rho[e'], after the first segment
+        y, y_m = phi * t.rho0, phi_m * t.mirror0
+        if n:
+            x = 0.5 * (y + y_m) * _power(0.5 * (phi + phi_m), n - 1)
+            y, y_m = x * phi, x * phi_m
+        out[lo:hi] = (y @ t.weights + y_m @ t.mirror_weights).real
     return out
 
 
@@ -213,7 +282,8 @@ def run_shot(plan: ExperimentPlan, deltas: Sequence[float], tau: float) -> np.nd
     Prepares the initial state, alternates N+1 free segments of duration
     tau/(N+1) with N instantaneous projections of the plan observable, and
     evaluates each readout on the final density matrix: one row of the
-    kernel that run_ensemble uses.
+    kernel that run_ensemble uses, in closed form with no loop over
+    projections. The plan's tables are built once and reused by every call.
     """
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError(f"evolution time must be finite and >= 0, got {tau}")

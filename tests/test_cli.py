@@ -113,6 +113,15 @@ class TestSimulate:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_monte_carlo_size_limit(self, config, tmp_path, capsys):
+        path, cfg = config
+        path.write_text(json.dumps(dict(cfg, shots=111111111111111111111111111111)))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Monte-Carlo rows" in err
+        assert err.count("\n") == 1, err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_negative_seed_env_rejected(self, config, tmp_path, monkeypatch, capsys):
         path, _ = config
         monkeypatch.setenv("ZENO_SEED", "-3")
@@ -253,6 +262,31 @@ class TestReproduce:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fig", ["fig2c", "fig3b", "fig3c", "fig4b"])
+    def test_monte_carlo_size_limit(self, tmp_path, capsys, fig):
+        out = tmp_path / fig
+        assert main(["reproduce", fig, "--out", str(out),
+                     "--shots", str(10**30)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Monte-Carlo rows" in err
+        assert err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_fig2c_failed_fits_recorded(self, tmp_path):
+        # at one shot per point some fits do not converge
+        out = tmp_path / "fig2c"
+        assert main(["reproduce", "fig2c", "--out", str(out), "--shots", "1",
+                     "--seed", "1"]) == 0
+        summary = json.loads((out / "fig2c_summary.json").read_text())
+        failed = [n for n, row in summary["fits"].items() if not row["converged"]]
+        assert failed
+        for n in failed:
+            assert "did not converge" in summary["fits"][n]["error"]
+            assert summary["sqrt_e_times_ms"][n] is None
+        for n in set(summary["fits"]) - set(failed):
+            assert summary["sqrt_e_times_ms"][n] > 0
+        assert len(list(out.glob("fig2c_N*.csv"))) == 5
 
     def test_unknown_figure(self, tmp_path):
         with pytest.raises(SystemExit):

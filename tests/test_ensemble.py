@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenosim import ensemble
+from zenosim import ensemble, logical
 from zenosim.channel import project
-from zenosim.ensemble import (DecayCurve, ExperimentPlan, NoiseModel,
-                              run_ensemble, run_shot, sample_detunings)
+from zenosim.ensemble import (MAX_ROWS, DecayCurve, ExperimentPlan, NoiseModel,
+                              readout_operator, run_ensemble, run_shot,
+                              sample_detunings)
 from zenosim.logical import logical_pauli_fidelity, resolve_state
 from zenosim.model import decay_curve, single_shot_expectation
-from zenosim.spins import evolve_dephasing, expectation, state_fidelity
+from zenosim.spins import basis_signs, evolve_dephasing, expectation, state_fidelity
 
 
 def make_plan(**kw):
@@ -37,6 +38,33 @@ def dense_reference(plan, deltas, tau):
         else expectation(rho, r)
         for r in plan.readout
     ])
+
+
+def loop_kernel(plan, deltas, seg):
+    """Readouts of rows (deltas[i], seg[i]), one projection pass at a time.
+
+    The kernel's former projection loop, kept as its reference: each
+    density matrix flattened to dim**2 entries, evolution an in-place
+    product with the phase outer product, and each of the N projections a
+    gather by the observable's index permutation times its signs.
+    """
+    k = plan.k
+    dim = 2**k
+    psi = resolve_state(plan.initial_state)
+    rho0 = np.outer(psi, psi.conj()).ravel()
+    weights = np.stack([readout_operator(r).T.ravel() for r in plan.readout], axis=1)
+    perm, sign = ensemble._word_action(plan.observable)
+    flat_perm = (perm[:, None] * dim + perm[None, :]).ravel()
+    flat_sign = np.outer(sign, sign).ravel()
+    z = basis_signs(k).T
+    u = np.exp(-0.5j * seg[:, None] * (deltas @ z))
+    step = (u[:, :, None] * u.conj()[:, None, :]).reshape(len(seg), dim * dim)
+    rho = step * rho0
+    step *= 0.5  # the projection's 1/2, folded into the next segment
+    for _ in range(plan.n_projections):
+        rho += rho[:, flat_perm] * flat_sign
+        rho *= step
+    return (rho @ weights).real
 
 
 class TestSampleDetunings:
@@ -196,6 +224,26 @@ class TestKernelProperties:
         got = run_shot(plan, deltas, tau)
         assert np.max(np.abs(got - dense_reference(plan, deltas, tau))) < 1e-12
 
+    @settings(deadline=None, max_examples=60)
+    @given(PAULI_WORDS, st.data(), st.integers(0, 4096), st.floats(0.0, 40.0))
+    def test_closed_form_matches_loop_at_large_n(self, word, data, n, tau):
+        k = len(word)
+        labels = st.lists(st.sampled_from(["0", "1", "X", "-X", "Y", "-Y"]),
+                          min_size=k, max_size=k).map(",".join)
+        state = data.draw(labels)
+        # an F: target off the initial state can weight entries whose
+        # mirror carries no weight
+        readout = tuple(data.draw(st.lists(
+            st.text("IXYZ", min_size=k, max_size=k) | labels.map("F:".__add__),
+            min_size=1, max_size=3)))
+        deltas = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=k,
+                                             max_size=k)))
+        plan = make_plan(noise=NoiseModel((10.0,) * k), initial_state=state,
+                         observable=word, readout=readout, n_projections=n)
+        got = run_shot(plan, deltas, tau)
+        want = loop_kernel(plan, deltas[None, :], np.array([tau / (n + 1)]))[0]
+        assert np.max(np.abs(got - want)) < 1e-12
+
     @settings(deadline=None, max_examples=40)
     @given(PAULI_WORDS.filter(lambda w: len(w) <= 3), st.integers(0, 6),
            st.integers(1, 30), st.integers(1, 4), st.integers(1, 7))
@@ -214,7 +262,37 @@ class TestKernelProperties:
             assert np.max(np.abs(a.stderr - b.stderr)) < 1e-14
 
 
+class TestPlanTables:
+    def test_second_run_shot_reuses_tables(self):
+        plan = make_plan(noise=NoiseModel((12.4, 8.2)), initial_state="+iL",
+                         observable="XX", readout=("XX", "F:+iL", "L:+iL"),
+                         n_projections=3)
+        first = run_shot(plan, [0.1, -0.2], 4.0)
+        with mock.patch.object(ensemble, "readout_operator",
+                               wraps=ensemble.readout_operator) as ops, \
+                mock.patch.object(ensemble, "resolve_state",
+                                  wraps=ensemble.resolve_state) as states, \
+                mock.patch.object(logical, "resolve_state",
+                                  wraps=logical.resolve_state) as logical_states:
+            second = run_shot(plan, [0.1, -0.2], 4.0)
+        assert ops.call_count == states.call_count == logical_states.call_count == 0
+        assert np.array_equal(first, second)
+
+    def test_tables_are_read_only(self):
+        plan = make_plan(n_projections=2)
+        tables = ensemble._plan_tables(plan.initial_state, plan.observable, plan.readout)
+        with pytest.raises(ValueError):
+            tables.rho0[0] = 0.0
+
+
 class TestValidation:
+    def test_monte_carlo_size_limit(self):
+        three_points = (1.0, 2.0, 3.0)
+        make_plan(tau_grid=three_points, shots=MAX_ROWS // 3)
+        for shots in (MAX_ROWS // 3 + 1, 111111111111111111111111111111):
+            with pytest.raises(ValueError, match="Monte-Carlo rows"):
+                make_plan(tau_grid=three_points, shots=shots)
+
     def test_bad_tau_grid(self):
         with pytest.raises(ValueError):
             make_plan(tau_grid=(2.0, 1.0))
