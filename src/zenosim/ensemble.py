@@ -9,10 +9,11 @@ execution order or batching.
 
 One kernel simulates a flat batch of (point, shot) rows in cache-sized
 chunks, with no loop over projections: it evaluates each read-out entry
-of the final density matrix in closed form, in one pass whose cost grows
-only as log N. :func:`run_ensemble` runs every point and shot of a plan
-through it; :func:`run_shot` runs one row for given detunings. The tables
-the kernel reads are built once per (initial state, observable, readout).
+of the final density matrix in closed form, in one pass with a single
+complex power for all N projections. :func:`run_ensemble` runs every
+point and shot of a plan through it; :func:`run_shot` runs one row for
+given detunings. The tables the kernel reads are built once per
+(initial state, observable, readout).
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self):
+        # the readout keys the table cache, so any sequence is stored as a tuple
+        object.__setattr__(self, "readout", tuple(self.readout))
         validate_word(self.observable)
         if len(self.observable) != self.k:
             raise ValueError("observable length must match register size")
@@ -221,23 +224,6 @@ def _plan_tables(initial_state: str, observable: str,
     return tables
 
 
-def _power(g: np.ndarray, m: int):
-    """g**m for an integer m >= 0 (1.0 for m = 0) by repeated squaring.
-
-    It takes at most 2 log2(m) products, where numpy's own complex power
-    costs about ten per element below m = 100 and about three hundred
-    above, where it turns to exp(m log g).
-    """
-    result = 1.0
-    while m:
-        if m & 1:
-            result = result * g
-        m >>= 1
-        if m:
-            g = g * g
-    return result
-
-
 def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.ndarray:
     """Readout values, shape (rows, n_readouts), for rows of (detunings, segment).
 
@@ -253,8 +239,8 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
 
     and rho_N[e'] = sigma_e phi_e'/phi_e rho_N[e], while rho_0[e] = phi_e rho0[e].
     Only the readout support is evaluated, one line per pair {e, e'}: one
-    exp per basis state, a fixed number of products per pair and about
-    2 log2(N) more for g**(N-1). Rows run in chunks of _CHUNK_ENTRIES // pairs.
+    exp per basis state, a fixed number of products per pair and one
+    complex power g**(N-1). Rows run in chunks of _CHUNK_ENTRIES // pairs.
     """
     t = _plan_tables(plan.initial_state, plan.observable, plan.readout)
     n = plan.n_projections
@@ -270,7 +256,7 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
         # y = rho[e] and y_m = sigma_e rho[e'], after the first segment
         y, y_m = phi * t.rho0, phi_m * t.mirror0
         if n:
-            x = 0.5 * (y + y_m) * _power(0.5 * (phi + phi_m), n - 1)
+            x = 0.5 * (y + y_m) * (0.5 * (phi + phi_m)) ** (n - 1)
             y, y_m = x * phi, x * phi_m
         out[lo:hi] = (y @ t.weights + y_m @ t.mirror_weights).real
     return out

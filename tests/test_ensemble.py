@@ -262,6 +262,27 @@ class TestKernelProperties:
             assert np.max(np.abs(a.stderr - b.stderr)) < 1e-14
 
 
+    @settings(deadline=None, max_examples=40)
+    @given(PAULI_WORDS.filter(lambda w: len(w) <= 3), st.integers(0, 6),
+           st.integers(1, 30), st.integers(1, 4), st.integers(1, 7))
+    def test_chunks_of_exact_row_counts(self, word, n, shots, points, rows):
+        k = len(word)
+        plan = make_plan(noise=NoiseModel((12.4, 8.2, 21.0)[:k]),
+                         initial_state=",".join(["X"] * k), observable=word,
+                         readout=(word, "Z" * k), n_projections=n,
+                         tau_grid=tuple(3.0 * (p + 1) for p in range(points)),
+                         shots=shots)
+        pairs = len(ensemble._plan_tables(plan.initial_state, plan.observable,
+                                          plan.readout).a)
+        whole = run_ensemble(plan)
+        # each chunk holds exactly `rows` rows
+        with mock.patch.object(ensemble, "_CHUNK_ENTRIES", rows * pairs):
+            chunked = run_ensemble(plan)
+        for a, b in zip(whole, chunked):
+            assert np.max(np.abs(a.mean - b.mean)) < 1e-14
+            assert np.max(np.abs(a.stderr - b.stderr)) < 1e-14
+
+
 class TestPlanTables:
     def test_second_run_shot_reuses_tables(self):
         plan = make_plan(noise=NoiseModel((12.4, 8.2)), initial_state="+iL",
@@ -292,6 +313,12 @@ class TestValidation:
         for shots in (MAX_ROWS // 3 + 1, 111111111111111111111111111111):
             with pytest.raises(ValueError, match="Monte-Carlo rows"):
                 make_plan(tau_grid=three_points, shots=shots)
+
+    def test_list_readout_runs_as_tuple(self):
+        plan = make_plan(readout=["X", "F:X"], n_projections=2)
+        assert plan.readout == ("X", "F:X")
+        want = run_shot(make_plan(readout=("X", "F:X"), n_projections=2), [0.1], 4.0)
+        assert np.array_equal(run_shot(plan, [0.1], 4.0), want)
 
     def test_bad_tau_grid(self):
         with pytest.raises(ValueError):
