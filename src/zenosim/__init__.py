@@ -12,8 +12,7 @@ from .logical import (CARDINAL_2SPIN, ENTANGLED_2SPIN, LOGICAL_3SPIN,
                       logical_pauli_fidelity, logical_state_2spin,
                       logical_state_3spin, logical_target, resolve_state,
                       thresholds)
-from .fitting import (CorrectedValue, FitError, FitResult, ScalingFit,
-                      apply_readout_correction, fit_decay, fit_scaling)
+from .fitting import FitError, FitResult, ScalingFit, fit_decay, fit_scaling
 
 __version__ = "0.1.0"
 
@@ -29,6 +28,5 @@ __all__ = [
     "logical_state_2spin", "logical_state_3spin", "logical_target",
     "logical_fidelity", "logical_pauli_fidelity", "logical_components",
     "resolve_state", "thresholds",
-    "FitResult", "ScalingFit", "FitError", "CorrectedValue",
-    "fit_decay", "fit_scaling", "apply_readout_correction",
+    "FitResult", "ScalingFit", "FitError", "fit_decay", "fit_scaling",
 ]

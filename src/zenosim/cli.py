@@ -175,7 +175,8 @@ def _json_dumps(obj) -> str:
         if isinstance(o, np.ndarray):
             return o.tolist()
         raise TypeError(f"not serializable: {type(o)}")
-    return json.dumps(obj, sort_keys=True, indent=2, default=default) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, default=default,
+                      allow_nan=False) + "\n"
 
 
 def _read_json(path: str, **kw):
@@ -226,6 +227,9 @@ def cmd_analytic(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.t2_guess is not None and not (math.isfinite(args.t2_guess)
+                                          and args.t2_guess > 0):
+        raise ConfigError(f"--t2-guess {args.t2_guess!r} is not finite and positive")
     paths = sorted(glob.glob(args.input))
     if not paths:
         raise ConfigError(f"no files match {args.input!r}")
@@ -355,7 +359,7 @@ def _reproduce_fig2c(out: Path, shots: int, seed: int) -> Dict:
                            AMPLITUDE_SINGLE, readout="X")
         _write(out / f"fig2c_N{n}.csv", curve_to_csv(curve))
         try:
-            fits[n] = fit_decay(curve, n, reference=fits.get(0), t2_guess=T2_STAR[0])
+            fits[n] = fit_decay(curve, n, t2_guess=T2_STAR[0])
             rows[n] = fits[n].as_dict()
         except FitError as e:
             rows[n] = {"converged": False, "error": str(e)}

@@ -1,25 +1,28 @@
-"""Weighted nonlinear least-squares fits for decay curves and scaling laws.
+"""Weighted least-squares fits for decay curves and scaling laws.
 
-The minimizer is a damped Gauss-Newton iteration with a multiplicative
-damping schedule (x10 on a rejected step, /10 on an accepted one).
-Parameter standard errors come from the Jacobian at the optimum, scaled
-by the reduced chi-square.
+Both models are separable: linear in all parameters but one. The decay
+offset + A*m(tau; T2eff) is linear in A and offset, and the scaling law
+1 + mu*N^nu is linear in mu. The minimizer is variable projection: for
+each trial value of the one nonlinear parameter the linear ones are
+solved exactly, and the nonlinear one takes Gauss-Newton steps on the
+exact derivatives of the model. Parameter standard errors come from the
+analytic Jacobian at the optimum, scaled by the reduced chi-square.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .ensemble import DecayCurve
-from .model import decay_curve, sqrt_e_time
+from .model import _decay_and_slope, sqrt_e_time
 
 MAX_ITER = 200
 REL_TOL = 1e-9
-DAMPING_INIT = 1e-3
+MAX_HALVINGS = 50
 
 
 class FitError(RuntimeError):
@@ -35,6 +38,7 @@ class FitResult:
     offset: float
     std_errors: Dict[str, float]
     rss: float
+    chi2_dof: float
     converged: bool
     iterations: int
 
@@ -45,6 +49,7 @@ class FitResult:
             "offset": self.offset,
             "std_errors": dict(self.std_errors),
             "rss": self.rss,
+            "chi2_dof": self.chi2_dof,
             "converged": self.converged,
             "iterations": self.iterations,
         }
@@ -61,75 +66,78 @@ class ScalingFit:
     normalized_times: Dict[int, float]
 
 
-class CorrectedValue(NamedTuple):
-    """Read-out-corrected expectation with a physical-range flag."""
+def _solve_linear(columns, w, wy, theta):
+    """(dphi, A = w*phi, c, r, cost) at theta, or None where theta is rejected.
 
-    value: float
-    in_range: bool
-
-
-def _numeric_jacobian(residual: Callable[[np.ndarray], np.ndarray],
-                      p: np.ndarray, size: int) -> np.ndarray:
-    """Central-difference Jacobian of the residual vector of length `size`."""
-    jac = np.empty((size, p.size))
-    for j in range(p.size):
-        h = 1e-7 * max(abs(p[j]), 1e-3)
-        pp, pm = p.copy(), p.copy()
-        pp[j] += h
-        pm[j] -= h
-        jac[:, j] = (residual(pp) - residual(pm)) / (2 * h)
-    return jac
-
-
-def least_squares(residual: Callable[[np.ndarray], np.ndarray],
-                  p0: Sequence[float],
-                  max_iter: int = MAX_ITER) -> tuple:
-    """Damped Gauss-Newton minimization of ||residual(p)||^2.
-
-    Returns (p, std_errors, rss, converged, iterations).
+    c solves the normal equations (A^T A) c = A^T (w y) and r = A c - w y.
+    theta is rejected when columns raises ValueError, when the equations
+    are singular or when the cost is not finite.
     """
-    p = np.asarray(p0, dtype=float)
-    r = residual(p)
+    try:
+        phi, dphi = columns(theta)
+        a = w[:, None] * phi
+        c = np.linalg.solve(a.T @ a, a.T @ wy)
+    except (ValueError, np.linalg.LinAlgError):
+        return None
+    r = a @ c - wy
     cost = float(r @ r)
-    lam = DAMPING_INIT
-    converged = False
-    it = 0
+    return (dphi, a, c, r, cost) if math.isfinite(cost) else None
+
+
+def least_squares(columns: Callable[[float], tuple], y: Sequence[float],
+                  weights: Sequence[float], theta0: float,
+                  max_iter: int = MAX_ITER) -> tuple:
+    """Variable-projection Gauss-Newton fit of y ~ phi(theta) @ c.
+
+    columns(theta) returns the model columns phi (points x q) and their
+    theta-derivatives dphi. For each trial theta the linear parameters c
+    are solved exactly from the weighted normal equations; theta then takes
+    the reduced (Kaufman) Gauss-Newton step, halved while the cost rises.
+    A rejected trial theta counts as a rise. Standard errors come from the
+    full analytic Jacobian at the optimum, scaled by cost/dof.
+
+    Returns (p, std_errors, rss, converged, iterations) with p = (*c, theta),
+    or p = (theta0,) and no finite error when theta0 itself is rejected.
+    """
+    w = np.asarray(weights, dtype=float)
+    wy = w * np.asarray(y, dtype=float)
+    theta, converged, it = float(theta0), False, 0
+    state = _solve_linear(columns, w, wy, theta)
+    if state is None:
+        return np.array([theta]), np.array([math.nan]), math.inf, False, 0
+    dphi, a, c, r, cost = state
     for it in range(1, max_iter + 1):
-        jac = _numeric_jacobian(residual, p, r.size)
-        jtj = jac.T @ jac
-        g = jac.T @ r
-        step_ok = False
-        for _ in range(50):
-            try:
-                delta = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj))
-                                        + 1e-300 * np.eye(p.size), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10
-                continue
-            p_new = p + delta
-            r_new = residual(p_new)
-            cost_new = float(r_new @ r_new)
-            if np.isfinite(cost_new) and cost_new <= cost:
-                step_ok = True
-                break
-            lam *= 10
-        if not step_ok:
+        # Only the part of d(A c)/d(theta) outside the span of A moves the cost.
+        b = w * (dphi @ c)
+        jk = b - a @ np.linalg.solve(a.T @ a, a.T @ b)
+        curvature = float(jk @ jk)
+        step = -float(b @ r) / curvature if curvature > 0 else math.nan
+        if not math.isfinite(step):
             break
-        rel = np.linalg.norm(delta) / (np.linalg.norm(p_new) + 1e-12)
-        p, r, cost = p_new, r_new, cost_new
-        lam = max(lam / 10, 1e-15)
-        if rel < REL_TOL:
+        # A rise within the rounding error of the cost (about 2 eps sum |r| |w y|,
+        # here with a margin) cannot be told from a fall, so it is accepted.
+        slack = 8 * np.finfo(float).eps * float(np.abs(r) @ (np.abs(wy) + np.abs(r)))
+        for _ in range(MAX_HALVINGS):
+            state = _solve_linear(columns, w, wy, theta + step)
+            if state is not None and state[-1] <= cost + slack:
+                break
+            step /= 2
+        else:
+            break
+        theta += step
+        dphi, a, c, r, cost = state
+        if abs(step) <= REL_TOL * abs(theta):
             converged = True
             break
 
-    jac = _numeric_jacobian(residual, p, r.size)
-    dof = max(r.size - p.size, 1)
+    jac = np.column_stack([a, w * (dphi @ c)])
+    dof = max(r.size - jac.shape[1], 1)
     try:
         cov = np.linalg.inv(jac.T @ jac) * (cost / dof)
         errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
-        errs = np.full(p.size, np.nan)
-    return p, errs, cost, converged, it
+        errs = np.full(jac.shape[1], np.nan)
+    return np.append(c, theta), errs, cost, converged, it
 
 
 def _weights(curve: DecayCurve) -> np.ndarray:
@@ -152,10 +160,11 @@ def fit_decay(curve: DecayCurve, n_projections: int,
     """Fit the N-projection binomial-sum decay with free (A, T2eff, offset).
 
     Serves every N >= 0; at N = 0 the model is offset + A*exp(-(tau/T)^2).
-    Initial amplitude and offset come from a projection-free reference fit
-    of the same dataset family when given, else A=1, offset=0. The T2eff
-    guess should be the quadrature combination of nominal per-spin values;
-    without one a crossing-time heuristic on the data is used.
+    A and offset need no start values: they are solved exactly for every
+    trial T2eff, so `reference` (a projection-free fit of the same dataset
+    family) is accepted but not used. The T2eff guess should be the
+    quadrature combination of nominal per-spin values; without one a
+    crossing-time heuristic on the data is used.
     """
     if n_projections < 0:
         raise FitError(f"projection count must be >= 0, got {n_projections}")
@@ -166,37 +175,38 @@ def fit_decay(curve: DecayCurve, n_projections: int,
     if np.ptp(y) < 1e-12:
         raise FitError("degenerate data: curve is constant")
     w = _weights(curve)
-
-    if reference is not None:
-        a0, off0 = reference.amplitude, reference.offset
-    else:
-        a0, off0 = 1.0, 0.0
     if t2_guess is None:
         # Heuristic: locate the 1/sqrt(e) crossing of the normalized data
-        # and divide out the N-dependent stretch factor.
+        # and divide out the stretch factor of N rounded up to even.
         ynorm = (y - y[-1]) / max(y[0] - y[-1], 1e-9)
         below = np.nonzero(ynorm < math.exp(-0.5))[0]
         tau_e = tau[below[0]] if below.size else tau[-1] / 2
-        if n_projections % 2 == 0:
-            t2_guess = tau_e / sqrt_e_time(n_projections, 1.0)
-        else:
-            t2_guess = tau_e / sqrt_e_time(n_projections + 1, 1.0)
+        t2_guess = tau_e / sqrt_e_time(n_projections + n_projections % 2, 1.0)
     t2_guess = max(float(t2_guess), 1e-6)
+    # Below this T2eff, (tau/T)^2 could overflow; no decay is that fast.
+    t_min = 1e-9 * float(np.max(np.abs(tau)))
+    ones, zeros = np.ones(tau.size), np.zeros(tau.size)
 
-    def residual(p):
-        a, t, off = p
-        if math.isnan(t):  # NaN cost: least_squares rejects the step
-            return np.full(tau.size, math.nan)
-        model = decay_curve(n_projections, tau, max(abs(t), 1e-9))
-        return w * (off + a * model - y)
+    def columns(t):
+        if not t > t_min:
+            raise ValueError(f"T2eff {t!r} out of range")
+        m, dm = _decay_and_slope(n_projections, tau, t)
+        return np.column_stack([m, ones]), np.column_stack([dm, zeros])
 
-    p, errs, rss, converged, it = least_squares(residual, [a0, t2_guess, off0])
+    p, errs, rss, converged, it = least_squares(columns, y, w, t2_guess)
+    _check(converged, errs, f"decay fit (N={n_projections})")
+    a, off, t = p
+    return FitResult(a, t, off,
+                     {"A": errs[0], "T2eff_ms": errs[2], "offset": errs[1]},
+                     rss, rss / (tau.size - 3), converged, it)
+
+
+def _check(converged: bool, errs: np.ndarray, what: str) -> None:
+    """FitError unless the fit converged with finite standard errors."""
     if not converged:
-        raise FitError(f"decay fit (N={n_projections}) did not converge")
-    a, t, off = p
-    return FitResult(a, abs(t), off,
-                     {"A": errs[0], "T2eff_ms": errs[1], "offset": errs[2]},
-                     rss, converged, it)
+        raise FitError(f"{what} did not converge")
+    if not np.isfinite(errs).all():
+        raise FitError(f"{what} has undefined standard errors")
 
 
 def fit_scaling(times: Mapping[int, float]) -> ScalingFit:
@@ -209,23 +219,12 @@ def fit_scaling(times: Mapping[int, float]) -> ScalingFit:
     norm = {int(n): t / base for n, t in sorted(times.items())}
     ns = np.array([n for n in norm if n > 0], dtype=float)
     ys = np.array([norm[int(n)] for n in ns])
+    log_ns = np.log(ns)
 
-    def residual(p):
-        mu, nu = p
-        return 1.0 + mu * ns**nu - ys
+    def columns(nu):
+        power = ns**nu
+        return power[:, None], (power * log_ns)[:, None]
 
-    p, errs, _, converged, _ = least_squares(residual, [0.8, 0.6])
-    if not converged:
-        raise FitError("scaling fit did not converge")
+    p, errs, _, converged, _ = least_squares(columns, ys - 1.0, np.ones(ns.size), 0.6)
+    _check(converged, errs, "scaling fit")
     return ScalingFit(p[0], p[1], errs[0], errs[1], norm)
-
-
-def apply_readout_correction(value: float, factor: float) -> CorrectedValue:
-    """Divide out a scalar read-out correction factor.
-
-    Results outside [-1, 1] are flagged (in_range=False) but not clipped.
-    """
-    if not 0 < factor <= 1:
-        raise ValueError(f"correction factor {factor} outside (0, 1]")
-    corrected = value / factor
-    return CorrectedValue(corrected, abs(corrected) <= 1.0)

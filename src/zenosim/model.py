@@ -6,7 +6,8 @@ quasi-static Gaussian detuning noise folded into a single effective
 dephasing time. :func:`decay_curve` evaluates it for a whole tau grid at
 once, in log space: each binomial weight is formed as exp(log weight -
 exponent) with normalized log weights, so the sum stays finite for every
-N, and only the O(sqrt(N)) weights that do not underflow are kept.
+N, and only the O(sqrt(N)) weights that do not underflow are kept. The
+fits also need the derivative in T2eff, which comes from the same blocks.
 Intermediate fixed-detuning expressions are kept as deterministic oracles
 for the matrix-level simulator.
 """
@@ -86,13 +87,37 @@ def decay_curve(n_projections: int, taus: Sequence[float], t2eff: float,
     taus = np.asarray(taus, dtype=float).ravel()
     if not np.isfinite(taus).all():
         raise ValueError("evolution times must be finite")
-    frac, logw = _binomial_terms(n)
-    rows = max(1, _CURVE_ENTRIES // frac.size)
     total = np.empty(taus.size)
+    for rows, _, terms in _decay_blocks(n, taus, t2eff):
+        total[rows] = terms.sum(axis=1)
+    return offset + amplitude * total
+
+
+def _decay_blocks(n_projections: int, taus: np.ndarray, t2eff: float):
+    """Yield (row slice, x^2, exp(log w - x^2)) per (tau, l) block, x = tau f_l / T.
+
+    Blocks hold at most _CURVE_ENTRIES entries.
+    """
+    frac, logw = _binomial_terms(n_projections)
+    rows = max(1, _CURVE_ENTRIES // frac.size)
     for lo in range(0, taus.size, rows):
         x = taus[lo:lo + rows, None] * frac / t2eff
-        total[lo:lo + rows] = np.exp(logw - x * x).sum(axis=1)
-    return offset + amplitude * total
+        x2 = x * x
+        yield slice(lo, lo + rows), x2, np.exp(logw - x2)
+
+
+def _decay_and_slope(n_projections: int, taus: np.ndarray,
+                     t2eff: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Unit decay m(tau) and its derivative dm/dT for the fits; inputs unchecked.
+
+    m is decay_curve(N, taus, T) to the bit, and dm/dT = sum_l w_l e^{-x_l^2}
+    2 x_l^2 / T comes from the same (tau, l) blocks.
+    """
+    value, slope = np.empty(taus.size), np.empty(taus.size)
+    for rows, x2, terms in _decay_blocks(n_projections, taus, t2eff):
+        value[rows] = terms.sum(axis=1)
+        slope[rows] = (terms * x2).sum(axis=1)
+    return value, slope * (2.0 / t2eff)
 
 
 def single_shot_expectation(deltas: Sequence[float], t: float, n_projections: int) -> float:

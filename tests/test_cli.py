@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from zenosim.cli import AMPLITUDE_LOGICAL, T2_STAR, _avg_curve, main, parse_curve_csv
+from zenosim.cli import (AMPLITUDE_LOGICAL, T2_STAR, _avg_curve, _json_dumps, main,
+                         parse_curve_csv)
 from zenosim.ensemble import ExperimentPlan, NoiseModel, run_ensemble
 from zenosim.logical import CARDINAL_2SPIN
 from zenosim.model import sqrt_e_time
@@ -198,6 +199,43 @@ class TestFitCommand:
     def test_no_match(self, tmp_path):
         assert main(["fit", "--in", str(tmp_path / "*.csv")]) == 2
 
+    @pytest.mark.parametrize("guess", ["-5", "0", "inf", "nan"])
+    def test_bad_t2_guess_rejected(self, tmp_path, capsys, guess):
+        self._write_gaussian(tmp_path / "c0.csv")
+        out = tmp_path / "fits.json"
+        assert main(["fit", "--in", str(tmp_path / "*.csv"), "--out", str(out),
+                     f"--t2-guess={guess}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --t2-guess") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("guess", ["1e-300", "1e12"])
+    def test_hopeless_t2_guess_is_a_failed_fit(self, tmp_path, guess):
+        # A guess far outside the data's time scale leaves the model flat:
+        # the fit fails, and the table stays strict JSON.
+        self._write_gaussian(tmp_path / "c0.csv")
+        out = tmp_path / "fits.json"
+        assert main(["fit", "--in", str(tmp_path / "*.csv"), "--out", str(out),
+                     "--t2-guess", guess]) == 2
+
+        def reject(token):
+            raise AssertionError(f"non-JSON token {token}")
+
+        row = json.loads(out.read_text(), parse_constant=reject)["fits"][0]
+        assert row["converged"] is False and "error" in row
+
+    def test_chi2_dof_reported(self, tmp_path):
+        self._write_gaussian(tmp_path / "c0.csv")
+        out = tmp_path / "fits.json"
+        assert main(["fit", "--in", str(tmp_path / "*.csv"), "--out", str(out)]) == 0
+        row = json.loads(out.read_text())["fits"][0]
+        assert row["chi2_dof"] == pytest.approx(row["rss"] / (20 - 3), rel=1e-12)
+
+
+def test_json_output_rejects_nan():
+    with pytest.raises(ValueError):
+        _json_dumps({"mu_err": float("nan")})
+
 
 class TestScalingCommand:
     def test_times_input(self, tmp_path):
@@ -214,6 +252,16 @@ class TestScalingCommand:
         inp = tmp_path / "times.json"
         inp.write_text(json.dumps({"times": {"2": 2.1, "4": 2.8}}))
         assert main(["scaling", "--in", str(inp)]) == 2
+
+    def test_flat_times_rejected(self, tmp_path, capsys):
+        # No enhancement at all: mu = 0 leaves nu and both errors undefined.
+        inp = tmp_path / "times.json"
+        inp.write_text(json.dumps({"times": {"0": 1, "2": 1, "4": 1}}))
+        out = tmp_path / "scaling.json"
+        assert main(["scaling", "--in", str(inp), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scaling fit") and err.count("\n") == 1, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [
         '{"times": {"0": "x"}}',

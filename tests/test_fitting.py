@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from zenosim import fitting, model
 from zenosim.ensemble import DecayCurve
-from zenosim.fitting import (FitError, apply_readout_correction, fit_decay,
-                             fit_scaling, least_squares)
+from zenosim.fitting import FitError, fit_decay, fit_scaling, least_squares
 from zenosim.model import decay_curve, sqrt_e_time
 
 
@@ -139,6 +141,84 @@ class TestFitDecay:
             assert abs(grad) < 1e-6 * max(scale, c0 / max(abs(p[j]), 1e-3))
 
 
+class TestVariableProjection:
+    def _noisy(self, seed, n=2, noise=0.01):
+        tau = np.linspace(0, 40, 25)
+        rng = np.random.default_rng(seed)
+        y = 0.05 + 0.9 * decay_curve(n, tau, 6.84) + rng.normal(scale=noise, size=tau.size)
+        return curve_from(tau, y, np.full_like(tau, noise), n=n)
+
+    @pytest.mark.parametrize("seed", [None, 3, 4])
+    def test_one_model_evaluation_per_trial_step(self, seed):
+        # Each trial T2eff costs exactly one evaluation of the model and its
+        # slope, and decay_curve itself is never called: no finite differences.
+        if seed is None:
+            tau = np.linspace(0, 40, 25)
+            curve = curve_from(tau, 0.05 + 0.9 * decay_curve(4, tau, 6.84), n=4)
+        else:
+            curve = self._noisy(seed, n=4)
+        trials = []
+
+        def spy(n, taus, t2eff):
+            trials.append(t2eff)
+            return model._decay_and_slope(n, taus, t2eff)
+
+        with mock.patch.object(fitting, "_decay_and_slope", side_effect=spy), \
+                mock.patch.object(model, "decay_curve", side_effect=AssertionError):
+            res = fit_decay(curve, 4, t2_guess=6.0)
+        assert res.converged
+        assert len(trials) == res.iterations + 1
+        assert len(set(trials)) == len(trials)
+
+    def test_chi2_dof_noiseless(self):
+        tau = np.linspace(0, 40, 25)
+        res = fit_decay(curve_from(tau, 0.05 + 0.9 * decay_curve(2, tau, 6.84),
+                                   np.full_like(tau, 0.01), n=2), 2, t2_guess=6.0)
+        assert res.as_dict()["chi2_dof"] == pytest.approx(0.0, abs=1e-20)
+
+    def test_chi2_dof_matches_noise(self):
+        # noise equal to the stated stderr gives chi2/dof near 1 on average
+        values = [fit_decay(self._noisy(500 + i), 2, t2_guess=6.84).as_dict()["chi2_dof"]
+                  for i in range(200)]
+        assert np.mean(values) == pytest.approx(1.0, abs=0.06)
+
+    def test_undefined_std_errors_are_a_fit_error(self):
+        curve = self._noisy(1)
+        nan_errors = (np.array([0.9, 0.05, 6.84]), np.array([0.01, np.nan, 0.1]),
+                      20.0, True, 5)
+        with mock.patch.object(fitting, "least_squares", return_value=nan_errors):
+            with pytest.raises(FitError):
+                fit_decay(curve, 2, t2_guess=6.84)
+        with mock.patch.object(fitting, "least_squares",
+                               return_value=(np.array([0.7, 0.6]), np.array([np.nan, 0.1]),
+                                             0.1, True, 5)):
+            with pytest.raises(FitError):
+                fit_scaling({0: 1.0, 2: 2.0, 4: 2.7})
+
+    @pytest.mark.parametrize("guess", [1e-300, 1e12])
+    def test_flat_model_is_a_fit_error(self, guess):
+        # T2eff far off the data leaves the model flat over the tau grid
+        with pytest.raises(FitError):
+            fit_decay(self._noisy(2), 2, t2_guess=guess)
+
+    def test_scale_invariance_at_the_precision_floor(self):
+        # test_scale_invariance with its four times perturbed by 1e-10
+        # relative noise, so that the two fits do not see bit-identical data
+        base = {n: sqrt_e_time(n, 1.0) for n in (0, 2, 4, 8)}
+        misses = 0
+        for i in range(200):
+            rng = np.random.default_rng(i)
+            times = {n: t * (1 + rng.uniform(-1e-10, 1e-10)) for n, t in base.items()}
+            a = fit_scaling(times)
+            b = fit_scaling({n: 7.7 * t for n, t in times.items()})
+            misses += not (abs(a.mu - b.mu) <= 1e-10 and abs(a.nu - b.nu) <= 1e-10)
+        assert misses == 0
+
+    def test_flat_times_are_a_fit_error(self):
+        with pytest.raises(FitError):
+            fit_scaling({0: 1.0, 2: 1.0, 4: 1.0})
+
+
 class TestFitScaling:
     def test_exact_power_law(self):
         times = {n: 1.0 + 0.5 * n**1.0 for n in (0, 2, 4, 8, 16)}
@@ -169,34 +249,18 @@ class TestFitScaling:
             fit_scaling({0: 1.0, 2: 2.1})
 
 
-class TestReadoutCorrection:
-    def test_single_spin_factor(self):
-        got = apply_readout_correction(0.846, 0.94)
-        assert got.value == pytest.approx(0.90, abs=1e-12)
-        assert got.in_range
-
-    def test_three_spin_factor(self):
-        got = apply_readout_correction(0.90, 0.90)
-        assert got.value == pytest.approx(1.0, abs=1e-12)
-        assert got.in_range
-
-    def test_out_of_range_flagged_not_clipped(self):
-        got = apply_readout_correction(0.95, 0.90)
-        assert got.value == pytest.approx(0.95 / 0.90, abs=1e-12)
-        assert not got.in_range
-
-    def test_bad_factor(self):
-        with pytest.raises(ValueError):
-            apply_readout_correction(0.5, 1.2)
-        with pytest.raises(ValueError):
-            apply_readout_correction(0.5, 0.0)
-
-
 def test_least_squares_linear_problem():
-    # exactly solvable: residual = M p - b
-    m = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-    b = np.array([1.0, 4.0, 3.0])
-    p, errs, rss, converged, _ = least_squares(lambda p: m @ p - b, [0.0, 0.0])
+    # exactly solvable and separable: y = 1 + 2 x^3 on x = 1..4, with the
+    # intercept and slope linear and the exponent 3 the nonlinear parameter
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    y = 1.0 + 2.0 * x**3
+
+    def columns(theta):
+        power = x**theta
+        return (np.column_stack([np.ones_like(x), power]),
+                np.column_stack([np.zeros_like(x), power * np.log(x)]))
+
+    p, errs, rss, converged, _ = least_squares(columns, y, np.ones_like(x), 2.5)
     assert converged
-    assert np.allclose(p, [1.0, 2.0], atol=1e-8)
+    assert np.allclose(p, [1.0, 2.0, 3.0], atol=1e-8)
     assert rss < 1e-15

@@ -163,6 +163,29 @@ class TestDecayCurve:
             decay_curve(2.5, [1.0], 5.0)
 
 
+class TestDecaySlope:
+    """model._decay_and_slope: the fits' value and d/dT columns."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 5000), st.lists(st.floats(0.0, 4.0), min_size=1, max_size=8),
+           st.floats(0.1, 100.0))
+    def test_matches_decay_curve_and_central_difference(self, n, scaled, t2eff):
+        # taus span the decay, which stretches as sqrt(N + 1)
+        taus = np.asarray(scaled) * t2eff * math.sqrt(n + 1)
+        value, slope = model._decay_and_slope(n, taus, t2eff)
+        assert np.array_equal(value, decay_curve(n, taus, t2eff))
+        h = 1e-5 * t2eff
+        central = (decay_curve(n, taus, t2eff + h) - decay_curve(n, taus, t2eff - h)) / (2 * h)
+        assert np.max(np.abs(slope - central)) * t2eff <= 1e-8
+
+    def test_chunking_does_not_change_values(self, monkeypatch):
+        taus = np.linspace(0.0, 40.0, 37)
+        whole = model._decay_and_slope(300, taus, 2.0)
+        monkeypatch.setattr(model, "_CURVE_ENTRIES", 5 * 302)
+        for got, want in zip(model._decay_and_slope(300, taus, 2.0), whole):
+            assert np.array_equal(got, want)
+
+
 class TestSingleShotExpectation:
     def test_zero_detuning(self):
         assert single_shot_expectation([0.0], 3.0, 5) == pytest.approx(1.0)
