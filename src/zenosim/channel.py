@@ -10,29 +10,21 @@ computational basis and discarding it; the two routes must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from .spins import num_spins, pauli_matrix, validate_word
 
 
-@dataclass(frozen=True)
-class ProjectorPair:
-    """Complementary projectors P_plus/P_minus = (I +/- O)/2."""
-
-    p_plus: np.ndarray
-    p_minus: np.ndarray
-
-
-def projectors(word: str) -> ProjectorPair:
-    """Projectors onto the +1/-1 eigenspaces of a Pauli word."""
+def projectors(word: str) -> Tuple[np.ndarray, np.ndarray]:
+    """(P_plus, P_minus) = (I +/- O)/2, the +1/-1 eigenspace projectors of a word."""
     validate_word(word)
     if set(word) == {"I"}:
         raise ValueError("identity word has no nontrivial eigenspace split")
     o = pauli_matrix(word)
     eye = np.eye(o.shape[0])
-    return ProjectorPair((eye + o) / 2, (eye - o) / 2)
+    return (eye + o) / 2, (eye - o) / 2
 
 
 def project(word: str, rho: np.ndarray) -> np.ndarray:
@@ -56,14 +48,14 @@ def ancilla_project(rho: np.ndarray, word: str) -> np.ndarray:
     if len(word) != k:
         raise ValueError(f"word length {len(word)} != register size {k}")
     dim = 2**k
-    pair = projectors(word)
+    p_plus, p_minus = projectors(word)
 
     # System (x) ancilla, ancilla least significant. Entangler: controlled
     # flip of the ancilla on the -1 eigenspace.
     anc0 = np.array([[1, 0], [0, 0]], dtype=complex)
     rho_ext = np.kron(rho, anc0)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    u = np.kron(pair.p_plus, np.eye(2)) + np.kron(pair.p_minus, sx)
+    u = np.kron(p_plus, np.eye(2)) + np.kron(p_minus, sx)
     rho_ext = u @ rho_ext @ u.conj().T
 
     # Non-selective ancilla measurement: zero the ancilla coherences.

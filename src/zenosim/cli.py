@@ -22,15 +22,15 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import logical, model
-from .ensemble import (DecayCurve, ExperimentPlan, NoiseModel, readout_operator,
-                       run_ensemble)
+from .ensemble import (FIDELITY_PREFIX, LOGICAL_PREFIX, DecayCurve, ExperimentPlan,
+                       NoiseModel, readout_operator, run_ensemble)
 from .fitting import FitError, fit_decay, fit_scaling
 
 EXIT_CONFIG = 2
@@ -267,11 +267,14 @@ def _scaling_times(data) -> Dict[int, float]:
         raise ConfigError(f"malformed scaling input: {e}") from e
     times = {}
     for n, t in pairs:
-        if isinstance(n, bool) or not str(n).isdigit():
+        # ASCII only: str.isdigit also accepts digits such as "²" and "١"
+        if isinstance(n, bool) or not (str(n).isascii() and str(n).isdigit()):
             raise ConfigError(f"projection count {n!r} is not a nonnegative integer")
         if not (_json_is(t, (int, float)) and math.isfinite(t) and t > 0):
             raise ConfigError(f"time {t!r} for N={n} is not finite and positive")
         if "times" in data:
+            if int(n) in times:
+                raise ConfigError(f"projection count {n!r} repeats N={int(n)}")
             times[int(n)] = float(t)
         elif int(n) % 2 == 0:
             times[int(n)] = model.sqrt_e_time(int(n), float(t))
@@ -373,19 +376,20 @@ def _reproduce_fig2c(out: Path, shots: int, seed: int) -> Dict:
 
 
 # Per figure: T2*, state groups (one curve per group and N, averaged over
-# its states), readout prefix ("L:" restricted logical or "F:" full-state
-# fidelity), readout name, N set, tau grid, crossing level (None: report
-# each curve's final value) and summary key.
+# its states), readout prefix (restricted logical or full-state fidelity),
+# readout name, N set, tau grid, crossing level (None: report each curve's
+# final value) and summary key.
 _FIDELITY_FIGURES = {
     # one logical qubit in <XX> = +1, against the 2/3 classical-memory line
-    "fig3b": (T2_STAR[:2], (logical.CARDINAL_2SPIN,), "L:", "avg_logical_fidelity",
-              (0, 2, 4, 6, 16), _tau_grid(320.0, 32), 2.0 / 3.0,
-              "classical_memory_crossings_ms"),
+    "fig3b": (T2_STAR[:2], (logical.CARDINAL_2SPIN,), LOGICAL_PREFIX,
+              "avg_logical_fidelity", (0, 2, 4, 6, 16), _tau_grid(320.0, 32),
+              logical.CLASSICAL_MEMORY, "classical_memory_crossings_ms"),
     # logical entangled states, against the 1/2 entanglement witness
-    "fig3c": (T2_STAR[:2], (logical.ENTANGLED_2SPIN,), "F:", "avg_entangled_fidelity",
-              (0, 2, 4, 6), _tau_grid(100.0, 25), 0.5, "entanglement_persistence_ms"),
+    "fig3c": (T2_STAR[:2], (logical.ENTANGLED_2SPIN,), FIDELITY_PREFIX,
+              "avg_entangled_fidelity", (0, 2, 4, 6), _tau_grid(100.0, 25),
+              logical.ENTANGLEMENT_WITNESS, "entanglement_persistence_ms"),
     # two logical qubits in <XXX> = +1, one curve per state
-    "fig4b": (T2_STAR, tuple((s,) for s in logical.LOGICAL_3SPIN), "L:",
+    "fig4b": (T2_STAR, tuple((s,) for s in logical.LOGICAL_3SPIN), LOGICAL_PREFIX,
               "logical_fidelity", (0, 2, 4), _tau_grid(40.0, 20), None,
               "final_fidelities"),
 }
@@ -446,7 +450,9 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The zeno argument parser, built once per process and shared by main."""
     p = argparse.ArgumentParser(prog="zeno", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)

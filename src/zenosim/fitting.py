@@ -85,8 +85,7 @@ def _solve_linear(columns, w, wy, theta):
 
 
 def least_squares(columns: Callable[[float], tuple], y: Sequence[float],
-                  weights: Sequence[float], theta0: float,
-                  max_iter: int = MAX_ITER) -> tuple:
+                  weights: Sequence[float], theta0: float) -> tuple:
     """Variable-projection Gauss-Newton fit of y ~ phi(theta) @ c.
 
     columns(theta) returns the model columns phi (points x q) and their
@@ -106,7 +105,7 @@ def least_squares(columns: Callable[[float], tuple], y: Sequence[float],
     if state is None:
         return np.array([theta]), np.array([math.nan]), math.inf, False, 0
     dphi, a, c, r, cost = state
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         # Only the part of d(A c)/d(theta) outside the span of A moves the cost.
         b = w * (dphi @ c)
         jk = b - a @ np.linalg.solve(a.T @ a, a.T @ b)
@@ -155,16 +154,14 @@ def _weights(curve: DecayCurve) -> np.ndarray:
 
 
 def fit_decay(curve: DecayCurve, n_projections: int,
-              reference: Optional[FitResult] = None,
               t2_guess: Optional[float] = None) -> FitResult:
     """Fit the N-projection binomial-sum decay with free (A, T2eff, offset).
 
     Serves every N >= 0; at N = 0 the model is offset + A*exp(-(tau/T)^2).
     A and offset need no start values: they are solved exactly for every
-    trial T2eff, so `reference` (a projection-free fit of the same dataset
-    family) is accepted but not used. The T2eff guess should be the
-    quadrature combination of nominal per-spin values; without one a
-    crossing-time heuristic on the data is used.
+    trial T2eff. The T2eff guess should be the quadrature combination of
+    nominal per-spin values; without one a crossing-time heuristic on the
+    data is used.
     """
     if n_projections < 0:
         raise FitError(f"projection count must be >= 0, got {n_projections}")

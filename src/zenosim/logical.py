@@ -11,19 +11,21 @@ projection channel preserves every logical expectation value exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Tuple
 
 import numpy as np
 
-from .spins import pauli_matrix, product_ket, state_fidelity
+from .spins import pauli_matrix, product_ket
 
 _SQ2 = np.sqrt(2.0)
 
 
-def _bell2() -> Mapping[str, np.ndarray]:
-    zero = product_ket(["X", "X"])
-    one = product_ket(["-X", "-X"])
+def _logical_kets() -> Mapping[str, np.ndarray]:
+    """Label -> ket of every two-spin and three-spin logical state."""
+    zero, one = product_ket(["X", "X"]), product_ket(["-X", "-X"])
+    b00 = product_ket(["X", "X", "X"])
+    b10 = product_ket(["X", "-X", "-X"])
+    b11 = product_ket(["-X", "-X", "X"])
     return {
         "0L": zero,
         "1L": one,
@@ -31,22 +33,18 @@ def _bell2() -> Mapping[str, np.ndarray]:
         "-L": (zero - one) / _SQ2,
         "+iL": (zero + 1j * one) / _SQ2,
         "-iL": (zero - 1j * one) / _SQ2,
-    }
-
-
-def _basis3() -> Mapping[str, np.ndarray]:
-    b00 = product_ket(["X", "X", "X"])
-    b10 = product_ket(["X", "-X", "-X"])
-    b11 = product_ket(["-X", "-X", "X"])
-    return {
         "00L": b00,
         "X0L": (b00 + b10) / _SQ2,
         "PhiPlusL": (b00 + b11) / _SQ2,
     }
 
 
-_STATES_2 = _bell2()
-_STATES_3 = _basis3()
+_STATES = _logical_kets()
+
+# Fidelity levels: above 2/3 beats any classical memory, and above 1/2 a
+# Bell-type two-spin state is entangled (witness).
+CLASSICAL_MEMORY = 2.0 / 3.0
+ENTANGLEMENT_WITNESS = 0.5
 
 CARDINAL_2SPIN = ("0L", "1L", "+L", "-L", "+iL", "-iL")
 ENTANGLED_2SPIN = ("+L", "-L", "+iL", "-iL")
@@ -75,29 +73,11 @@ _COMPONENTS = {
 }
 
 
-def logical_state_2spin(label: str) -> np.ndarray:
-    """Density matrix of a two-spin logical cardinal state."""
-    if label not in _STATES_2:
-        raise ValueError(f"unknown two-spin logical label {label!r}")
-    psi = _STATES_2[label]
-    return np.outer(psi, psi.conj())
-
-
-def logical_state_3spin(label: str) -> np.ndarray:
-    """Density matrix of a three-spin two-logical-qubit state."""
-    if label not in _STATES_3:
-        raise ValueError(f"unknown three-spin logical label {label!r}")
-    psi = _STATES_3[label]
-    return np.outer(psi, psi.conj())
-
-
 def logical_target(label: str) -> np.ndarray:
     """Pure target state vector for a logical label (either register size)."""
-    if label in _STATES_2:
-        return _STATES_2[label]
-    if label in _STATES_3:
-        return _STATES_3[label]
-    raise ValueError(f"unknown logical label {label!r}")
+    if label not in _STATES:
+        raise ValueError(f"unknown logical label {label!r}")
+    return _STATES[label]
 
 
 def resolve_state(spec: str) -> np.ndarray:
@@ -107,8 +87,8 @@ def resolve_state(spec: str) -> np.ndarray:
     """
     if "," in spec:
         return product_ket([s.strip() for s in spec.split(",")])
-    if spec in _STATES_2 or spec in _STATES_3:
-        return logical_target(spec)
+    if spec in _STATES:
+        return _STATES[spec]
     return product_ket([spec.strip()])
 
 
@@ -117,11 +97,6 @@ def logical_components(label: str) -> Tuple[Tuple[str, float], ...]:
     if label not in _COMPONENTS:
         raise ValueError(f"unknown logical label {label!r}")
     return _COMPONENTS[label]
-
-
-def logical_fidelity(rho: np.ndarray, label: str) -> float:
-    """Full-state fidelity of rho with the pure logical target state."""
-    return state_fidelity(rho, logical_target(label))
 
 
 def logical_operator(label: str) -> np.ndarray:
@@ -147,25 +122,3 @@ def logical_pauli_fidelity(rho: np.ndarray, label: str) -> float:
     full-state fidelity is 1/4.
     """
     return float(np.trace(rho @ logical_operator(label)).real)
-
-
-@dataclass(frozen=True)
-class FidelityFlags:
-    """Threshold flags for a measured state fidelity."""
-
-    beats_classical_memory: bool
-    witnesses_entanglement: bool
-
-
-def thresholds(fidelity: float, bell_type: bool = True) -> FidelityFlags:
-    """Classical-memory (2/3) and entanglement-witness (1/2) flags.
-
-    The entanglement witness applies to Bell-type two-spin targets only;
-    pass bell_type=False to suppress it. Both comparisons are strict.
-    """
-    if not 0.0 <= fidelity <= 1.0:
-        raise ValueError(f"fidelity {fidelity} outside [0, 1]")
-    return FidelityFlags(
-        beats_classical_memory=fidelity > 2.0 / 3.0,
-        witnesses_entanglement=bell_type and fidelity > 0.5,
-    )

@@ -138,7 +138,7 @@ def test_criterion_5_scaling_law(mc_dataset):
     for k in (1, 2, 3):
         ref = fit_decay(mc_dataset[(k, 0)], 0)
         for n in even_n:
-            res = fit_decay(mc_dataset[(k, n)], n, reference=ref,
+            res = fit_decay(mc_dataset[(k, n)], n,
                             t2_guess=effective_t2(T2_STAR[:k]))
             ratio = sqrt_e_time(n, res.t2eff) / sqrt_e_time(0, ref.t2eff)
             want = sqrt_e_time(n, 1.0) / base_ratio

@@ -10,18 +10,18 @@ from test_spins import random_density
 class TestProjectors:
     @pytest.mark.parametrize("word,rank", [("X", 1), ("XX", 2), ("XXX", 4)])
     def test_invariants_and_rank(self, word, rank):
-        pair = projectors(word)
+        p_plus, p_minus = projectors(word)
         dim = 2 ** len(word)
-        for p in (pair.p_plus, pair.p_minus):
+        for p in (p_plus, p_minus):
             assert np.max(np.abs(p @ p - p)) < 1e-12
-        assert np.max(np.abs(pair.p_plus @ pair.p_minus)) < 1e-12
-        assert np.max(np.abs(pair.p_plus + pair.p_minus - np.eye(dim))) < 1e-12
-        assert np.trace(pair.p_plus).real == pytest.approx(rank, abs=1e-12)
+        assert np.max(np.abs(p_plus @ p_minus)) < 1e-12
+        assert np.max(np.abs(p_plus + p_minus - np.eye(dim))) < 1e-12
+        assert np.trace(p_plus).real == pytest.approx(rank, abs=1e-12)
 
     def test_xxx_plus_fixes_eigenstate(self):
         psi = product_ket(["X", "X", "X"])
-        pair = projectors("XXX")
-        assert np.allclose(pair.p_plus @ psi, psi, atol=1e-12)
+        p_plus, _ = projectors("XXX")
+        assert np.allclose(p_plus @ psi, psi, atol=1e-12)
 
     def test_identity_word_rejected(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from zenosim.cli import (AMPLITUDE_LOGICAL, T2_STAR, _avg_curve, _json_dumps, main,
-                         parse_curve_csv)
+from zenosim.cli import (AMPLITUDE_LOGICAL, T2_STAR, _avg_curve, _json_dumps,
+                         build_parser, main, parse_curve_csv)
 from zenosim.ensemble import ExperimentPlan, NoiseModel, run_ensemble
 from zenosim.logical import CARDINAL_2SPIN
 from zenosim.model import sqrt_e_time
@@ -231,6 +231,18 @@ class TestFitCommand:
         row = json.loads(out.read_text())["fits"][0]
         assert row["chi2_dof"] == pytest.approx(row["rss"] / (20 - 3), rel=1e-12)
 
+    def test_calls_share_the_parser_not_arguments(self, tmp_path):
+        # The parser is built once per process; an option given to one call
+        # must not leak into the next.
+        self._write_gaussian(tmp_path / "c0.csv")
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["fit", "--in", str(tmp_path / "*.csv"), "--n", "2",
+                     "--out", str(first)]) == 0
+        assert main(["fit", "--in", str(tmp_path / "*.csv"), "--out", str(second)]) == 0
+        assert json.loads(first.read_text())["fits"][0]["n_projections"] == 2
+        assert json.loads(second.read_text())["fits"][0]["n_projections"] == 0
+        assert build_parser() is build_parser()
+
 
 def test_json_output_rejects_nan():
     with pytest.raises(ValueError):
@@ -270,6 +282,11 @@ class TestScalingCommand:
         '{"times": {"0": 1.0, "2": Infinity, "4": 2.0}}',
         '{"times": {"0": 1.0, "2.5": 1.5, "4": 2.0}}',
         '[1.0, 1.5, 2.0]',
+        # non-ASCII digits: superscript two, Arabic-Indic one
+        r'{"times": {"0": 1, "2": 1.5, "\u00b2": 2, "4": 1.9}}',
+        r'{"times": {"0": 1, "\u0661": 1.2, "2": 1.5, "4": 1.9}}',
+        # two spellings of N = 2
+        '{"times": {"0": 1, "2": 1.5, "02": 1.6, "4": 1.9}}',
     ])
     def test_bad_input_rejected(self, tmp_path, capsys, text):
         inp = tmp_path / "bad.json"

@@ -6,12 +6,17 @@ import pytest
 from zenosim.channel import project
 from zenosim.logical import (CARDINAL_2SPIN, LOGICAL_3SPIN, LOGICAL_OPS_2SPIN,
                              LOGICAL_OPS_3SPIN, logical_components,
-                             logical_fidelity, logical_pauli_fidelity,
-                             logical_state_2spin, logical_state_3spin,
-                             logical_target, resolve_state, thresholds)
+                             logical_pauli_fidelity, logical_target,
+                             resolve_state)
 from zenosim.spins import expectation, pauli_matrix, product_ket, product_state, state_fidelity
 
 from test_spins import random_density
+
+
+def logical_state(label):
+    """Density matrix of the pure logical target state."""
+    psi = logical_target(label)
+    return np.outer(psi, psi.conj())
 
 
 def op(name, table):
@@ -21,26 +26,26 @@ def op(name, table):
 
 class TestTwoSpinStates:
     def test_zero_logical(self):
-        rho = logical_state_2spin("0L")
+        rho = logical_state("0L")
         assert np.allclose(rho, product_state(["X", "X"]), atol=1e-14)
         assert expectation(rho, "XI") == pytest.approx(1.0)
 
     def test_plus_logical(self):
-        rho = logical_state_2spin("+L")
+        rho = logical_state("+L")
         assert expectation(rho, "ZZ") == pytest.approx(1.0)
         # (|XX> + |-X,-X>)/sqrt(2) is the Phi+ Bell state
         bell = (product_ket(["0", "0"]) + product_ket(["1", "1"])) / np.sqrt(2)
         assert state_fidelity(rho, bell) == pytest.approx(1.0, abs=1e-12)
 
     def test_plus_i_logical(self):
-        rho = logical_state_2spin("+iL")
+        rho = logical_state("+iL")
         y_l = op("Y", LOGICAL_OPS_2SPIN)
         assert np.trace(rho @ y_l).real == pytest.approx(1.0, abs=1e-12)
 
     def test_plus_i_max_product_overlap(self):
         # scan product states |a,b> over Bloch angles; a Bell-type state
         # cannot exceed overlap (2+sqrt(2))/4 with any product state
-        rho = logical_state_2spin("+iL")
+        rho = logical_state("+iL")
         angles = np.linspace(0, np.pi, 13)
         phis = np.linspace(0, 2 * np.pi, 12, endpoint=False)
         best = 0.0
@@ -52,27 +57,27 @@ class TestTwoSpinStates:
 
     def test_unknown_label(self):
         with pytest.raises(ValueError):
-            logical_state_2spin("2L")
+            logical_state("2L")
 
     def test_cardinal_states_in_subspace(self):
         for label in CARDINAL_2SPIN:
-            rho = logical_state_2spin(label)
+            rho = logical_state(label)
             assert expectation(rho, "XX") == pytest.approx(1.0, abs=1e-12)
 
 
 class TestThreeSpinStates:
     def test_00(self):
-        assert np.allclose(logical_state_3spin("00L"),
+        assert np.allclose(logical_state("00L"),
                            product_state(["X", "X", "X"]), atol=1e-14)
 
     def test_x0(self):
-        rho = logical_state_3spin("X0L")
+        rho = logical_state("X0L")
         psi = (product_ket(["X", "X", "X"]) + product_ket(["X", "-X", "-X"])) / np.sqrt(2)
         assert state_fidelity(rho, psi) == pytest.approx(1.0, abs=1e-12)
         assert expectation(rho, "XXX") == pytest.approx(1.0, abs=1e-12)
 
     def test_phi_plus_correlations(self):
-        rho = logical_state_3spin("PhiPlusL")
+        rho = logical_state("PhiPlusL")
         z1 = op("Z1", LOGICAL_OPS_3SPIN)
         z2 = op("Z2", LOGICAL_OPS_3SPIN)
         assert np.trace(rho @ z1 @ z2).real == pytest.approx(1.0, abs=1e-12)
@@ -125,7 +130,7 @@ class TestLogicalFidelity:
     @pytest.mark.parametrize("label", list(CARDINAL_2SPIN) + list(LOGICAL_3SPIN))
     def test_target_scores_one(self, label):
         rho = np.outer(logical_target(label), logical_target(label).conj())
-        assert logical_fidelity(rho, label) == pytest.approx(1.0, abs=1e-10)
+        assert state_fidelity(rho, logical_target(label)) == pytest.approx(1.0, abs=1e-10)
         assert logical_pauli_fidelity(rho, label) == pytest.approx(1.0, abs=1e-10)
 
     def test_operator_matches_component_sum(self):
@@ -139,13 +144,8 @@ class TestLogicalFidelity:
 
     def test_mixed_state_split(self):
         rho = np.eye(4) / 4
-        assert logical_fidelity(rho, "0L") == pytest.approx(0.25, abs=1e-12)
+        assert state_fidelity(rho, logical_target("0L")) == pytest.approx(0.25, abs=1e-12)
         assert logical_pauli_fidelity(rho, "0L") == pytest.approx(0.5, abs=1e-12)
-
-    def test_projected_yy_matches_state_fidelity(self):
-        rho = project("XX", product_state(["Y", "Y"]))
-        assert logical_fidelity(rho, "+L") == pytest.approx(
-            state_fidelity(rho, logical_target("+L")), abs=1e-12)
 
     def test_component_words_commute_with_observable(self):
         for label in list(CARDINAL_2SPIN) + list(LOGICAL_3SPIN):
@@ -166,18 +166,3 @@ class TestResolveState:
     def test_unknown(self):
         with pytest.raises(ValueError):
             resolve_state("nope")
-
-
-class TestThresholds:
-    def test_examples(self):
-        assert thresholds(0.70).beats_classical_memory
-        assert not thresholds(0.50).witnesses_entanglement
-        f = thresholds(0.89)
-        assert f.beats_classical_memory and f.witnesses_entanglement
-
-    def test_non_bell_suppresses_witness(self):
-        assert not thresholds(0.9, bell_type=False).witnesses_entanglement
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            thresholds(1.2)
