@@ -9,9 +9,9 @@ Commands:
 
 Curves are CSV with '#'-prefixed provenance headers then tau_ms,mean,stderr
 rows; fit and scaling summaries are JSON. The environment variable
-ZENO_SEED overrides any configured seed (for reproduce, the base seed that
-each curve's seed is derived from). Exit codes: 0 success, 2 config or
-parse error, 3 I/O error.
+ZENO_SEED overrides any configured seed (for reproduce, the seed of every
+plan of every curve). Exit codes: 0 success, 2 config or parse error, 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -309,18 +309,12 @@ def _crossing_time(tau: np.ndarray, y: np.ndarray, level: float) -> Optional[flo
     return None
 
 
-def _check_top_seed(seed: int) -> None:
-    """ConfigError if a figure's largest derived seed (base + offsets) is >= 2**64."""
-    if seed >= 2**64:
-        raise ConfigError(f"derived seed {seed} lies outside [0, 2**64); "
-                          "use a smaller base seed")
-
-
 def _avg_curve(t2_star, states, prefix, n, taus, shots, seed, amplitude,
                **header) -> DecayCurve:
     """Mean over states of each state's readout prefix + label, amplitude applied.
 
-    State j runs with seed + 1000*j under projections of X...X. Each mean
+    Every state runs with the same seed under projections of X...X; its
+    plan's stream keeps its draws apart from the other states'. Each mean
     maps to A*v + (1-A)*floor, floor being the readout's value on the
     maximally mixed state; the independent states' standard errors, times
     A, add in quadrature. header entries extend the curve's metadata. A
@@ -329,13 +323,13 @@ def _avg_curve(t2_star, states, prefix, n, taus, shots, seed, amplitude,
     """
     dim = 2 ** len(t2_star)
     means, errs = [], []
-    for j, state in enumerate(states):
+    for state in states:
         readout = prefix + state
         try:
             plan = ExperimentPlan(
                 noise=NoiseModel(t2_star), initial_state=state,
                 observable="X" * len(t2_star), readout=(readout,), n_projections=n,
-                tau_grid=taus, shots=shots, seed=seed + 1000 * j)
+                tau_grid=taus, shots=shots, seed=seed)
         except ValueError as e:
             raise ConfigError(str(e)) from e
         (curve,) = run_ensemble(plan)
@@ -354,11 +348,10 @@ def _avg_curve(t2_star, states, prefix, n, taus, shots, seed, amplitude,
 def _reproduce_fig2c(out: Path, shots: int, seed: int) -> Dict:
     taus = _tau_grid(60.0)
     n_set = (0, 2, 4, 8, 16)
-    _check_top_seed(seed + max(n_set))
     fits, rows = {}, {}
     for n in n_set:
         # the empty prefix reads the state's own X correlator
-        curve = _avg_curve((T2_STAR[0],), ("X",), "", n, taus, shots, seed + n,
+        curve = _avg_curve((T2_STAR[0],), ("X",), "", n, taus, shots, seed,
                            AMPLITUDE_SINGLE, readout="X")
         _write(out / f"fig2c_N{n}.csv", curve_to_csv(curve))
         try:
@@ -396,19 +389,15 @@ _FIDELITY_FIGURES = {
 
 
 def _reproduce_fidelity(fig: str, out: Path, shots: int, seed: int) -> Dict:
-    """One figure of _FIDELITY_FIGURES; state j of its list has seed + N + 1000*j."""
+    """One figure of _FIDELITY_FIGURES; every plan runs with the given seed."""
     t2_star, groups, prefix, readout, n_set, taus, level, key = _FIDELITY_FIGURES[fig]
-    states = sum(groups, ())
-    _check_top_seed(seed + max(n_set) + 1000 * (len(states) - 1))
     per_state = len(groups) > 1
     values = {}
     for group in groups:
-        j = states.index(group[0])
         label = {"state": group[0]} if per_state else {}
         for n in n_set:
-            curve = _avg_curve(t2_star, group, prefix, n, taus, shots,
-                               seed + n + 1000 * j, AMPLITUDE_LOGICAL,
-                               figure=fig, readout=readout, **label)
+            curve = _avg_curve(t2_star, group, prefix, n, taus, shots, seed,
+                               AMPLITUDE_LOGICAL, figure=fig, readout=readout, **label)
             name = f"{fig}_{group[0]}_N{n}" if per_state else f"{fig}_N{n}"
             _write(out / f"{name}.csv", curve_to_csv(curve))
             if level is None:
@@ -417,7 +406,7 @@ def _reproduce_fidelity(fig: str, out: Path, shots: int, seed: int) -> Dict:
                 values[str(n)] = _crossing_time(curve.tau, curve.mean, level)
     summary = {"figure": fig, "n_set": list(n_set), key: values}
     if per_state:
-        summary["states"] = list(states)
+        summary["states"] = list(sum(groups, ()))
     return summary
 
 

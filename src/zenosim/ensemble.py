@@ -3,9 +3,9 @@
 Each shot draws one quasi-static detuning vector, evolves the register
 through N+1 free segments separated by N projections of the chosen joint
 observable, and evaluates the requested read-outs on the final density
-matrix. Detunings are drawn as one block per tau point from a Philox
-stream keyed by (seed, point), so results are reproducible independent of
-execution order or batching.
+matrix. Detunings are drawn as one block per tau point from Philox keyed
+by (seed, plan stream), a digest of T2*, initial state, observable and N,
+with the point index in the counter: reproducible in any execution order.
 
 One kernel simulates a flat batch of (point, shot) rows in cache-sized
 chunks, with no loop over projections: it evaluates each read-out entry
@@ -18,6 +18,7 @@ given detunings. The tables the kernel reads are built once per
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -82,7 +83,7 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self):
-        # the readout keys the table cache, so any sequence is stored as a tuple
+        # any sequence is stored as a tuple, so the frozen plan stays hashable
         object.__setattr__(self, "readout", tuple(self.readout))
         validate_word(self.observable)
         if len(self.observable) != self.k:
@@ -103,11 +104,19 @@ class ExperimentPlan:
                              f"the limit of {MAX_ROWS} Monte-Carlo rows per plan")
         if not self.readout:
             raise ValueError("need at least one readout")
-        _plan_tables(self.initial_state, self.observable, self.readout)
+        for readout in self.readout:
+            _plan_tables(self.initial_state, self.observable, readout)
 
     @property
     def k(self) -> int:
         return len(self.noise.t2_star)
+
+    @property
+    def stream(self) -> int:
+        """Second Philox key word: 64-bit blake2b of T2*, initial state, observable, N."""
+        physics = repr((tuple(map(float, self.noise.t2_star)), self.initial_state,
+                        self.observable, int(self.n_projections))).encode()
+        return int.from_bytes(hashlib.blake2b(physics, digest_size=8).digest(), "little")
 
 
 @dataclass(frozen=True)
@@ -128,16 +137,16 @@ class DecayCurve:
             raise ValueError("standard errors must be nonnegative")
 
 
-def sample_detunings(seed: int, point_index: int, shots: int,
+def sample_detunings(seed: int, stream: int, point_index: int, shots: int,
                      noise: NoiseModel) -> np.ndarray:
     """Quasi-static detuning vectors of every shot at one tau point, (shots, k).
 
-    One Philox stream per (seed, point): the seed is the key and the point
-    index sits in the top counter word, so each point's block is the same
-    in any execution order. Draws are zero-mean Gaussians of width
-    sqrt(2)/T2* per spin.
+    Philox keyed by (seed, stream), ExperimentPlan.stream for a plan, with
+    the point index in the top counter word: each point's block is the same
+    in any execution order, and more shots extend it. Draws are zero-mean
+    Gaussians of width sqrt(2)/T2* per spin.
     """
-    bg = np.random.Philox(key=np.uint64(seed),
+    bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64),
                           counter=[0, 0, 0, np.uint64(point_index)])
     raw = np.random.Generator(bg).standard_normal((shots, len(noise.t2_star)))
     return raw * noise.sigma
@@ -168,7 +177,7 @@ def readout_operator(readout: str) -> np.ndarray:
 
 
 class _Tables(NamedTuple):
-    """Kernel tables of a plan: one line per pair {e, e'} of the readout support.
+    """Kernel tables of one readout: one line per pair {e, e'} of its support.
 
     e = (a, b) is a density-matrix entry and e' = (p(a), p(b)) its mirror
     under O rho O, with sign sigma_e. Mirror-side columns are taken in the
@@ -182,19 +191,18 @@ class _Tables(NamedTuple):
     pb: np.ndarray              # p(b), column index of e'
     rho0: np.ndarray            # rho0[e]
     mirror0: np.ndarray         # sigma_e rho0[e']
-    weights: np.ndarray         # (pairs, n_readouts), readout weights of e
-    mirror_weights: np.ndarray  # sigma_e times the weights of e'; 0 when e' = e
+    weights: np.ndarray         # readout weights of e
+    mirror_weights: np.ndarray  # sigma_e times the weight of e'; 0 when e' = e
 
 
 @lru_cache(maxsize=256)
-def _plan_tables(initial_state: str, observable: str,
-                 readout: Tuple[str, ...]) -> _Tables:
-    """Kernel tables of a plan, built once per (initial state, observable, readout).
+def _plan_tables(initial_state: str, observable: str, readout: str) -> _Tables:
+    """Kernel tables of a readout, built once per (initial state, observable, readout).
 
     The register size k is len(observable). The support is every entry
     with a nonzero readout weight, joined with its mirror; each pair
     {e, e'} appears once, as its smaller flat index e. Raises ValueError
-    if the initial state or a readout operator does not fit the k-spin
+    if the initial state or the readout operator does not fit the k-spin
     register. The arrays are shared by every caller, so they are read-only.
     """
     k = len(observable)
@@ -203,29 +211,27 @@ def _plan_tables(initial_state: str, observable: str,
     if psi.shape != (dim,):
         raise ValueError(f"initial state {initial_state!r} does not match "
                          f"the {k}-spin register")
-    ops = [readout_operator(r) for r in readout]
-    for r, op in zip(readout, ops):
-        if op.shape != (dim, dim):
-            raise ValueError(f"readout {r!r} does not match the {k}-spin register")
-    weights = np.stack([op.T.ravel() for op in ops], axis=1)
+    op = readout_operator(readout)
+    if op.shape != (dim, dim):
+        raise ValueError(f"readout {readout!r} does not match the {k}-spin register")
+    weights = op.T.ravel()
     perm, sign = _word_action(observable)
     mirror = (perm[:, None] * dim + perm[None, :]).ravel()
     sigma = np.outer(sign, sign).ravel()
-    weighted = np.any(weights != 0, axis=1)
+    weighted = weights != 0
     e = np.flatnonzero((weighted | weighted[mirror]) & (np.arange(dim * dim) <= mirror))
     m = mirror[e]
     rho0 = np.outer(psi, psi.conj()).ravel()
     tables = _Tables(z=basis_signs(k).T, a=e // dim, b=e % dim, pa=m // dim, pb=m % dim,
                      rho0=rho0[e], mirror0=sigma[e] * rho0[m], weights=weights[e],
-                     mirror_weights=np.where((m != e)[:, None],
-                                             sigma[e, None] * weights[m], 0))
+                     mirror_weights=np.where(m != e, sigma[e] * weights[m], 0))
     for arr in tables:
         arr.flags.writeable = False
     return tables
 
 
 def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.ndarray:
-    """Readout values, shape (rows, n_readouts), for rows of (detunings, segment).
+    """Readout values, shape (n_readouts, rows), for rows of (detunings, segment).
 
     Row i starts in the plan's initial state and alternates N+1 free
     segments of duration seg[i] under detunings deltas[i] with N
@@ -240,25 +246,28 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
     and rho_N[e'] = sigma_e phi_e'/phi_e rho_N[e], while rho_0[e] = phi_e rho0[e].
     Only the readout support is evaluated, one line per pair {e, e'}: one
     exp per basis state, a fixed number of products per pair and one
-    complex power g**(N-1). Rows run in chunks of _CHUNK_ENTRIES // pairs.
+    complex power g**(N-1). Each readout runs alone on its own tables, in
+    chunks of _CHUNK_ENTRIES // pairs rows, so its values are bit-identical
+    whatever other readouts share the plan.
     """
-    t = _plan_tables(plan.initial_state, plan.observable, plan.readout)
     n = plan.n_projections
     rows = len(seg)
-    chunk = max(1, _CHUNK_ENTRIES // max(1, len(t.a)))
-    out = np.empty((rows, t.weights.shape[1]))
-    for lo in range(0, rows, chunk):
-        hi = min(lo + chunk, rows)
-        u = np.exp(-0.5j * seg[lo:hi, None] * (deltas[lo:hi] @ t.z))
-        v = u.conj()
-        phi = u[:, t.a] * v[:, t.b]
-        phi_m = u[:, t.pa] * v[:, t.pb]
-        # y = rho[e] and y_m = sigma_e rho[e'], after the first segment
-        y, y_m = phi * t.rho0, phi_m * t.mirror0
-        if n:
-            x = 0.5 * (y + y_m) * (0.5 * (phi + phi_m)) ** (n - 1)
-            y, y_m = x * phi, x * phi_m
-        out[lo:hi] = (y @ t.weights + y_m @ t.mirror_weights).real
+    out = np.empty((len(plan.readout), rows))
+    for r, readout in enumerate(plan.readout):
+        t = _plan_tables(plan.initial_state, plan.observable, readout)
+        chunk = max(1, _CHUNK_ENTRIES // max(1, len(t.a)))
+        for lo in range(0, rows, chunk):
+            hi = min(lo + chunk, rows)
+            u = np.exp(-0.5j * seg[lo:hi, None] * (deltas[lo:hi] @ t.z))
+            v = u.conj()
+            phi = u[:, t.a] * v[:, t.b]
+            phi_m = u[:, t.pa] * v[:, t.pb]
+            # y = rho[e] and y_m = sigma_e rho[e'], after the first segment
+            y, y_m = phi * t.rho0, phi_m * t.mirror0
+            if n:
+                x = 0.5 * (y + y_m) * (0.5 * (phi + phi_m)) ** (n - 1)
+                y, y_m = x * phi, x * phi_m
+            out[r, lo:hi] = (y @ t.weights + y_m @ t.mirror_weights).real
     return out
 
 
@@ -279,7 +288,7 @@ def run_shot(plan: ExperimentPlan, deltas: Sequence[float], tau: float) -> np.nd
     if not np.all(np.isfinite(deltas)):
         raise ValueError("detunings must be finite")
     seg = np.array([tau / (plan.n_projections + 1)])
-    return _kernel(plan, deltas[None, :], seg)[0]
+    return _kernel(plan, deltas[None, :], seg)[:, 0]
 
 
 def run_ensemble(plan: ExperimentPlan) -> List[DecayCurve]:
@@ -290,15 +299,14 @@ def run_ensemble(plan: ExperimentPlan) -> List[DecayCurve]:
     flat batch. Output is deterministic for a given plan.
     """
     taus = np.asarray(plan.tau_grid, dtype=float)
-    deltas = np.concatenate([sample_detunings(plan.seed, p, plan.shots, plan.noise)
-                             for p in range(taus.size)])
+    stream = plan.stream
+    deltas = np.concatenate([sample_detunings(plan.seed, stream, p, plan.shots,
+                                              plan.noise) for p in range(taus.size)])
     seg = np.repeat(taus / (plan.n_projections + 1), plan.shots)
-    vals = _kernel(plan, deltas, seg).reshape(taus.size, plan.shots, -1)
-    means = vals.mean(axis=1)
-    if plan.shots > 1:
-        errs = vals.std(axis=1, ddof=1) / np.sqrt(plan.shots)
-    else:
-        errs = np.zeros_like(means)
+    vals = _kernel(plan, deltas, seg).reshape(-1, taus.size, plan.shots)
+    means = vals.mean(axis=2)
+    errs = (vals.std(axis=2, ddof=1) / np.sqrt(plan.shots) if plan.shots > 1
+            else np.zeros_like(means))
     meta = {
         "t2_star": list(plan.noise.t2_star),
         "initial_state": plan.initial_state,
@@ -307,9 +315,5 @@ def run_ensemble(plan: ExperimentPlan) -> List[DecayCurve]:
         "shots": plan.shots,
         "seed": plan.seed,
     }
-    return [
-        DecayCurve(taus.copy(), means[:, i].copy(), errs[:, i].copy(),
-                   plan.n_projections, plan.readout[i],
-                   dict(meta, readout=plan.readout[i]))
-        for i in range(len(plan.readout))
-    ]
+    return [DecayCurve(taus.copy(), m, e, plan.n_projections, r, dict(meta, readout=r))
+            for r, m, e in zip(plan.readout, means, errs)]

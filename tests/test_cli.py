@@ -1,11 +1,13 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from zenosim import cli
 from zenosim.cli import (AMPLITUDE_LOGICAL, T2_STAR, _avg_curve, _json_dumps,
                          build_parser, main, parse_curve_csv)
-from zenosim.ensemble import ExperimentPlan, NoiseModel, run_ensemble
+from zenosim.ensemble import ExperimentPlan, NoiseModel, run_ensemble, sample_detunings
 from zenosim.logical import CARDINAL_2SPIN
 from zenosim.model import sqrt_e_time
 
@@ -319,14 +321,13 @@ class TestReproduce:
         assert not out.exists()
 
     @pytest.mark.parametrize("fig", ["fig2c", "fig3b", "fig3c", "fig4b"])
-    def test_derived_seed_overflow_rejected(self, tmp_path, capsys, fig):
-        # a valid base seed whose seed + N + 1000*j passes 2**64 - 1
+    def test_top_seed_accepted(self, tmp_path, fig):
+        # every plan runs with the seed as given, so the largest one is valid
         out = tmp_path / fig
         assert main(["reproduce", fig, "--out", str(out), "--shots", "1",
-                     "--seed", str(2**64 - 16)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1, err
-        assert not out.exists()
+                     "--seed", str(2**64 - 1)]) == 0
+        for path in out.glob("*.csv"):
+            assert parse_curve_csv(path.read_text()).metadata["seed"] == 2**64 - 1
 
     @pytest.mark.parametrize("fig", ["fig2c", "fig3b", "fig3c", "fig4b"])
     def test_monte_carlo_size_limit(self, tmp_path, capsys, fig):
@@ -384,13 +385,24 @@ class TestReproduce:
         assert summary["states"] == ["00L", "X0L", "PhiPlusL"]
         assert len(list(out.glob("fig4b_*.csv"))) == 9
 
-    def test_fig4b_states_have_distinct_seeds(self, tmp_path):
-        out = tmp_path / "fig4b"
-        assert main(["reproduce", "fig4b", "--out", str(out), "--shots", "20"]) == 0
+    def test_fig4b_states_draw_distinct_blocks(self, tmp_path):
+        plans = _reproduce_plans(tmp_path, "fig4b", "20")
         for n in (0, 2, 4):
-            seeds = {parse_curve_csv(p.read_text()).metadata["seed"]
-                     for p in out.glob(f"fig4b_*_N{n}.csv")}
-            assert len(seeds) == 3, (n, seeds)
+            blocks = {_first_block(p) for p in plans if p.n_projections == n}
+            assert len(blocks) == 3, n
+
+    def test_figures_draw_distinct_blocks(self, tmp_path):
+        # fig3b's 0L and fig3c's +L share T2*, observable and seed: before
+        # streams were keyed by the plan, they drew identical detunings
+        fig3b = _reproduce_plans(tmp_path / "b", "fig3b", "4")
+        fig3c = _reproduce_plans(tmp_path / "c", "fig3c", "4")
+        for n in (0, 2, 4, 6):
+            (zero,) = [p for p in fig3b if p.n_projections == n and
+                       p.initial_state == "0L"]
+            (plus,) = [p for p in fig3c if p.n_projections == n and
+                       p.initial_state == "+L"]
+            assert (zero.seed, zero.noise) == (plus.seed, plus.noise)
+            assert _first_block(zero) != _first_block(plus), n
 
     def test_fig3b_crossings(self, tmp_path):
         out = tmp_path / "fig3b"
@@ -416,6 +428,19 @@ class TestReproduce:
                     "observable", "states"} <= set(curve.metadata)
 
 
+def _reproduce_plans(out, fig, shots):
+    """The plans that `zeno reproduce fig` runs, seed 12345."""
+    with mock.patch.object(cli, "run_ensemble", wraps=run_ensemble) as run:
+        assert main(["reproduce", fig, "--out", str(out), "--shots", shots,
+                     "--seed", "12345"]) == 0
+    return [c.args[0] for c in run.call_args_list]
+
+
+def _first_block(plan):
+    """The plan's detunings at its first tau point, as bytes."""
+    return sample_detunings(plan.seed, plan.stream, 0, plan.shots, plan.noise).tobytes()
+
+
 class TestAvgCurve:
     TAUS = (0.0, 5.0, 20.0, 60.0)
 
@@ -430,8 +455,7 @@ class TestAvgCurve:
         amp, seed = 0.89, 31
         curve = _avg_curve(T2_STAR[:2], CARDINAL_2SPIN, "L:", 2, self.TAUS, 50,
                            seed, amp)
-        runs = [self._run(T2_STAR[:2], s, 2, seed + 1000 * j)
-                for j, s in enumerate(CARDINAL_2SPIN)]
+        runs = [self._run(T2_STAR[:2], s, 2, seed) for s in CARDINAL_2SPIN]
         want_mean = sum(amp * r.mean + (1 - amp) / 2 for r in runs) / len(runs)
         want_err = amp * np.sqrt(sum(r.stderr**2 for r in runs)) / len(runs)
         assert np.max(np.abs(curve.mean - want_mean)) <= 1e-15

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -70,30 +74,89 @@ def loop_kernel(plan, deltas, seg):
 class TestSampleDetunings:
     def test_deterministic(self):
         noise = NoiseModel((12.4, 8.2))
-        a = sample_detunings(42, 3, 7, noise)
-        b = sample_detunings(42, 3, 7, noise)
+        a = sample_detunings(42, 5, 3, 7, noise)
+        b = sample_detunings(42, 5, 3, 7, noise)
         assert a.shape == (7, 2)
         assert np.array_equal(a, b)
         # a longer block extends the same stream
-        assert np.array_equal(sample_detunings(42, 3, 20, noise)[:7], a)
+        assert np.array_equal(sample_detunings(42, 5, 3, 20, noise)[:7], a)
 
     def test_distinct_across_shots(self):
         noise = NoiseModel((12.4,))
-        draws = {tuple(row) for row in sample_detunings(1, 0, 50, noise)}
+        draws = {tuple(row) for row in sample_detunings(1, 5, 0, 50, noise)}
         assert len(draws) == 50
 
     def test_distinct_across_points(self):
         noise = NoiseModel((12.4, 8.2))
-        blocks = [sample_detunings(1, p, 50, noise) for p in range(3)]
+        blocks = [sample_detunings(1, 5, p, 50, noise) for p in range(3)]
         draws = {tuple(row) for b in blocks for row in b}
         assert len(draws) == 150
 
     def test_sample_width(self):
         noise = NoiseModel((12.4,))
-        x = sample_detunings(5, 0, 100_000, noise)[:, 0]
+        x = sample_detunings(5, 5, 0, 100_000, noise)[:, 0]
         sigma = math.sqrt(2) / 12.4
         assert abs(x.std() - sigma) / sigma < 0.01
         assert abs(x.mean()) < 4 * sigma / math.sqrt(100_000)
+
+
+class TestPlanStream:
+    def block(self, plan):
+        return sample_detunings(plan.seed, plan.stream, 0, plan.shots, plan.noise)
+
+    @pytest.mark.parametrize("change", [
+        {"initial_state": "-X"}, {"n_projections": 2}, {"observable": "Y"},
+        {"noise": NoiseModel((8.2,))}, {"noise": NoiseModel((12.4 * (1 + 2**-52),))},
+    ])
+    def test_physics_changes_the_block(self, change):
+        base, other = make_plan(), make_plan(**change)
+        assert other.stream != base.stream
+        assert not np.array_equal(self.block(other) / other.noise.sigma,
+                                  self.block(base) / base.noise.sigma)
+
+    def test_readout_grid_and_shots_keep_the_stream(self):
+        base = make_plan()
+        for other in (make_plan(readout=("X", "F:X")), make_plan(tau_grid=(5.0,)),
+                      make_plan(shots=30), make_plan(noise=NoiseModel((12.4,))),
+                      make_plan(n_projections=np.int64(0))):
+            assert other.stream == base.stream
+        assert make_plan(noise=NoiseModel((12,))).stream == \
+            make_plan(noise=NoiseModel((12.0,))).stream
+
+    def test_stream_is_stable_across_processes(self):
+        code = ("from zenosim.ensemble import ExperimentPlan, NoiseModel; "
+                "print(ExperimentPlan(NoiseModel((12.4, 8.2)), '+L', 'XX', ('XX',), "
+                "4, (1.0,), 1, 0).stream)")
+        src = str(Path(ensemble.__file__).parents[1])
+        streams = {subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                                  capture_output=True,
+                                  env=dict(os.environ, PYTHONPATH=src,
+                                           PYTHONHASHSEED=hs)).stdout.strip()
+                   for hs in ("1", "2")}
+        here = make_plan(noise=NoiseModel((12.4, 8.2)), initial_state="+L",
+                         observable="XX", readout=("XX",), n_projections=4)
+        assert streams == {str(here.stream)}
+
+    @pytest.mark.parametrize("n", [0, 5])
+    @pytest.mark.parametrize("k,state,word,readout", [
+        (2, "+L", "XX", ("XX", "L:+L")),
+        (3, "X0L", "XXX", ("F:X0L", "XYZ")),
+        (4, "X,X,X,X", "XXXX", ("XXXX", "F:X,X,X,X")),
+    ])
+    def test_readouts_run_alone_or_together(self, k, state, word, readout, n):
+        # the pairs a readout reads differ with the readouts beside it, which
+        # must not change a bit of its values
+        def plan(ro):
+            return make_plan(noise=NoiseModel((12.4, 8.2, 21.0, 9.0)[:k]),
+                             initial_state=state, observable=word, readout=ro,
+                             n_projections=n, tau_grid=(0.0, 2.0, 6.0, 15.0),
+                             shots=700)
+        both = run_ensemble(plan(readout))
+        for r, curve in zip(readout, both):
+            (alone,) = run_ensemble(plan((r,)))
+            assert plan((r,)).stream == plan(readout).stream
+            assert np.array_equal(alone.mean, curve.mean), r
+            assert np.array_equal(alone.stderr, curve.stderr), r
 
 
 class TestRunShot:
@@ -180,7 +243,7 @@ class TestRunEnsemble:
                          n_projections=3, tau_grid=(2.5, 6.0), shots=40)
         curves = run_ensemble(plan)
         for p, tau in enumerate(plan.tau_grid):
-            block = sample_detunings(plan.seed, p, plan.shots, plan.noise)
+            block = sample_detunings(plan.seed, plan.stream, p, plan.shots, plan.noise)
             vals = np.stack([dense_reference(plan, d, tau) for d in block])
             curve_means = np.array([c.mean[p] for c in curves])
             assert np.allclose(curve_means, vals.mean(axis=0), atol=1e-12)
@@ -273,9 +336,9 @@ class TestKernelProperties:
                          tau_grid=tuple(3.0 * (p + 1) for p in range(points)),
                          shots=shots)
         pairs = len(ensemble._plan_tables(plan.initial_state, plan.observable,
-                                          plan.readout).a)
+                                          plan.readout[0]).a)
         whole = run_ensemble(plan)
-        # each chunk holds exactly `rows` rows
+        # each chunk of the first readout holds exactly `rows` rows
         with mock.patch.object(ensemble, "_CHUNK_ENTRIES", rows * pairs):
             chunked = run_ensemble(plan)
         for a, b in zip(whole, chunked):
@@ -301,7 +364,8 @@ class TestPlanTables:
 
     def test_tables_are_read_only(self):
         plan = make_plan(n_projections=2)
-        tables = ensemble._plan_tables(plan.initial_state, plan.observable, plan.readout)
+        tables = ensemble._plan_tables(plan.initial_state, plan.observable,
+                                       plan.readout[0])
         with pytest.raises(ValueError):
             tables.rho0[0] = 0.0
 
