@@ -272,13 +272,15 @@ def _scaling_times(data) -> Dict[int, float]:
             raise ConfigError(f"projection count {n!r} is not a nonnegative integer")
         if not (_json_is(t, (int, float)) and math.isfinite(t) and t > 0):
             raise ConfigError(f"time {t!r} for N={n} is not finite and positive")
-        if "times" in data:
-            if int(n) in times:
-                raise ConfigError(f"projection count {n!r} repeats N={int(n)}")
-            times[int(n)] = float(t)
-        elif int(n) % 2 == 0:
-            times[int(n)] = model.sqrt_e_time(int(n), float(t))
-    return times
+        if int(n) in times:
+            raise ConfigError(f"projection count {n!r} repeats N={int(n)}")
+        times[int(n)] = float(t)
+    if "times" in data:
+        return times
+    try:
+        return {n: model.sqrt_e_time(n, t) for n, t in times.items() if n % 2 == 0}
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def cmd_scaling(args) -> int:

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from .ensemble import DecayCurve
-from .model import _decay_and_slope, sqrt_e_time
+from .model import MAX_PROJECTIONS, _decay_and_slope, sqrt_e_time
 
 MAX_ITER = 200
 REL_TOL = 1e-9
@@ -157,14 +157,15 @@ def fit_decay(curve: DecayCurve, n_projections: int,
               t2_guess: Optional[float] = None) -> FitResult:
     """Fit the N-projection binomial-sum decay with free (A, T2eff, offset).
 
-    Serves every N >= 0; at N = 0 the model is offset + A*exp(-(tau/T)^2).
-    A and offset need no start values: they are solved exactly for every
-    trial T2eff. The T2eff guess should be the quadrature combination of
-    nominal per-spin values; without one a crossing-time heuristic on the
-    data is used.
+    Serves every N in [0, MAX_PROJECTIONS]; at N = 0 the model is
+    offset + A*exp(-(tau/T)^2). A and offset need no start values: they
+    are solved exactly for every trial T2eff. The T2eff guess should be
+    the quadrature combination of nominal per-spin values; without one a
+    crossing-time heuristic on the data is used.
     """
-    if n_projections < 0:
-        raise FitError(f"projection count must be >= 0, got {n_projections}")
+    if not 0 <= n_projections <= MAX_PROJECTIONS:
+        raise FitError(f"projection count must lie in [0, {MAX_PROJECTIONS}], "
+                       f"got {n_projections}")
     tau = np.asarray(curve.tau, dtype=float)
     y = np.asarray(curve.mean, dtype=float)
     if tau.size < 4:

@@ -28,6 +28,9 @@ SQRT_E_LEVEL = math.exp(-0.5)
 _LOG_UNDERFLOW = -746.0
 # Matrix entries per decay_curve chunk: 2**16 float64 is 512 KiB.
 _CURVE_ENTRIES = 2**16
+# Largest N of the closed form. Its per-N table holds about 2 sqrt(373 (N+1))
+# terms, which take about a second to build at N = 10**9.
+MAX_PROJECTIONS = 10**9
 
 
 def effective_t2(t2_list: Sequence[float]) -> float:
@@ -52,8 +55,12 @@ def _binomial_terms(n_projections: int) -> Tuple[np.ndarray, np.ndarray]:
     1 to rounding. Only l with |l - (N+1)/2| <= sqrt(373 (N+1)) + 1 are
     kept: by Hoeffding's bound every other weight lies below e^-746 and
     underflows to zero anyway. For N+1 <= 1490 that is every l. The arrays
-    are shared by every caller and therefore read-only.
+    are shared by every caller and therefore read-only. Raises ValueError
+    for N past MAX_PROJECTIONS.
     """
+    if n_projections > MAX_PROJECTIONS:
+        raise ValueError(f"projection count {n_projections} exceeds the closed "
+                         f"form's limit of {MAX_PROJECTIONS}")
     n1 = n_projections + 1
     half = math.sqrt(-_LOG_UNDERFLOW / 2 * n1) + 1.0
     ls = range(max(0, math.ceil(n1 / 2 - half)), min(n1, math.floor(n1 / 2 + half)) + 1)

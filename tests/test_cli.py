@@ -157,6 +157,15 @@ class TestAnalytic:
         assert vals[0] == pytest.approx(1.0, abs=1e-14)
         assert np.all(np.diff(vals) < 0)
 
+    @pytest.mark.parametrize("n", [str(10**9 + 1), str(10**9 + 2)])
+    def test_projection_limit(self, tmp_path, capsys, n):
+        out = tmp_path / "curve.csv"
+        assert main(["analytic", "--n", n, "--t2eff", "5", "--tau", "0,1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "limit" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_finite_input_rejected(self, tmp_path, capsys):
         for argv in (["--tau", "0,inf", "--t2eff", "5"],
                      ["--tau", "0,1", "--t2eff", "nan"]):
@@ -197,6 +206,16 @@ class TestFitCommand:
         assert main(["fit", "--in", str(tmp_path / "*.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot parse") and err.count("\n") == 1, err
+
+    def test_projection_limit_is_a_failed_fit(self, tmp_path):
+        self._write_gaussian(tmp_path / "c0.csv")
+        text = (tmp_path / "c0.csv").read_text()
+        (tmp_path / "c0.csv").write_text(
+            text.replace("# n_projections: 0", f"# n_projections: {10**9 + 2}"))
+        out = tmp_path / "fits.json"
+        assert main(["fit", "--in", str(tmp_path / "*.csv"), "--out", str(out)]) == 2
+        row = json.loads(out.read_text())["fits"][0]
+        assert row["converged"] is False and "projection count" in row["error"]
 
     def test_no_match(self, tmp_path):
         assert main(["fit", "--in", str(tmp_path / "*.csv")]) == 2
@@ -289,6 +308,14 @@ class TestScalingCommand:
         r'{"times": {"0": 1, "\u0661": 1.2, "2": 1.5, "4": 1.9}}',
         # two spellings of N = 2
         '{"times": {"0": 1, "2": 1.5, "02": 1.6, "4": 1.9}}',
+        # a repeated N in a fit table
+        '{"fits": [' + ", ".join(
+            f'{{"converged": true, "n_projections": {n}, "T2eff_ms": {t}}}'
+            for n, t in ((0, 10.0), (2, 10.0), (2, 60.0), (4, 10.0), (6, 10.0))) + ']}',
+        # an even N past the closed form's limit
+        '{"fits": [' + ", ".join(
+            f'{{"converged": true, "n_projections": {n}, "T2eff_ms": 10.0}}'
+            for n in (0, 2, 10**9 + 2, 4)) + ']}',
     ])
     def test_bad_input_rejected(self, tmp_path, capsys, text):
         inp = tmp_path / "bad.json"
@@ -466,3 +493,46 @@ class TestAvgCurve:
         curve = _avg_curve(T2_STAR, ("X0L",), "L:", 4, self.TAUS, 50, 77, 0.89)
         run = self._run(T2_STAR, "X0L", 4, 77)
         assert np.max(np.abs(curve.stderr - 0.89 * run.stderr)) <= 1e-15
+
+
+class TestHeaderProvenance:
+    @staticmethod
+    def _run(argv):
+        """main(argv) and the curves it wrote, keyed by their CSV text."""
+        curves = {}
+
+        def record(curve):
+            text = to_csv(curve)
+            curves[text] = curve
+            return text
+
+        to_csv = cli.curve_to_csv
+        with mock.patch.object(cli, "curve_to_csv", side_effect=record):
+            assert main(argv) == 0
+        return curves
+
+    @pytest.mark.parametrize("fig,name", [("fig3b", "fig3b_N2.csv"),
+                                          ("fig4b", "fig4b_X0L_N4.csv")])
+    def test_header_alone_rebuilds_the_curve(self, tmp_path, fig, name):
+        curves = self._run(["reproduce", fig, "--out", str(tmp_path / fig),
+                            "--shots", "30", "--seed", "12345"])
+        text = (tmp_path / fig / name).read_text()
+        curve, header = curves[text], parse_curve_csv(text)
+        cfg = header.metadata
+        values = []
+        for state in cfg["states"]:
+            # both figures read the restricted logical fidelity L:<state>
+            plan = {"t2_star": cfg["t2_star"], "initial_state": state,
+                    "observable": cfg["observable"], "readout": ["L:" + state],
+                    "n_projections": cfg["n_projections"],
+                    "tau_grid": header.tau.tolist(), "shots": cfg["shots"],
+                    "seed": cfg["seed"]}
+            path = tmp_path / f"{state}.json"
+            path.write_text(json.dumps(plan))
+            (single,) = self._run(["simulate", "--config", str(path),
+                                   "--out", str(tmp_path / state)]).values()
+            values.append(single.mean)
+        # A*v + (1-A)*floor, floor 1/2 for one logical qubit and 1/4 for two
+        amp, floor = cfg["amplitude"], 2.0 ** (1 - len(cfg["t2_star"]))
+        want = np.mean([amp * v + (1 - amp) * floor for v in values], axis=0)
+        assert np.max(np.abs(want - curve.mean)) <= 1e-15

@@ -117,8 +117,7 @@ class TestPlanStream:
     def test_readout_grid_and_shots_keep_the_stream(self):
         base = make_plan()
         for other in (make_plan(readout=("X", "F:X")), make_plan(tau_grid=(5.0,)),
-                      make_plan(shots=30), make_plan(noise=NoiseModel((12.4,))),
-                      make_plan(n_projections=np.int64(0))):
+                      make_plan(shots=30), make_plan(n_projections=np.int64(0))):
             assert other.stream == base.stream
         assert make_plan(noise=NoiseModel((12,))).stream == \
             make_plan(noise=NoiseModel((12.0,))).stream

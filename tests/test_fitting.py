@@ -55,6 +55,15 @@ class TestFitDecay:
         assert res.t2eff == pytest.approx(6.5, abs=1e-6)
         assert res.offset == pytest.approx(0.1, abs=1e-6)
 
+    @pytest.mark.parametrize("guess", [None, 6.0])
+    def test_projection_limit_fails_up_front(self, guess):
+        tau = np.linspace(0, 40, 30)
+        curve = curve_from(tau, decay_curve(4, tau, 6.5), n=4)
+        with mock.patch.object(model, "_binomial_terms") as terms:
+            with pytest.raises(FitError, match="projection count"):
+                fit_decay(curve, model.MAX_PROJECTIONS + 2, t2_guess=guess)
+        terms.assert_not_called()
+
     def test_reference_guesses(self):
         tau = np.linspace(0, 30, 25)
         y = 0.02 + 0.9 * decay_curve(2, tau, 6.8)

@@ -144,6 +144,16 @@ class TestDecayCurve:
         assert 0 < got[1] < 1
         assert model._binomial_terms(10**8)[0].size < 2 * math.sqrt(373 * 10**8) + 4
 
+    def test_projection_limit(self):
+        # past MAX_PROJECTIONS the per-N table is refused before it is built
+        t0 = time.perf_counter()
+        for n in (model.MAX_PROJECTIONS + 1, model.MAX_PROJECTIONS + 2):
+            with pytest.raises(ValueError, match="limit"):
+                decay_curve(n, [0.0, 1.0], 1.0)
+            with pytest.raises(ValueError, match="limit"):
+                sqrt_e_time(n + n % 2, 1.0)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_chunking_does_not_change_values(self, monkeypatch):
         taus = np.linspace(0.0, 40.0, 37)
         whole = decay_curve(300, taus, 2.0)
