@@ -108,17 +108,21 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _csv(header: Sequence[str], columns: str, rows) -> str:
+    """Every CSV text zeno writes: '# ' header lines, column names, rows of numbers."""
+    lines = [f"# {h}" for h in header] + [columns]
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def curve_to_csv(curve: DecayCurve) -> str:
     """Render a curve with provenance headers; stable byte-for-byte."""
-    lines = ["# zenosim curve v1"]
-    lines.append("# config: " + json.dumps(curve.metadata, sort_keys=True))
-    lines.append(f"# seed: {curve.metadata.get('seed')}")
-    lines.append(f"# n_projections: {curve.n_projections}")
-    lines.append(f"# readout: {curve.readout}")
-    lines.append("tau_ms,mean,stderr")
-    for t, m, s in zip(curve.tau, curve.mean, curve.stderr):
-        lines.append(f"{_fmt(t)},{_fmt(m)},{_fmt(s)}")
-    return "\n".join(lines) + "\n"
+    return _csv(["zenosim curve v1",
+                 "config: " + json.dumps(curve.metadata, sort_keys=True),
+                 f"seed: {curve.metadata.get('seed')}",
+                 f"n_projections: {curve.n_projections}",
+                 f"readout: {curve.readout}"],
+                "tau_ms,mean,stderr", zip(curve.tau, curve.mean, curve.stderr))
 
 
 def parse_curve_csv(text: str) -> DecayCurve:
@@ -217,13 +221,18 @@ def cmd_analytic(args) -> int:
                                    args.offset)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    lines = ["# zenosim analytic v1",
-             f"# n_projections: {args.n}",
-             f"# t2eff_ms: {_fmt(args.t2eff)}",
-             "tau_ms,value"]
-    lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(taus, values)]
-    _emit(args.out, "\n".join(lines) + "\n")
+    _emit(args.out, _csv(["zenosim analytic v1", f"n_projections: {args.n}",
+                          f"t2eff_ms: {_fmt(args.t2eff)}"],
+                         "tau_ms,value", zip(taus, values)))
     return 0
+
+
+def _fit_row(curve: DecayCurve, n: int, t2_guess: Optional[float]) -> Dict:
+    """fit_decay's result as a JSON row, or {"converged": False, "error": ...}."""
+    try:
+        return fit_decay(curve, n, t2_guess=t2_guess).as_dict()
+    except FitError as e:
+        return {"converged": False, "error": str(e)}
 
 
 def cmd_fit(args) -> int:
@@ -234,7 +243,6 @@ def cmd_fit(args) -> int:
     if not paths:
         raise ConfigError(f"no files match {args.input!r}")
     rows = []
-    n_failed = 0
     for path in paths:
         try:
             curve = parse_curve_csv(Path(path).read_text())
@@ -243,16 +251,10 @@ def cmd_fit(args) -> int:
         except ValueError as e:
             raise ConfigError(f"cannot parse {path}: {e}") from e
         n = args.n if args.n is not None else curve.n_projections
-        row = {"file": os.path.basename(path), "n_projections": n}
-        try:
-            res = fit_decay(curve, n, t2_guess=args.t2_guess)
-            row.update(res.as_dict())
-        except FitError as e:
-            row.update({"converged": False, "error": str(e)})
-            n_failed += 1
-        rows.append(row)
+        rows.append({"file": os.path.basename(path), "n_projections": n,
+                     **_fit_row(curve, n, args.t2_guess)})
     _emit(args.out, _json_dumps({"fits": rows}))
-    return 0 if n_failed < len(rows) else EXIT_CONFIG
+    return 0 if any(row["converged"] for row in rows) else EXIT_CONFIG
 
 
 def _scaling_times(data) -> Dict[int, float]:
@@ -288,11 +290,7 @@ def cmd_scaling(args) -> int:
         fit = fit_scaling(_scaling_times(_read_json(args.input)))
     except FitError as e:
         raise ConfigError(str(e)) from e
-    _emit(args.out, _json_dumps({
-        "mu": fit.mu, "nu": fit.nu,
-        "mu_err": fit.mu_err, "nu_err": fit.nu_err,
-        "normalized_times": {str(k): v for k, v in fit.normalized_times.items()},
-    }))
+    _emit(args.out, _json_dumps(fit.as_dict()))
     return 0
 
 
@@ -313,15 +311,15 @@ def _crossing_time(tau: np.ndarray, y: np.ndarray, level: float) -> Optional[flo
 
 def _avg_curve(t2_star, states, prefix, n, taus, shots, seed, amplitude,
                **header) -> DecayCurve:
-    """Mean over states of each state's readout prefix + label, amplitude applied.
+    """Mean over states of each state's readout prefix + state, amplitude applied.
 
     Every state runs with the same seed under projections of X...X; its
     plan's stream keeps its draws apart from the other states'. Each mean
     maps to A*v + (1-A)*floor, floor being the readout's value on the
     maximally mixed state; the independent states' standard errors, times
-    A, add in quadrature. header entries extend the curve's metadata. A
-    plan the ensemble rejects, such as one past its Monte-Carlo size
-    limit, is a ConfigError.
+    A, add in quadrature. The curve's readout is prefix + "<state>" and
+    header entries extend its metadata. A plan the ensemble rejects, such
+    as one past its Monte-Carlo size limit, is a ConfigError.
     """
     dim = 2 ** len(t2_star)
     means, errs = [], []
@@ -347,85 +345,80 @@ def _avg_curve(t2_star, states, prefix, n, taus, shots, seed, amplitude,
                       n, meta["readout"], meta)
 
 
-def _reproduce_fig2c(out: Path, shots: int, seed: int) -> Dict:
-    taus = _tau_grid(60.0)
-    n_set = (0, 2, 4, 8, 16)
-    fits, rows = {}, {}
-    for n in n_set:
-        # the empty prefix reads the state's own X correlator
-        curve = _avg_curve((T2_STAR[0],), ("X",), "", n, taus, shots, seed,
-                           AMPLITUDE_SINGLE, readout="X")
-        _write(out / f"fig2c_N{n}.csv", curve_to_csv(curve))
-        try:
-            fits[n] = fit_decay(curve, n, t2_guess=T2_STAR[0])
-            rows[n] = fits[n].as_dict()
-        except FitError as e:
-            rows[n] = {"converged": False, "error": str(e)}
-    return {
-        "figure": "fig2c",
-        "n_set": list(n_set),
-        "fits": {str(n): rows[n] for n in n_set},
-        "sqrt_e_times_ms": {str(n): model.sqrt_e_time(n, fits[n].t2eff)
-                            if n in fits else None for n in n_set},
-    }
+def _fits(curves) -> Dict:
+    """Each N's decay fit from the nominal T2*, and its 1/sqrt(e) time (None if failed)."""
+    rows = {str(n): _fit_row(curve, n, T2_STAR[0]) for _, n, curve in curves}
+    return {"fits": rows, "sqrt_e_times_ms": {
+        n: model.sqrt_e_time(int(n), row["T2eff_ms"]) if row["converged"] else None
+        for n, row in rows.items()}}
 
 
-# Per figure: T2*, state groups (one curve per group and N, averaged over
-# its states), readout prefix (restricted logical or full-state fidelity),
-# readout name, N set, tau grid, crossing level (None: report each curve's
-# final value) and summary key.
-_FIDELITY_FIGURES = {
+def _crossings(key: str, level: float, curves) -> Dict:
+    """Under key, each N's first crossing below level in ms (None: no crossing)."""
+    return {key: {str(n): _crossing_time(c.tau, c.mean, level) for _, n, c in curves}}
+
+
+def _final_values(curves) -> Dict:
+    """Each state's curve value at the last tau, per N."""
+    return {"final_fidelities": {f"{group[0]}_N{n}_final": float(c.mean[-1])
+                                 for group, n, c in curves}}
+
+
+# The curve figures. Per figure: T2*, state groups (one curve per group and
+# N, the mean over its states), readout prefix ("" reads each state's own
+# correlator word, L: its restricted logical fidelity, F: its full-state
+# fidelity), amplitude, N set, tau grid, and the function that turns the
+# figure's curves, a list of (group, N, curve), into its summary entries.
+_CURVE_FIGURES = {
+    # single-spin protection, fitted for 1/sqrt(e) times
+    "fig2c": ((T2_STAR[0],), (("X",),), "", AMPLITUDE_SINGLE, (0, 2, 4, 8, 16),
+              _tau_grid(60.0), _fits),
     # one logical qubit in <XX> = +1, against the 2/3 classical-memory line
-    "fig3b": (T2_STAR[:2], (logical.CARDINAL_2SPIN,), LOGICAL_PREFIX,
-              "avg_logical_fidelity", (0, 2, 4, 6, 16), _tau_grid(320.0, 32),
-              logical.CLASSICAL_MEMORY, "classical_memory_crossings_ms"),
+    "fig3b": (T2_STAR[:2], (logical.CARDINAL_2SPIN,), LOGICAL_PREFIX, AMPLITUDE_LOGICAL,
+              (0, 2, 4, 6, 16), _tau_grid(320.0, 32),
+              partial(_crossings, "classical_memory_crossings_ms",
+                      logical.CLASSICAL_MEMORY)),
     # logical entangled states, against the 1/2 entanglement witness
-    "fig3c": (T2_STAR[:2], (logical.ENTANGLED_2SPIN,), FIDELITY_PREFIX,
-              "avg_entangled_fidelity", (0, 2, 4, 6), _tau_grid(100.0, 25),
-              logical.ENTANGLEMENT_WITNESS, "entanglement_persistence_ms"),
+    "fig3c": (T2_STAR[:2], (logical.ENTANGLED_2SPIN,), FIDELITY_PREFIX, AMPLITUDE_LOGICAL,
+              (0, 2, 4, 6), _tau_grid(100.0, 25),
+              partial(_crossings, "entanglement_persistence_ms",
+                      logical.ENTANGLEMENT_WITNESS)),
     # two logical qubits in <XXX> = +1, one curve per state
     "fig4b": (T2_STAR, tuple((s,) for s in logical.LOGICAL_3SPIN), LOGICAL_PREFIX,
-              "logical_fidelity", (0, 2, 4), _tau_grid(40.0, 20), None,
-              "final_fidelities"),
+              AMPLITUDE_LOGICAL, (0, 2, 4), _tau_grid(40.0, 20), _final_values),
 }
 
 
-def _reproduce_fidelity(fig: str, out: Path, shots: int, seed: int) -> Dict:
-    """One figure of _FIDELITY_FIGURES; every plan runs with the given seed."""
-    t2_star, groups, prefix, readout, n_set, taus, level, key = _FIDELITY_FIGURES[fig]
+def _reproduce_curves(fig: str, out: Path, shots: int, seed: int) -> Dict:
+    """One figure of _CURVE_FIGURES, every plan with the given seed; its summary.
+
+    Writes a curve CSV per group and N, named <fig>_N<n>, or <fig>_<state>_N<n>
+    when each group is one state; such a figure's summary lists its states.
+    """
+    t2_star, groups, prefix, amplitude, n_set, taus, summarize = _CURVE_FIGURES[fig]
     per_state = len(groups) > 1
-    values = {}
+    curves = []
     for group in groups:
-        label = {"state": group[0]} if per_state else {}
         for n in n_set:
-            curve = _avg_curve(t2_star, group, prefix, n, taus, shots, seed,
-                               AMPLITUDE_LOGICAL, figure=fig, readout=readout, **label)
+            curve = _avg_curve(t2_star, group, prefix, n, taus, shots, seed, amplitude,
+                               figure=fig)
             name = f"{fig}_{group[0]}_N{n}" if per_state else f"{fig}_N{n}"
             _write(out / f"{name}.csv", curve_to_csv(curve))
-            if level is None:
-                values[f"{group[0]}_N{n}_final"] = float(curve.mean[-1])
-            else:
-                values[str(n)] = _crossing_time(curve.tau, curve.mean, level)
-    summary = {"figure": fig, "n_set": list(n_set), key: values}
-    if per_state:
-        summary["states"] = list(sum(groups, ()))
-    return summary
+            curves.append((group, n, curve))
+    states = {"states": [group[0] for group in groups]} if per_state else {}
+    return {"figure": fig, "n_set": list(n_set), **states, **summarize(curves)}
 
 
 def _reproduce_fig5(out: Path, shots: int, seed: int) -> Dict:
-    n_set = tuple(range(0, 17, 2))
-    times = {n: model.sqrt_e_time(n, 1.0) for n in n_set}
-    fit = fit_scaling(times)
-    table = "\n".join(["n_projections,normalized_sqrt_e_time"] + [
-        f"{n},{_fmt(fit.normalized_times[n])}" for n in n_set]) + "\n"
-    _write(out / "fig5_normalized_times.csv", table)
-    return {"figure": "fig5", "mu": fit.mu, "nu": fit.nu,
-            "mu_err": fit.mu_err, "nu_err": fit.nu_err,
-            "normalized_times": {str(n): fit.normalized_times[n] for n in n_set}}
+    fit = fit_scaling({n: model.sqrt_e_time(n, 1.0) for n in range(0, 17, 2)})
+    _write(out / "fig5_normalized_times.csv",
+           _csv([], "n_projections,normalized_sqrt_e_time",
+                fit.normalized_times.items()))
+    return {"figure": "fig5", **fit.as_dict()}
 
 
-_FIGURES = {"fig2c": _reproduce_fig2c, "fig5": _reproduce_fig5,
-            **{f: partial(_reproduce_fidelity, f) for f in _FIDELITY_FIGURES}}
+_FIGURES = {"fig5": _reproduce_fig5,
+            **{f: partial(_reproduce_curves, f) for f in _CURVE_FIGURES}}
 
 
 def cmd_reproduce(args) -> int:

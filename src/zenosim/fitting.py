@@ -65,6 +65,10 @@ class ScalingFit:
     nu_err: float
     normalized_times: Dict[int, float]
 
+    def as_dict(self) -> Dict[str, object]:
+        return {"mu": self.mu, "nu": self.nu, "mu_err": self.mu_err, "nu_err": self.nu_err,
+                "normalized_times": {str(n): t for n, t in self.normalized_times.items()}}
+
 
 def _solve_linear(columns, w, wy, theta):
     """(dphi, A = w*phi, c, r, cost) at theta, or None where theta is rejected.
