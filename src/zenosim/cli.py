@@ -41,10 +41,12 @@ T2_STAR = (12.4, 8.2, 21.0)
 AMPLITUDE_SINGLE = 0.95
 AMPLITUDE_LOGICAL = 0.89
 
+# Config key -> its JSON type, and for a list the type of every element.
+_NUMBER = (int, float)
 _PLAN_KEYS = {
-    "t2_star": list, "initial_state": str, "observable": str,
-    "readout": list, "n_projections": int, "tau_grid": list,
-    "shots": int, "seed": int,
+    "t2_star": (list, _NUMBER), "initial_state": (str, None), "observable": (str, None),
+    "readout": (list, str), "n_projections": (int, None), "tau_grid": (list, _NUMBER),
+    "shots": (int, None), "seed": (int, None),
 }
 
 
@@ -83,12 +85,11 @@ def plan_from_config(cfg: Dict) -> ExperimentPlan:
     missing = [k for k in _PLAN_KEYS if k not in cfg]
     if missing:
         raise ConfigError(f"missing config keys: {missing}")
-    for key, typ in _PLAN_KEYS.items():
+    for key, (typ, element) in _PLAN_KEYS.items():
         if not _json_is(cfg[key], typ):
             raise ConfigError(f"config key {key!r} has wrong type")
-    for key in ("t2_star", "tau_grid"):
-        if not all(_json_is(x, (int, float)) for x in cfg[key]):
-            raise ConfigError(f"config key {key!r} must hold numbers only")
+        if element and not all(_json_is(x, element) for x in cfg[key]):
+            raise ConfigError(f"config key {key!r} has an element of wrong type")
     try:
         return ExperimentPlan(
             noise=NoiseModel(tuple(float(t) for t in cfg["t2_star"])),
@@ -126,9 +127,9 @@ def curve_to_csv(curve: DecayCurve) -> str:
 
 
 def parse_curve_csv(text: str) -> DecayCurve:
-    """Parse a curve CSV produced by curve_to_csv."""
+    """Parse a curve CSV produced by curve_to_csv; N is None without its header line."""
     meta: Dict[str, object] = {}
-    n_projections = 0
+    n_projections = None
     readout = ""
     rows: List[List[float]] = []
     saw_header = False
@@ -251,6 +252,8 @@ def cmd_fit(args) -> int:
         except ValueError as e:
             raise ConfigError(f"cannot parse {path}: {e}") from e
         n = args.n if args.n is not None else curve.n_projections
+        if n is None:
+            raise ConfigError(f"{path} has no '# n_projections:' header; give --n")
         rows.append({"file": os.path.basename(path), "n_projections": n,
                      **_fit_row(curve, n, args.t2_guess)})
     _emit(args.out, _json_dumps({"fits": rows}))

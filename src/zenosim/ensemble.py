@@ -41,6 +41,10 @@ _CHUNK_ENTRIES = 2**13
 # detunings of a plan are drawn at once, so this bounds its memory too.
 MAX_ROWS = 2**24
 
+# Bound on the largest tau x largest detuning width of a plan, far below the
+# float range, so that no drawn detuning's phase overflows to inf.
+MAX_PHASE_SCALE = 1e300
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -53,6 +57,8 @@ class NoiseModel:
             raise ValueError("need at least one dephasing time")
         if not all(math.isfinite(t) and t > 0 for t in self.t2_star):
             raise ValueError("dephasing times must be finite and positive")
+        if not all(math.isfinite(math.sqrt(2.0) / t) for t in self.t2_star):
+            raise ValueError("dephasing times must give a finite width sqrt(2)/T2*")
 
     @property
     def sigma(self) -> np.ndarray:
@@ -99,6 +105,9 @@ class ExperimentPlan:
                 or np.any(np.diff(taus) <= 0)):
             raise ValueError("tau grid must be nonempty, finite, nonnegative, "
                              "strictly increasing")
+        if float(taus[-1]) * float(self.noise.sigma.max()) >= MAX_PHASE_SCALE:
+            raise ValueError(f"largest tau x largest detuning width sqrt(2)/T2* "
+                             f"must stay below {MAX_PHASE_SCALE:g}")
         if taus.size * self.shots > MAX_ROWS:
             raise ValueError(f"{taus.size} tau points x {self.shots} shots exceed "
                              f"the limit of {MAX_ROWS} Monte-Carlo rows per plan")

@@ -218,9 +218,12 @@ def fit_scaling(times: Mapping[int, float]) -> ScalingFit:
     if len(times) < 3:
         raise FitError("need at least 3 distinct N values")
     base = times[0]
+    # N stays an int key: an N past 2**53 would not survive a float round trip
     norm = {int(n): t / base for n, t in sorted(times.items())}
+    if not all(math.isfinite(t) for t in norm.values()):
+        raise FitError("a decay time normalized by the N=0 time is not finite")
     ns = np.array([n for n in norm if n > 0], dtype=float)
-    ys = np.array([norm[int(n)] for n in ns])
+    ys = np.array([t for n, t in norm.items() if n > 0])
     log_ns = np.log(ns)
 
     def columns(nu):

@@ -9,7 +9,7 @@ from zenosim.cli import (AMPLITUDE_LOGICAL, T2_STAR, _avg_curve, _json_dumps,
                          build_parser, main, parse_curve_csv)
 from zenosim.ensemble import ExperimentPlan, NoiseModel, run_ensemble, sample_detunings
 from zenosim.logical import CARDINAL_2SPIN
-from zenosim.model import sqrt_e_time
+from zenosim.model import decay_curve, sqrt_e_time
 
 
 @pytest.fixture
@@ -107,6 +107,10 @@ class TestSimulate:
         {"shots": True}, {"n_projections": True}, {"seed": False},
         {"t2_star": ["12.4"]}, {"t2_star": [True]}, {"tau_grid": ["0", "1e0"]},
         {"t2_star": [10**400]},
+        # a readout that is not a string
+        {"readout": [5]},
+        # sqrt(2)/T2* overflows, and tau x sqrt(2)/T2* overflows
+        {"t2_star": [1e-320]}, {"t2_star": [1e-300], "tau_grid": [0.0, 1e10]},
     ])
     def test_bad_number_values_rejected(self, config, tmp_path, capsys, bad):
         path, cfg = config
@@ -220,6 +224,31 @@ class TestFitCommand:
     def test_no_match(self, tmp_path):
         assert main(["fit", "--in", str(tmp_path / "*.csv")]) == 2
 
+    @staticmethod
+    def _write_headerless(path):
+        """A curve CSV of an N = 4 decay with no '# n_projections:' line."""
+        tau = np.linspace(0, 25, 20)
+        rows = [f"{t},{v},0.01" for t, v in zip(tau, decay_curve(4, tau, 8.0))]
+        path.write_text("\n".join(["tau_ms,mean,stderr", *rows]) + "\n")
+
+    def test_missing_n_header_rejected(self, tmp_path, capsys):
+        self._write_headerless(tmp_path / "c4.csv")
+        out = tmp_path / "fits.json"
+        assert main(["fit", "--in", str(tmp_path / "*.csv"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "c4.csv" in err and "n_projections" in err
+        assert err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_missing_n_header_with_n_option(self, tmp_path):
+        self._write_headerless(tmp_path / "c4.csv")
+        out = tmp_path / "fits.json"
+        assert main(["fit", "--in", str(tmp_path / "*.csv"), "--n", "4",
+                     "--out", str(out)]) == 0
+        row = json.loads(out.read_text())["fits"][0]
+        assert row["n_projections"] == 4
+        assert row["T2eff_ms"] == pytest.approx(8.0, rel=1e-9)
+
     @pytest.mark.parametrize("guess", ["-5", "0", "inf", "nan"])
     def test_bad_t2_guess_rejected(self, tmp_path, capsys, guess):
         self._write_gaussian(tmp_path / "c0.csv")
@@ -316,6 +345,8 @@ class TestScalingCommand:
         '{"fits": [' + ", ".join(
             f'{{"converged": true, "n_projections": {n}, "T2eff_ms": 10.0}}'
             for n in (0, 2, 10**9 + 2, 4)) + ']}',
+        # 2/1e-320 is not finite
+        '{"times": {"0": 1e-320, "2": 2, "4": 3}}',
     ])
     def test_bad_input_rejected(self, tmp_path, capsys, text):
         inp = tmp_path / "bad.json"
@@ -323,6 +354,18 @@ class TestScalingCommand:
         assert main(["scaling", "--in", str(inp)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_n_past_float_precision_kept(self, tmp_path, capsys):
+        # float(N) is 99999999999999991611392: N must not pass through float
+        big = "99999999999999999999999"
+        inp = tmp_path / "times.json"
+        inp.write_text(f'{{"times": {{"0": 1, "2": 2, "{big}": 3}}}}')
+        out = tmp_path / "scaling.json"
+        assert main(["scaling", "--in", str(inp), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        res = json.loads(out.read_text())
+        assert res["normalized_times"] == {"0": 1.0, "2": 2.0, big: 3.0}
+        assert np.isfinite([res["mu"], res["nu"], res["mu_err"], res["nu_err"]]).all()
 
 
 class TestReproduce:
@@ -380,6 +423,16 @@ class TestReproduce:
         for n in set(summary["fits"]) - set(failed):
             assert summary["sqrt_e_times_ms"][n] > 0
         assert len(list(out.glob("fig2c_N*.csv"))) == 5
+
+    @pytest.mark.parametrize("fig", ["fig2c", "fig3b", "fig3c", "fig4b"])
+    def test_reruns_byte_identical(self, tmp_path, fig):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["reproduce", fig, "--out", str(out), "--shots", "5"]) == 0
+        files = sorted(p.name for p in a.iterdir())
+        assert files == sorted(p.name for p in b.iterdir()) and len(files) > 1
+        for name in files:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_unknown_figure(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -511,7 +564,14 @@ class TestHeaderProvenance:
             assert main(argv) == 0
         return curves
 
-    @pytest.mark.parametrize("fig,name", [("fig3b", "fig3b_N2.csv"),
+    # the readout's value on the maximally mixed state: 0 for fig2c's X
+    # correlator, 1/2 for one logical qubit, 1/4 for a two-spin fidelity
+    # and for two logical qubits
+    FLOOR = {"fig2c": 0.0, "fig3b": 0.5, "fig3c": 0.25, "fig4b": 0.25}
+
+    @pytest.mark.parametrize("fig,name", [("fig2c", "fig2c_N4.csv"),
+                                          ("fig3b", "fig3b_N2.csv"),
+                                          ("fig3c", "fig3c_N2.csv"),
                                           ("fig4b", "fig4b_X0L_N4.csv")])
     def test_header_alone_rebuilds_the_curve(self, tmp_path, fig, name):
         curves = self._run(["reproduce", fig, "--out", str(tmp_path / fig),
@@ -519,11 +579,13 @@ class TestHeaderProvenance:
         text = (tmp_path / fig / name).read_text()
         curve, header = curves[text], parse_curve_csv(text)
         cfg = header.metadata
+        assert cfg["figure"] == fig and header.readout == cfg["readout"]
         values = []
         for state in cfg["states"]:
-            # both figures read the restricted logical fidelity L:<state>
+            # each state is read with the header's readout template
             plan = {"t2_star": cfg["t2_star"], "initial_state": state,
-                    "observable": cfg["observable"], "readout": ["L:" + state],
+                    "observable": cfg["observable"],
+                    "readout": [header.readout.replace("<state>", state)],
                     "n_projections": cfg["n_projections"],
                     "tau_grid": header.tau.tolist(), "shots": cfg["shots"],
                     "seed": cfg["seed"]}
@@ -532,7 +594,6 @@ class TestHeaderProvenance:
             (single,) = self._run(["simulate", "--config", str(path),
                                    "--out", str(tmp_path / state)]).values()
             values.append(single.mean)
-        # A*v + (1-A)*floor, floor 1/2 for one logical qubit and 1/4 for two
-        amp, floor = cfg["amplitude"], 2.0 ** (1 - len(cfg["t2_star"]))
+        amp, floor = cfg["amplitude"], self.FLOOR[fig]
         want = np.mean([amp * v + (1 - amp) * floor for v in values], axis=0)
         assert np.max(np.abs(want - curve.mean)) <= 1e-15

@@ -397,6 +397,18 @@ class TestValidation:
             with pytest.raises(ValueError):
                 NoiseModel((12.4, bad))
 
+    def test_dephasing_time_with_infinite_width(self):
+        # sqrt(2)/1e-320 overflows: every shot's phase would be NaN
+        with pytest.raises(ValueError, match="finite width"):
+            NoiseModel((12.4, 1e-320))
+
+    def test_phase_scale_limit(self):
+        # 1e10 ms x sqrt(2)/1e-300 overflows the phase of every drawn detuning
+        tiny = NoiseModel((1e-300,))
+        with pytest.raises(ValueError, match="largest tau"):
+            make_plan(noise=tiny, tau_grid=(0.0, 1e10))
+        make_plan(noise=tiny, tau_grid=(0.0, 1e-3))
+
     def test_seed_range(self):
         for bad in (-3, 2**64):
             with pytest.raises(ValueError):

@@ -256,6 +256,16 @@ class TestFitScaling:
         with pytest.raises(FitError):
             fit_scaling({0: 1.0, 2: 2.1})
 
+    def test_n_past_float_precision_stays_an_int_key(self):
+        big = 10**23 - 1  # float(big) is 99999999999999991611392
+        fit = fit_scaling({0: 1.0, 2: 2.0, big: 3.0})
+        assert list(fit.normalized_times) == [0, 2, big]
+        assert np.isfinite([fit.mu, fit.nu, fit.mu_err, fit.nu_err]).all()
+
+    def test_non_finite_normalized_time(self):
+        with pytest.raises(FitError, match="not finite"):
+            fit_scaling({0: 1e-320, 2: 2.0, 4: 3.0})
+
 
 def test_least_squares_linear_problem():
     # exactly solvable and separable: y = 1 + 2 x^3 on x = 1..4, with the
