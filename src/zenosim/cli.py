@@ -42,11 +42,10 @@ AMPLITUDE_SINGLE = 0.95
 AMPLITUDE_LOGICAL = 0.89
 
 # Config key -> its JSON type, and for a list the type of every element.
-_NUMBER = (int, float)
 _PLAN_KEYS = {
-    "t2_star": (list, _NUMBER), "initial_state": (str, None), "observable": (str, None),
-    "readout": (list, str), "n_projections": (int, None), "tau_grid": (list, _NUMBER),
-    "shots": (int, None), "seed": (int, None),
+    "t2_star": (list, (int, float)), "initial_state": (str, None),
+    "observable": (str, None), "readout": (list, str), "n_projections": (int, None),
+    "tau_grid": (list, (int, float)), "shots": (int, None), "seed": (int, None),
 }
 
 
