@@ -27,6 +27,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .logical import logical_operator, resolve_state
+from .model import checked
 from .spins import basis_signs, pauli_matrix, validate_word
 
 FIDELITY_PREFIX = "F:"
@@ -53,6 +54,7 @@ class NoiseModel:
     t2_star: Tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "t2_star", checked((float,), self.t2_star, "t2_star"))
         if len(self.t2_star) == 0:
             raise ValueError("need at least one dephasing time")
         if not all(math.isfinite(t) and t > 0 for t in self.t2_star):
@@ -89,17 +91,18 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self):
-        # any sequence is stored as a tuple, so the frozen plan stays hashable
-        object.__setattr__(self, "readout", tuple(self.readout))
+        for name, kind in (("initial_state", str), ("observable", str), ("readout", (str,)),
+                           ("n_projections", int), ("tau_grid", (float,)), ("shots", int),
+                           ("seed", int)):
+            object.__setattr__(self, name, checked(kind, getattr(self, name), name))
         validate_word(self.observable)
         if len(self.observable) != self.k:
             raise ValueError("observable length must match register size")
-        if self.n_projections < 0:
-            raise ValueError("projection count must be >= 0")
+        for name in ("n_projections", "seed"):
+            if not 0 <= getattr(self, name) < 2**64:
+                raise ValueError(f"{name} {getattr(self, name)} is not in [0, 2**64)")
         if self.shots < 1:
             raise ValueError("need at least one shot")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         taus = np.asarray(self.tau_grid, dtype=float)
         if (taus.size == 0 or not np.all(np.isfinite(taus)) or np.any(taus < 0)
                 or np.any(np.diff(taus) <= 0)):
@@ -123,8 +126,8 @@ class ExperimentPlan:
     @property
     def stream(self) -> int:
         """Second Philox key word: 64-bit blake2b of T2*, initial state, observable, N."""
-        physics = repr((tuple(map(float, self.noise.t2_star)), self.initial_state,
-                        self.observable, int(self.n_projections))).encode()
+        physics = repr((self.noise.t2_star, self.initial_state, self.observable,
+                        self.n_projections)).encode()
         return int.from_bytes(hashlib.blake2b(physics, digest_size=8).digest(), "little")
 
 

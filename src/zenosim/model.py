@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
+from collections.abc import Iterable
 from itertools import product
 from typing import Sequence, Tuple
 
@@ -31,6 +33,23 @@ _CURVE_ENTRIES = 2**16
 # Largest N of the closed form. Its per-N table holds about 2 sqrt(373 (N+1))
 # terms, which take about a second to build at N = 10**9.
 MAX_PROJECTIONS = 10**9
+
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def checked(kind, value, what: str):
+    """value as a built-in int, float or str, or for kind = (type,) a tuple of them.
+
+    numpy scalars pass. TypeError for a bool where a number belongs, a string
+    or a non-sequence where a tuple belongs, and any other type.
+    """
+    if isinstance(kind, tuple):
+        if isinstance(value, str) or not isinstance(value, Iterable):
+            raise TypeError(f"{what} must be a sequence, got {value!r}")
+        return tuple(checked(kind[0], v, f"{what} entry") for v in value)
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTS[kind]):
+        raise TypeError(f"{what} must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def effective_t2(t2_list: Sequence[float]) -> float:
