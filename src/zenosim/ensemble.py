@@ -27,7 +27,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .logical import logical_operator, resolve_state
-from .model import checked
+from .model import checked, dephasing_times
 from .spins import basis_signs, pauli_matrix, validate_word
 
 FIDELITY_PREFIX = "F:"
@@ -49,18 +49,18 @@ MAX_PHASE_SCALE = 1e300
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-spin Gaussian dephasing times T2* in ms."""
+    """Per-spin Gaussian dephasing times T2* in ms, stored as a float tuple.
+
+    model.dephasing_times holds the rule: TypeError unless t2_star is a
+    sequence of numbers, ValueError unless it is nonempty with every time
+    finite and positive and every width sqrt(2)/T2* finite. So (12, 8) and
+    (12.0, 8.0) are one model.
+    """
 
     t2_star: Tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "t2_star", checked((float,), self.t2_star, "t2_star"))
-        if len(self.t2_star) == 0:
-            raise ValueError("need at least one dephasing time")
-        if not all(math.isfinite(t) and t > 0 for t in self.t2_star):
-            raise ValueError("dephasing times must be finite and positive")
-        if not all(math.isfinite(math.sqrt(2.0) / t) for t in self.t2_star):
-            raise ValueError("dephasing times must give a finite width sqrt(2)/T2*")
+        object.__setattr__(self, "t2_star", dephasing_times(self.t2_star))
 
     @property
     def sigma(self) -> np.ndarray:
@@ -79,6 +79,15 @@ class ExperimentPlan:
     (see logical_operator). The initial state and every readout operator
     must fit the register of k = len(noise.t2_star) spins. Analysis-time
     amplitudes are not part of the plan; the figure pipelines apply them.
+
+    The plan is the one gate for an experiment's description. Each field is
+    checked and stored as a built-in type (model.checked): the state and
+    observable as str, the readouts as a tuple of str, the tau grid as a
+    float tuple, and N, shots and seed as int. numpy scalars pass, so
+    np.int64(2) is stored as 2; a bool, a fractional N, shot count or seed,
+    a string where a number belongs and a bare string of readouts raise
+    TypeError. Equal plans therefore stream, hash and print alike. A value
+    out of range raises ValueError, as does N or seed outside [0, 2**64).
     """
 
     noise: NoiseModel
@@ -103,16 +112,16 @@ class ExperimentPlan:
                 raise ValueError(f"{name} {getattr(self, name)} is not in [0, 2**64)")
         if self.shots < 1:
             raise ValueError("need at least one shot")
-        taus = np.asarray(self.tau_grid, dtype=float)
-        if (taus.size == 0 or not np.all(np.isfinite(taus)) or np.any(taus < 0)
-                or np.any(np.diff(taus) <= 0)):
+        taus = self.tau_grid
+        if (not taus or not all(map(math.isfinite, taus)) or taus[0] < 0
+                or any(b <= a for a, b in zip(taus, taus[1:]))):
             raise ValueError("tau grid must be nonempty, finite, nonnegative, "
                              "strictly increasing")
-        if float(taus[-1]) * float(self.noise.sigma.max()) >= MAX_PHASE_SCALE:
+        if taus[-1] * (math.sqrt(2.0) / min(self.noise.t2_star)) >= MAX_PHASE_SCALE:
             raise ValueError(f"largest tau x largest detuning width sqrt(2)/T2* "
                              f"must stay below {MAX_PHASE_SCALE:g}")
-        if taus.size * self.shots > MAX_ROWS:
-            raise ValueError(f"{taus.size} tau points x {self.shots} shots exceed "
+        if len(taus) * self.shots > MAX_ROWS:
+            raise ValueError(f"{len(taus)} tau points x {self.shots} shots exceed "
                              f"the limit of {MAX_ROWS} Monte-Carlo rows per plan")
         if not self.readout:
             raise ValueError("need at least one readout")

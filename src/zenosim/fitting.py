@@ -18,11 +18,15 @@ from typing import Callable, Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from .ensemble import DecayCurve
-from .model import MAX_PROJECTIONS, _decay_and_slope, sqrt_e_time
+from .model import MAX_PROJECTIONS, _decay_and_slope, checked, sqrt_e_time
 
 MAX_ITER = 200
 REL_TOL = 1e-9
 MAX_HALVINGS = 50
+# Bound on the N, the normalized decay times and N**|nu| of a scaling fit:
+# their products and squares in the normal equations stay far below the
+# float range.
+MAX_SCALE = 1e100
 
 
 class FitError(RuntimeError):
@@ -212,21 +216,42 @@ def _check(converged: bool, errs: np.ndarray, what: str) -> None:
 
 
 def fit_scaling(times: Mapping[int, float]) -> ScalingFit:
-    """Fit 1 + mu*N^nu to decay times normalized by the N=0 value."""
-    if 0 not in times:
+    """Fit 1 + mu*N^nu to decay times normalized by the N=0 value.
+
+    Checks its own table and raises FitError unless every N is an int
+    (not a bool) in [0, MAX_SCALE], every time a finite positive number,
+    N = 0 and at least two other N are present, and every normalized time
+    lies in [1/MAX_SCALE, MAX_SCALE]. Trial nu are kept to N**|nu| <=
+    MAX_SCALE, so the normal equations square nothing past the float range.
+    """
+    try:
+        table = {checked(int, n, "projection count"): checked(float, t, "decay time")
+                 for n, t in times.items()}
+    except (TypeError, ValueError) as e:
+        raise FitError(str(e)) from e
+    for n, t in table.items():
+        if not 0 <= n <= MAX_SCALE:
+            raise FitError(f"projection count {n} is not in [0, {MAX_SCALE:g}]")
+        if not (math.isfinite(t) and t > 0):
+            raise FitError(f"decay time {t!r} for N={n} is not finite and positive")
+    if 0 not in table:
         raise FitError("scaling fit requires the N=0 decay time")
-    if len(times) < 3:
+    if len(table) < 3:
         raise FitError("need at least 3 distinct N values")
-    base = times[0]
+    base = table[0]
     # N stays an int key: an N past 2**53 would not survive a float round trip
-    norm = {int(n): t / base for n, t in sorted(times.items())}
-    if not all(math.isfinite(t) for t in norm.values()):
-        raise FitError("a decay time normalized by the N=0 time is not finite")
+    norm = {n: t / base for n, t in sorted(table.items())}
+    if not all(1 / MAX_SCALE <= t <= MAX_SCALE for t in norm.values()):
+        raise FitError(f"a decay time normalized by the N=0 time is not finite "
+                       f"or outside [{1 / MAX_SCALE:g}, {MAX_SCALE:g}]")
     ns = np.array([n for n in norm if n > 0], dtype=float)
     ys = np.array([t for n, t in norm.items() if n > 0])
     log_ns = np.log(ns)
+    nu_max = math.log(MAX_SCALE) / float(log_ns.max())
 
     def columns(nu):
+        if not abs(nu) <= nu_max:
+            raise ValueError(f"nu {nu!r} out of range")
         power = ns**nu
         return power[:, None], (power * log_ns)[:, None]
 

@@ -9,7 +9,8 @@ exponent) with normalized log weights, so the sum stays finite for every
 N, and only the O(sqrt(N)) weights that do not underflow are kept. The
 fits also need the derivative in T2eff, which comes from the same blocks.
 Intermediate fixed-detuning expressions are kept as deterministic oracles
-for the matrix-level simulator.
+for the matrix-level simulator. The type rule of every value a module is
+given is :func:`checked`, and the rule of every T2* is :func:`dephasing_times`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ _CURVE_ENTRIES = 2**16
 # Largest N of the closed form. Its per-N table holds about 2 sqrt(373 (N+1))
 # terms, which take about a second to build at N = 10**9.
 MAX_PROJECTIONS = 10**9
+# Bound on |tau|/T2eff in decay_curve, far below sqrt of the float range, so
+# that no (tau/T2eff)**2 overflows.
+MAX_TIME_RATIO = 1e150
 
 _ACCEPTS = {int: numbers.Integral, float: numbers.Real, str: str}
 
@@ -41,28 +45,58 @@ def checked(kind, value, what: str):
     """value as a built-in int, float or str, or for kind = (type,) a tuple of them.
 
     numpy scalars pass. TypeError for a bool where a number belongs, a string
-    or a non-sequence where a tuple belongs, and any other type.
+    or a non-sequence where a tuple belongs, and any other type; ValueError
+    for an int too large for a float.
     """
     if isinstance(kind, tuple):
         if isinstance(value, str) or not isinstance(value, Iterable):
             raise TypeError(f"{what} must be a sequence, got {value!r}")
-        return tuple(checked(kind[0], v, f"{what} entry") for v in value)
+        # an entry of the built-in type itself, the common case, passes as it is
+        return tuple(v if type(v) is kind[0] else checked(kind[0], v, f"{what} entry")
+                     for v in value)
     if isinstance(value, bool) or not isinstance(value, _ACCEPTS[kind]):
         raise TypeError(f"{what} must be {kind.__name__}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError as e:
+        raise ValueError(f"{what} lies past the float range") from e
+
+
+def dephasing_times(t2_star) -> Tuple[float, ...]:
+    """Per-spin T2* values in ms as a float tuple: the one rule for T2* inputs.
+
+    TypeError unless t2_star is a sequence of numbers (see checked);
+    ValueError unless it is nonempty and every time is finite and positive
+    with a finite detuning width sqrt(2)/T2*.
+    """
+    t2 = checked((float,), t2_star, "t2_star")
+    if not t2:
+        raise ValueError("need at least one dephasing time")
+    if not all(math.isfinite(t) and t > 0 for t in t2):
+        raise ValueError("dephasing times must be finite and positive")
+    if not all(math.isfinite(math.sqrt(2.0) / t) for t in t2):
+        raise ValueError("dephasing times must give a finite width sqrt(2)/T2*")
+    return t2
 
 
 def effective_t2(t2_list: Sequence[float]) -> float:
     """Quadrature combination of per-spin dephasing times.
 
     1/T_eff = sqrt(sum_i 1/T_i^2); single entries pass through unchanged.
+    The times follow dephasing_times' rule. Each is divided into the
+    smallest before squaring, so no square overflows.
     """
-    t2 = np.asarray(t2_list, dtype=float)
-    if t2.size == 0:
-        raise ValueError("need at least one dephasing time")
-    if np.any(t2 <= 0):
-        raise ValueError("dephasing times must be positive")
-    return float(np.sum(t2**-2.0) ** -0.5)
+    t2 = np.asarray(dephasing_times(t2_list))
+    shortest = t2.min()
+    return float(shortest / np.sqrt(np.sum((shortest / t2) ** 2)))
+
+
+def _t2eff(t2eff) -> float:
+    """The effective dephasing time as a float; ValueError unless finite and positive."""
+    t2eff = checked(float, t2eff, "effective dephasing time")
+    if not (math.isfinite(t2eff) and t2eff > 0):
+        raise ValueError("effective dephasing time must be finite and positive")
+    return t2eff
 
 
 @functools.lru_cache(maxsize=16)
@@ -99,13 +133,14 @@ def decay_curve(n_projections: int, taus: Sequence[float], t2eff: float,
 
     offset + A/2^(N+1) * sum_l C(N+1, l) * exp(-(tau f_l / T)^2) with
     f_l = 1 - 2l/(N+1), evaluated as sum_l exp(log w_l - (tau f_l / T)^2)
-    for a (tau, l) block at a time. Finite for every N >= 0.
+    for a (tau, l) block at a time. Finite for every N >= 0. T2eff must be
+    finite and positive, and every |tau|/T2eff below MAX_TIME_RATIO, so
+    that (tau/T)^2 stays finite; ValueError otherwise.
     """
     n = operator.index(n_projections)
     if n < 0:
         raise ValueError("projection count must be >= 0")
-    if not t2eff > 0:
-        raise ValueError("effective dephasing time must be positive")
+    t2eff = _t2eff(t2eff)
     if not 0 <= amplitude <= 1:
         raise ValueError("amplitude must lie in [0, 1]")
     if not math.isfinite(offset):
@@ -113,6 +148,8 @@ def decay_curve(n_projections: int, taus: Sequence[float], t2eff: float,
     taus = np.asarray(taus, dtype=float).ravel()
     if not np.isfinite(taus).all():
         raise ValueError("evolution times must be finite")
+    if float(np.abs(taus).max(initial=0.0)) >= MAX_TIME_RATIO * t2eff:
+        raise ValueError(f"largest |tau|/T2eff must stay below {MAX_TIME_RATIO:g}")
     total = np.empty(taus.size)
     for rows, _, terms in _decay_blocks(n, taus, t2eff):
         total[rows] = terms.sum(axis=1)
@@ -183,8 +220,10 @@ def _unit_sqrt_e_time(n_projections: int) -> float:
     """1/sqrt(e) crossing of the decay at T2eff = 1.
 
     One decay_curve scan of a uniform grid brackets the first sign change,
-    then bisection narrows it to 1e-9 relative.
+    then bisection narrows it to 1e-9 relative. N past MAX_PROJECTIONS is a
+    ValueError before N is turned into a float.
     """
+    _binomial_terms(n_projections)
     hi = 20.0 * (n_projections + 1)
     grid = np.linspace(0.0, hi, 400)
     above = decay_curve(n_projections, grid, 1.0) > SQRT_E_LEVEL
@@ -212,6 +251,4 @@ def sqrt_e_time(n_projections: int, t2eff: float) -> float:
     n = operator.index(n_projections)
     if n % 2 != 0:
         raise ValueError("crossing time defined for even N only")
-    if not (math.isfinite(t2eff) and t2eff > 0):
-        raise ValueError("effective dephasing time must be finite and positive")
-    return float(t2eff) * _unit_sqrt_e_time(n)
+    return _t2eff(t2eff) * _unit_sqrt_e_time(n)

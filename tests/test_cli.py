@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenosim import cli
 from zenosim.cli import (AMPLITUDE_LOGICAL, T2_STAR, _avg_curve, _json_dumps,
@@ -120,6 +127,26 @@ class TestSimulate:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("text", ["5", "null", "true", '[{"a": 1}]', '"t2_star"'])
+    def test_config_not_an_object_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config must be a JSON object"), err
+        assert err.count("\n") == 1, err
+
+    def test_integer_dephasing_times_write_float_headers(self, config, tmp_path):
+        path, cfg = config
+        written = []
+        for t2_star in ([12, 8], [12.0, 8.0]):
+            path.write_text(json.dumps(dict(cfg, t2_star=t2_star, initial_state="X,X",
+                                            observable="XX", readout=["XX"])))
+            out = tmp_path / str(len(written))
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            written.append([f.read_bytes() for f in sorted(out.glob("*.csv"))])
+        assert written[0] == written[1] and b'"t2_star": [12.0, 8.0]' in written[0][0]
+
     def test_monte_carlo_size_limit(self, config, tmp_path, capsys):
         path, cfg = config
         path.write_text(json.dumps(dict(cfg, shots=111111111111111111111111111111)))
@@ -175,6 +202,18 @@ class TestAnalytic:
                      ["--tau", "0,1", "--t2eff", "nan"]):
             assert main(["analytic", "--n", "2", *argv]) == 2
             assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        # tau/T2eff overflows, and (tau/T2eff)**2 overflows
+        ["--t2eff", "1e-320", "--tau", "0,1"], ["--t2eff", "5", "--tau", "1e200"],
+        ["--t2eff", "inf", "--tau", "0,1"],
+    ])
+    def test_out_of_range_input_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "curve.csv"
+        assert main(["analytic", "--n", "4", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 class TestFitCommand:
@@ -347,6 +386,9 @@ class TestScalingCommand:
             for n in (0, 2, 10**9 + 2, 4)) + ']}',
         # 2/1e-320 is not finite
         '{"times": {"0": 1e-320, "2": 2, "4": 3}}',
+        # normalized times too large and too small for the fit to square
+        '{"times": {"0": 1e-300, "2": 2, "4": 3}}',
+        '{"times": {"0": 1, "2": 1e-300, "4": 3}}',
     ])
     def test_bad_input_rejected(self, tmp_path, capsys, text):
         inp = tmp_path / "bad.json"
@@ -597,3 +639,113 @@ class TestHeaderProvenance:
         amp, floor = cfg["amplitude"], self.FLOOR[fig]
         want = np.mean([amp * v + (1 - amp) * floor for v in values], axis=0)
         assert np.max(np.abs(want - curve.mean)) <= 1e-15
+
+
+# Any JSON value. Integers stay small, so that every Monte-Carlo plan runs
+# in milliseconds, except for a few listed extremes.
+_JSON_INTS = (st.integers(-10**4, 10**4)
+              | st.sampled_from([2**63, 2**64 - 1, 2**64, -2**64, 10**30, 10**400]))
+_JSON = st.recursive(
+    st.none() | st.booleans() | _JSON_INTS | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+_SIMULATE_CONFIG = {"t2_star": [12.4, 8.2], "initial_state": "X,X", "observable": "XX",
+                    "readout": ["XX", "F:+L"], "n_projections": 2,
+                    "tau_grid": [0.0, 4.0, 8.0], "shots": 20, "seed": 7}
+# Per key, values of its JSON type, often in range, so that some mutants run.
+_COUNTS = st.integers(0, 50) | _JSON_INTS
+_PLAUSIBLE = {
+    "t2_star": st.lists(st.floats(0.1, 100.0) | st.floats(), min_size=2, max_size=2),
+    "initial_state": st.sampled_from(["X,X", "+L", "0,1", "PhiPlusL", "X"]),
+    "observable": st.sampled_from(["XX", "ZY", "X", "XQ"]),
+    "readout": st.lists(st.sampled_from(["XX", "ZI", "F:+L", "L:+L", "F:0"]), max_size=3),
+    "n_projections": _COUNTS, "shots": _COUNTS, "seed": _COUNTS,
+    "tau_grid": st.lists(st.floats(0.0, 100.0) | st.floats(), max_size=4).map(sorted),
+}
+_SET_A_KEY = st.sampled_from(sorted(_SIMULATE_CONFIG)).flatmap(
+    lambda key: (_PLAUSIBLE[key] | _JSON).map(
+        lambda value: dict(_SIMULATE_CONFIG, **{key: value})))
+_CONFIG_MUTANTS = st.one_of(
+    st.just(_SIMULATE_CONFIG),
+    # setting a key is listed thrice: it is the most varied mutation
+    _SET_A_KEY, _SET_A_KEY, _SET_A_KEY,
+    st.sampled_from(sorted(_SIMULATE_CONFIG)).map(
+        lambda key: {k: v for k, v in _SIMULATE_CONFIG.items() if k != key}),
+    st.tuples(st.text(max_size=6), _JSON).map(
+        lambda kv: {**_SIMULATE_CONFIG, kv[0]: kv[1]}),
+    # a top level that is not an object
+    _JSON.filter(lambda v: not isinstance(v, dict)),
+)
+
+_N_KEYS = (st.sampled_from(["2", "4", "8", "16"]) | st.integers(0, 40).map(str)
+           | st.sampled_from(["99999999999999999999999", "1" + "0" * 400, "-2", "2.5",
+                              "02", "x", ""]))
+_TIMES = st.floats(0.5, 50.0) | st.floats() | _JSON
+_SCALING_TABLES = st.one_of(
+    # N = 0 comes first, and plausible times rise with N, so that some
+    # tables can be fitted
+    st.tuples(st.floats(0.5, 2.0) | _TIMES,
+              st.dictionaries(_N_KEYS, st.floats(2.0, 50.0) | _TIMES, min_size=2,
+                              max_size=5)).map(
+        lambda t: {"times": {"0": t[0], **t[1]}}),
+    st.lists(st.fixed_dictionaries({"converged": st.just(True) | st.booleans(),
+                                    "n_projections": st.sampled_from([0, 2, 4, 8])
+                                    | st.integers(0, 40) | _JSON,
+                                    "T2eff_ms": st.floats(6.0, 7.0) | _TIMES}),
+             min_size=3, max_size=6).map(lambda rows: {"fits": rows}),
+    _JSON,
+)
+
+
+def _main_quiet(argv):
+    """main(argv) with stdout and stderr captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_error_line(code, err):
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1, (code, err)
+
+
+class TestCommandProperties:
+    """Bad input exits 2 with one error line: never a traceback, a warning or a NaN."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_CONFIG_MUTANTS)
+    def test_simulate_config_mutants(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "plan.json"
+            path.write_text(json.dumps(cfg))
+            out = Path(tmp) / "out"
+            code, _, err = _main_quiet(["simulate", "--config", str(path),
+                                        "--out", str(out)])
+            csvs = list(out.glob("*.csv"))
+            if code:
+                _assert_one_error_line(code, err)
+                assert not csvs
+            else:
+                assert err == "" and csvs
+                for csv in csvs:
+                    curve = parse_curve_csv(csv.read_text())
+                    assert np.isfinite([curve.mean, curve.stderr]).all()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_SCALING_TABLES)
+    def test_scaling_tables(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "times.json"
+            path.write_text(json.dumps(table))
+            code, out, err = _main_quiet(["scaling", "--in", str(path)])
+        if code:
+            _assert_one_error_line(code, err)
+        else:
+            def reject(token):
+                raise AssertionError(f"non-finite {token} in the output")
+
+            fit = json.loads(out, parse_constant=reject)
+            assert err == "" and all(math.isfinite(fit[k])
+                                     for k in ("mu", "nu", "mu_err", "nu_err"))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from zenosim import ensemble, logical
 from zenosim.channel import project
+from zenosim.cli import curve_to_csv
 from zenosim.ensemble import (MAX_ROWS, DecayCurve, ExperimentPlan, NoiseModel,
                               readout_operator, run_ensemble, run_shot,
                               sample_detunings)
@@ -410,6 +411,26 @@ class TestValidation:
             with pytest.raises(ValueError):
                 make_plan(seed=bad)
         make_plan(seed=2**64 - 1)
+
+    @pytest.mark.parametrize("field,bad", [
+        ("seed", 3.7), ("n_projections", 2.5), ("n_projections", True), ("shots", 2.0),
+        ("tau_grid", ("1", "5")), ("readout", "X"), ("initial_state", 5),
+        # N + 1 must convert to a float in the kernel
+        ("n_projections", 2**64),
+        pytest.param("n_projections", 10**400, id="n_projections-10**400"),
+    ])
+    def test_field_types_and_ranges(self, field, bad):
+        # each field is checked where the plan is built, naming the field
+        with pytest.raises((TypeError, ValueError), match=field):
+            make_plan(**{field: bad})
+
+    def test_numpy_scalars_keep_the_stream(self):
+        plan = make_plan(n_projections=np.int64(2), seed=np.uint64(3),
+                         tau_grid=np.array([1.0, 2.0]), noise=NoiseModel(np.array([12.4])))
+        plain = make_plan(n_projections=2, seed=3, tau_grid=(1.0, 2.0))
+        assert plan == plain and plan.stream == plain.stream
+        (curve,) = run_ensemble(plan)
+        assert curve_to_csv(curve) == curve_to_csv(run_ensemble(plain)[0])
 
     def test_observable_length(self):
         with pytest.raises(ValueError):

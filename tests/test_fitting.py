@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -265,6 +266,40 @@ class TestFitScaling:
     def test_non_finite_normalized_time(self):
         with pytest.raises(FitError, match="not finite"):
             fit_scaling({0: 1e-320, 2: 2.0, 4: 3.0})
+
+    @pytest.mark.parametrize("times", [
+        # a fractional N, which int() would fit as N = 2
+        {0: 1.0, 2.5: 1.5, 4: 2.0},
+        # a negative time, and a negative N
+        {0: -1.0, 2: 1.0, 4: 2.0},
+        {0: 1.0, -2: 1.5, 2: 2.0, 4: 2.5},
+        # a bool N, a string time
+        {0: 1.0, True: 1.5, 2: 2.0, 4: 2.5},
+        {0: 1.0, 2: "1.5", 4: 2.0},
+        # normalized times the normal equations could not square
+        {0: 1e-300, 2: 2.0, 4: 3.0},
+        {0: 1.0, 2: 1e-300, 4: 3.0},
+    ])
+    def test_table_checked(self, times):
+        with pytest.raises(FitError):
+            fit_scaling(times)
+
+    def test_trial_nu_stays_in_range(self):
+        # a trial nu past the range is a rejected step, not an overflow
+        seen = []
+        real = fitting.least_squares
+
+        def spy(columns, *args):
+            seen.append(columns)
+            return real(columns, *args)
+
+        with mock.patch.object(fitting, "least_squares", spy):
+            fit_scaling({0: 1.0, 2: 2.0, 16: 5.0})
+        nu_max = math.log(fitting.MAX_SCALE) / math.log(16)
+        seen[0](nu_max)
+        for nu in (1.01 * nu_max, -1.01 * nu_max, math.nan):
+            with pytest.raises(ValueError, match="out of range"):
+                seen[0](nu)
 
 
 def test_least_squares_linear_problem():

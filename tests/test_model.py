@@ -36,6 +36,18 @@ class TestEffectiveT2:
         with pytest.raises(ValueError):
             effective_t2([12.4, -1.0])
 
+    @pytest.mark.parametrize("bad", [[math.nan], ["5"], [True], [math.inf], [1e-320],
+                                     [12.4, math.nan]])
+    def test_dephasing_time_rule(self, bad):
+        # the rule of NoiseModel, with no numpy warning on the way
+        with pytest.raises((TypeError, ValueError)):
+            effective_t2(bad)
+
+    def test_tiny_times_do_not_overflow(self):
+        # 1e-200**-2 overflows; the combination itself is finite
+        assert effective_t2([1e-200, 1e-200]) == pytest.approx(1e-200 / math.sqrt(2),
+                                                               rel=1e-15)
+
 
 class TestDecayValue:
     def test_n0_is_gaussian(self):
@@ -162,7 +174,9 @@ class TestDecayCurve:
 
     def test_invalid_inputs(self):
         for args in [(-1, [1.0], 5.0), (0, [1.0], 0.0), (0, [1.0], math.nan),
-                     (0, [math.nan], 5.0), (0, [math.inf], 5.0)]:
+                     (0, [math.nan], 5.0), (0, [math.inf], 5.0), (0, [1.0], math.inf),
+                     # tau/T2eff is not finite, or its square is not
+                     (4, [0.0, 1.0], 1e-320), (4, [1e200], 5.0), (0, [-1e200], 5.0)]:
             with pytest.raises(ValueError):
                 decay_curve(*args)
         with pytest.raises(ValueError):
@@ -171,6 +185,14 @@ class TestDecayCurve:
             decay_curve(0, [1.0], 5.0, offset=math.nan)
         with pytest.raises(TypeError):
             decay_curve(2.5, [1.0], 5.0)
+        with pytest.raises(TypeError):
+            decay_curve(2, [1.0], True)
+
+    def test_time_ratio_limit(self):
+        ratio = model.MAX_TIME_RATIO
+        assert decay_curve(0, [0.0, 0.5 * ratio], 1.0).tolist() == [1.0, 0.0]
+        with pytest.raises(ValueError, match="T2eff"):
+            decay_curve(0, [0.0, ratio], 1.0)
 
 
 class TestDecaySlope:
