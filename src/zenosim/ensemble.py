@@ -6,6 +6,7 @@ observable, and evaluates the requested read-outs on the final density
 matrix. Detunings are drawn as one block per tau point from Philox keyed
 by (seed, plan stream), a digest of T2*, initial state, observable and N,
 with the point index in the counter: reproducible in any execution order.
+A plan draws from one generator, whose counter is reset before each point.
 
 One kernel simulates a flat batch of (point, shot) rows in cache-sized
 chunks, with no loop over projections: it evaluates each read-out entry
@@ -13,7 +14,7 @@ of the final density matrix in closed form, in one pass with a single
 complex power for all N projections. :func:`run_ensemble` runs every
 point and shot of a plan through it; :func:`run_shot` runs one row for
 given detunings. The tables the kernel reads are built once per
-(initial state, observable, readout).
+(initial state, observable, readout), and each readout operator once.
 """
 
 from __future__ import annotations
@@ -167,10 +168,28 @@ def sample_detunings(seed: int, stream: int, point_index: int, shots: int,
     in any execution order, and more shots extend it. Draws are zero-mean
     Gaussians of width sqrt(2)/T2* per spin.
     """
-    bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64),
-                          counter=[0, 0, 0, np.uint64(point_index)])
-    raw = np.random.Generator(bg).standard_normal((shots, len(noise.t2_star)))
-    return raw * noise.sigma
+    return _draw_detunings(seed, stream, (point_index,), shots, noise)
+
+
+def _draw_detunings(seed: int, stream: int, points: Sequence[int], shots: int,
+                    noise: NoiseModel) -> np.ndarray:
+    """sample_detunings blocks of the given points, stacked, (len(points) * shots, k).
+
+    One Philox generator serves every point: before each point p its state
+    is reset to counter [0, 0, 0, p] with an empty buffer, which is the
+    state a new Philox keyed by (seed, stream) at that counter starts in.
+    """
+    bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    gen = np.random.Generator(bg)
+    state = dict(bg.state, buffer_pos=4, has_uint32=0)
+    counter = state["state"]["counter"]
+    out = np.empty((len(points) * shots, len(noise.t2_star)))
+    for i, p in enumerate(points):
+        counter[3] = p
+        bg.state = state
+        gen.standard_normal(out=out[i * shots:(i + 1) * shots])
+    out *= noise.sigma
+    return out
 
 
 def _word_action(word: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -187,14 +206,23 @@ def _word_action(word: str) -> Tuple[np.ndarray, np.ndarray]:
     return perm, basis_signs(k)[perm][:, phased].prod(axis=1)
 
 
+@lru_cache(maxsize=256)
 def readout_operator(readout: str) -> np.ndarray:
-    """Operator M with readout value Re Tr(rho M): a Pauli word, F:<spec> or L:<label>."""
+    """Operator M with readout value Re Tr(rho M): a Pauli word, F:<spec> or L:<label>.
+
+    Built once per readout. The array is shared by every caller, so it is
+    read-only.
+    """
     if readout.startswith(FIDELITY_PREFIX):
         psi = resolve_state(readout[len(FIDELITY_PREFIX):])
-        return np.outer(psi, psi.conj())
-    if readout.startswith(LOGICAL_PREFIX):
-        return logical_operator(readout[len(LOGICAL_PREFIX):])
-    return pauli_matrix(readout)
+        op = np.outer(psi, psi.conj())
+    elif readout.startswith(LOGICAL_PREFIX):
+        op = logical_operator(readout[len(LOGICAL_PREFIX):])
+    else:
+        # a copy: a one-letter word's matrix is the spins module's own array
+        op = pauli_matrix(readout).copy()
+    op.flags.writeable = False
+    return op
 
 
 class _Tables(NamedTuple):
@@ -320,9 +348,8 @@ def run_ensemble(plan: ExperimentPlan) -> List[DecayCurve]:
     flat batch. Output is deterministic for a given plan.
     """
     taus = np.asarray(plan.tau_grid, dtype=float)
-    stream = plan.stream
-    deltas = np.concatenate([sample_detunings(plan.seed, stream, p, plan.shots,
-                                              plan.noise) for p in range(taus.size)])
+    deltas = _draw_detunings(plan.seed, plan.stream, range(taus.size), plan.shots,
+                             plan.noise)
     seg = np.repeat(taus / (plan.n_projections + 1), plan.shots)
     vals = _kernel(plan, deltas, seg).reshape(-1, taus.size, plan.shots)
     means = vals.mean(axis=2)

@@ -165,12 +165,17 @@ def fit_decay(curve: DecayCurve, n_projections: int,
               t2_guess: Optional[float] = None) -> FitResult:
     """Fit the N-projection binomial-sum decay with free (A, T2eff, offset).
 
-    Serves every N in [0, MAX_PROJECTIONS]; at N = 0 the model is
+    Serves every int N in [0, MAX_PROJECTIONS], and raises FitError for
+    any other N, a bool included; at N = 0 the model is
     offset + A*exp(-(tau/T)^2). A and offset need no start values: they
     are solved exactly for every trial T2eff. The T2eff guess should be
     the quadrature combination of nominal per-spin values; without one a
     crossing-time heuristic on the data is used.
     """
+    try:
+        n_projections = checked(int, n_projections, "projection count")
+    except TypeError as e:
+        raise FitError(str(e)) from e
     if not 0 <= n_projections <= MAX_PROJECTIONS:
         raise FitError(f"projection count must lie in [0, {MAX_PROJECTIONS}], "
                        f"got {n_projections}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 from collections.abc import Iterable
 from itertools import product
 from typing import Sequence, Tuple
@@ -135,9 +134,10 @@ def decay_curve(n_projections: int, taus: Sequence[float], t2eff: float,
     f_l = 1 - 2l/(N+1), evaluated as sum_l exp(log w_l - (tau f_l / T)^2)
     for a (tau, l) block at a time. Finite for every N >= 0. T2eff must be
     finite and positive, and every |tau|/T2eff below MAX_TIME_RATIO, so
-    that (tau/T)^2 stays finite; ValueError otherwise.
+    that (tau/T)^2 stays finite; ValueError otherwise. N is read through
+    checked, so a bool or a float N is a TypeError.
     """
-    n = operator.index(n_projections)
+    n = checked(int, n_projections, "projection count")
     if n < 0:
         raise ValueError("projection count must be >= 0")
     t2eff = _t2eff(t2eff)
@@ -246,9 +246,10 @@ def sqrt_e_time(n_projections: int, t2eff: float) -> float:
     Restricted to even N: odd-N curves plateau above the crossing level for
     N >= 3 and the scaling analysis only uses even N. The decay depends on
     tau only through tau/T2eff, so the crossing is T2eff times the T2eff = 1
-    crossing, which is computed once per N.
+    crossing, which is computed once per N. A bool or a float N is a
+    TypeError, as in decay_curve.
     """
-    n = operator.index(n_projections)
+    n = checked(int, n_projections, "projection count")
     if n % 2 != 0:
         raise ValueError("crossing time defined for even N only")
     return _t2eff(t2eff) * _unit_sqrt_e_time(n)

@@ -699,11 +699,31 @@ _SCALING_TABLES = st.one_of(
 )
 
 
+# Number texts: in range, out of range, not finite, not numbers, and bools.
+_WORDS = st.sampled_from(["nan", "inf", "-inf", "True", "False", "true", "", "x", "1,2",
+                          "0x10", "1_0", " 4", "1e400", "-1e-05", "1e-320"])
+# Texts in range are drawn often, so that many argv run.
+_N_TEXTS = (st.integers(0, 3000).map(str)
+            | st.integers(-5, 3000).map(str) | _WORDS
+            | st.sampled_from([str(10**9 + 1), "99999999999999999999", "1" + "0" * 400,
+                               "2.5", "-0"]))
+_FLOAT_TEXTS = (st.floats(0.1, 100.0).map(str) | st.floats(0.1, 100.0).map(str)
+                | st.floats().map(repr) | st.integers(-10, 10).map(str) | _WORDS)
+_TAU_TEXTS = st.lists(st.floats(0.0, 100.0).map(str) | _FLOAT_TEXTS, min_size=1,
+                      max_size=5).map(",".join)
+
+
 def _main_quiet(argv):
-    """main(argv) with stdout and stderr captured: (exit code, stdout, stderr)."""
+    """main(argv) with stdout and stderr captured: (exit code, stdout, stderr).
+
+    An argparse error's SystemExit is returned as its exit code.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -749,3 +769,19 @@ class TestCommandProperties:
             fit = json.loads(out, parse_constant=reject)
             assert err == "" and all(math.isfinite(fit[k])
                                      for k in ("mu", "nu", "mu_err", "nu_err"))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_N_TEXTS, _FLOAT_TEXTS, _TAU_TEXTS)
+    def test_analytic_argv(self, n, t2eff, tau):
+        code, out, err = _main_quiet(["analytic", "--n", n, "--t2eff", t2eff,
+                                      "--tau", tau])
+        if code:
+            # argparse prints its usage lines before its one error line
+            lines = err.splitlines()
+            assert code == 2 and sum("error:" in line for line in lines) == 1, (code, err)
+            assert lines[-1].startswith(("error:", "zeno analytic: error:")), err
+        else:
+            rows = [line.split(",") for line in out.splitlines()
+                    if line and not line.startswith(("#", "tau_ms"))]
+            assert err == "" and rows
+            assert all(math.isfinite(float(v)) for row in rows for v in row), out

@@ -18,7 +18,8 @@ from zenosim.ensemble import (MAX_ROWS, DecayCurve, ExperimentPlan, NoiseModel,
                               sample_detunings)
 from zenosim.logical import logical_pauli_fidelity, resolve_state
 from zenosim.model import decay_curve, single_shot_expectation
-from zenosim.spins import basis_signs, evolve_dephasing, expectation, state_fidelity
+from zenosim.spins import (basis_signs, evolve_dephasing, expectation, pauli_matrix,
+                           state_fidelity)
 
 
 def make_plan(**kw):
@@ -99,6 +100,24 @@ class TestSampleDetunings:
         sigma = math.sqrt(2) / 12.4
         assert abs(x.std() - sigma) / sigma < 0.01
         assert abs(x.mean()) < 4 * sigma / math.sqrt(100_000)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(1, 4),
+           st.just(1) | st.integers(1, 50).map(lambda s: 2 * s + 1) | st.integers(2000, 2100),
+           st.integers(1, 40).map(range) | st.just((2**40,)),
+           st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+    def test_blocks_match_a_fresh_generator_per_point(self, k, shots, points, seed, stream):
+        # oracle: a new Philox at each point's counter, the construction the
+        # shared generator replaces
+        noise = NoiseModel((12.4, 8.2, 21.0, 5.5)[:k])
+        key = np.array([seed, stream], dtype=np.uint64)
+        stacked = ensemble._draw_detunings(seed, stream, points, shots, noise)
+        assert stacked.shape == (len(points) * shots, k)
+        for i, p in enumerate(points):
+            bg = np.random.Philox(key=key, counter=np.array([0, 0, 0, p], dtype=np.uint64))
+            want = np.random.Generator(bg).standard_normal((shots, k)) * noise.sigma
+            assert np.array_equal(stacked[i * shots:(i + 1) * shots], want)
+            assert np.array_equal(sample_detunings(seed, stream, p, shots, noise), want)
 
 
 class TestPlanStream:
@@ -361,6 +380,24 @@ class TestPlanTables:
             second = run_shot(plan, [0.1, -0.2], 4.0)
         assert ops.call_count == states.call_count == logical_states.call_count == 0
         assert np.array_equal(first, second)
+
+    @pytest.mark.parametrize("readout,fresh,floor", [
+        ("X", lambda: pauli_matrix("X"), 0.0),
+        ("XZ", lambda: pauli_matrix("XZ"), 0.0),
+        ("F:+L", lambda: np.outer(resolve_state("+L"), resolve_state("+L").conj()), 0.25),
+        ("L:+iL", lambda: logical.logical_operator("+iL"), 0.5),
+        ("L:X0L", lambda: logical.logical_operator("X0L"), 0.25),
+    ])
+    def test_readout_operator_is_built_once_and_read_only(self, readout, fresh, floor):
+        op = readout_operator(readout)
+        assert readout_operator(readout) is op
+        with pytest.raises(ValueError):
+            op[0, 0] = 0.0
+        assert np.array_equal(op, fresh())
+        # the trace floor that the figure pipelines map readout values onto
+        assert np.trace(op).real / len(op) == pytest.approx(floor, abs=1e-15)
+        # a one-letter word's operator is a copy, not the spins module's matrix
+        assert pauli_matrix("X").flags.writeable
 
     def test_tables_are_read_only(self):
         plan = make_plan(n_projections=2)

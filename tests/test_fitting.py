@@ -89,6 +89,12 @@ class TestFitDecay:
         with pytest.raises(FitError):
             fit_decay(curve_from(tau, np.exp(-((tau / 5.0) ** 2))), -1)
 
+    @pytest.mark.parametrize("n", [False, True, 2.0])
+    def test_bool_or_float_n_rejected(self, n):
+        tau = np.linspace(0, 10, 10)
+        with pytest.raises(FitError, match="projection count"):
+            fit_decay(curve_from(tau, np.exp(-((tau / 5.0) ** 2))), n)
+
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_four_points_suffice(self, n):
         tau = np.linspace(0, 30, 4)

@@ -183,8 +183,9 @@ class TestDecayCurve:
             decay_curve(0, [1.0], 5.0, amplitude=1.5)
         with pytest.raises(ValueError):
             decay_curve(0, [1.0], 5.0, offset=math.nan)
-        with pytest.raises(TypeError):
-            decay_curve(2.5, [1.0], 5.0)
+        for n in (2.5, True, False):
+            with pytest.raises(TypeError, match="projection count"):
+                decay_curve(n, [1.0], 5.0)
         with pytest.raises(TypeError):
             decay_curve(2, [1.0], True)
 
@@ -279,6 +280,11 @@ class TestSqrtETime:
     def test_odd_rejected(self):
         with pytest.raises(ValueError):
             sqrt_e_time(1, 5.0)
+
+    @pytest.mark.parametrize("n", [False, True, 2.0])
+    def test_bool_or_float_n_rejected(self, n):
+        with pytest.raises(TypeError, match="projection count"):
+            sqrt_e_time(n, 2.0)
 
     @pytest.mark.parametrize("t2eff", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_bad_t2eff_rejected(self, t2eff):
