@@ -10,8 +10,9 @@ Commands:
 Curves are CSV with '#'-prefixed provenance headers then tau_ms,mean,stderr
 rows; fit and scaling summaries are JSON. The environment variable
 ZENO_SEED overrides any configured seed (for reproduce, the seed of every
-plan of every curve). Exit codes: 0 success, 2 config or parse error, 3 I/O
-error.
+plan of every curve). Exit codes: 0 success, 2 config or parse error (an
+argument argparse rejects included, and a zeno fit in which no curve
+fits), 3 I/O error. Every failure prints one 'error:' line on stderr.
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ _PLAN_KEYS = ("t2_star", "initial_state", "observable", "readout", "n_projection
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections are ConfigErrors, not SystemExit(2)."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _effective_seed(seed):
@@ -168,7 +176,8 @@ def _read_json(path: str):
         raise IOError(f"cannot read {path}: {e}") from e
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # a JSONDecodeError, or an integer past Python's limit on int digits
         raise ConfigError(f"invalid JSON in {path}: {e}") from e
 
 
@@ -233,7 +242,9 @@ def cmd_fit(args) -> int:
         rows.append({"file": os.path.basename(path), "n_projections": n,
                      **_fit_row(curve, n, args.t2_guess)})
     _emit(args.out, _json_dumps({"fits": rows}))
-    return 0 if any(row["converged"] for row in rows) else EXIT_CONFIG
+    if not any(row["converged"] for row in rows):
+        raise ConfigError(f"no curve could be fitted; {rows[0]['file']}: {rows[0]['error']}")
+    return 0
 
 
 def _scaling_times(data) -> Dict[int, float]:
@@ -255,9 +266,14 @@ def _scaling_times(data) -> Dict[int, float]:
         # ASCII only: str.isdigit also accepts digits such as "²" and "١"
         if isinstance(n, bool) or not (str(n).isascii() and str(n).isdigit()):
             raise ConfigError(f"projection count {n!r} is not a nonnegative integer")
-        if int(n) in times:
-            raise ConfigError(f"projection count {n!r} repeats N={int(n)}")
-        times[int(n)] = t
+        try:
+            key = int(n)
+        except ValueError as e:
+            # past Python's limit on the digits of an int read from text
+            raise ConfigError(f"projection count of {len(n)} digits is too long") from e
+        if key in times:
+            raise ConfigError(f"projection count {n!r} repeats N={key}")
+        times[key] = t
     if "times" in data:
         return times
     try:
@@ -413,8 +429,8 @@ def cmd_reproduce(args) -> int:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The zeno argument parser, built once per process and shared by main."""
-    p = argparse.ArgumentParser(prog="zeno", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="zeno", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("simulate", help="run a Monte-Carlo plan from a JSON config")
@@ -454,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

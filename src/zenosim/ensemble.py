@@ -28,7 +28,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .logical import logical_operator, resolve_state
-from .model import checked, dephasing_times
+from .model import checked, dephasing_times, detunings, evolution_time
 from .spins import basis_signs, pauli_matrix, validate_word
 
 FIDELITY_PREFIX = "F:"
@@ -114,10 +114,12 @@ class ExperimentPlan:
         if self.shots < 1:
             raise ValueError("need at least one shot")
         taus = self.tau_grid
-        if (not taus or not all(map(math.isfinite, taus)) or taus[0] < 0
-                or any(b <= a for a, b in zip(taus, taus[1:]))):
-            raise ValueError("tau grid must be nonempty, finite, nonnegative, "
-                             "strictly increasing")
+        # b > a is false for a NaN, and a strictly increasing grid is finite
+        # and nonnegative when its two ends are
+        if not taus or not all(b > a for a, b in zip(taus, taus[1:])):
+            raise ValueError("tau grid must be nonempty and strictly increasing")
+        evolution_time(taus[0])
+        evolution_time(taus[-1])
         if taus[-1] * (math.sqrt(2.0) / min(self.noise.t2_star)) >= MAX_PHASE_SCALE:
             raise ValueError(f"largest tau x largest detuning width sqrt(2)/T2* "
                              f"must stay below {MAX_PHASE_SCALE:g}")
@@ -159,31 +161,26 @@ class DecayCurve:
             raise ValueError("standard errors must be nonnegative")
 
 
-def sample_detunings(seed: int, stream: int, point_index: int, shots: int,
+def sample_detunings(seed: int, stream: int, points: Sequence[int], shots: int,
                      noise: NoiseModel) -> np.ndarray:
-    """Quasi-static detuning vectors of every shot at one tau point, (shots, k).
+    """Quasi-static detuning vectors of every shot at the given tau points.
 
-    Philox keyed by (seed, stream), ExperimentPlan.stream for a plan, with
-    the point index in the top counter word: each point's block is the same
-    in any execution order, and more shots extend it. Draws are zero-mean
-    Gaussians of width sqrt(2)/T2* per spin.
+    Returns each point's (shots, k) block in turn, stacked to
+    (len(points) * shots, k); a single index counts as one point. Philox is
+    keyed by (seed, stream), ExperimentPlan.stream for a plan, with the
+    point index in the top counter word: each point's block is the same in
+    any execution order and any selection of points, and more shots extend
+    it. Draws are zero-mean Gaussians of width sqrt(2)/T2* per spin. One
+    generator serves every point: before each point p its state is reset to
+    counter [0, 0, 0, p] with an empty buffer, which is the state a new
+    Philox keyed by (seed, stream) at that counter starts in.
     """
-    return _draw_detunings(seed, stream, (point_index,), shots, noise)
-
-
-def _draw_detunings(seed: int, stream: int, points: Sequence[int], shots: int,
-                    noise: NoiseModel) -> np.ndarray:
-    """sample_detunings blocks of the given points, stacked, (len(points) * shots, k).
-
-    One Philox generator serves every point: before each point p its state
-    is reset to counter [0, 0, 0, p] with an empty buffer, which is the
-    state a new Philox keyed by (seed, stream) at that counter starts in.
-    """
+    points = np.atleast_1d(np.asarray(points, dtype=np.uint64))
     bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     gen = np.random.Generator(bg)
     state = dict(bg.state, buffer_pos=4, has_uint32=0)
     counter = state["state"]["counter"]
-    out = np.empty((len(points) * shots, len(noise.t2_star)))
+    out = np.empty((points.size * shots, len(noise.t2_star)))
     for i, p in enumerate(points):
         counter[3] = p
         bg.state = state
@@ -328,14 +325,10 @@ def run_shot(plan: ExperimentPlan, deltas: Sequence[float], tau: float) -> np.nd
     evaluates each readout on the final density matrix: one row of the
     kernel that run_ensemble uses, in closed form with no loop over
     projections. The plan's tables are built once and reused by every call.
+    tau passes model.evolution_time, and the detunings model.detunings.
     """
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ValueError(f"evolution time must be finite and >= 0, got {tau}")
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.shape != (plan.k,):
-        raise ValueError(f"expected {plan.k} detunings, got shape {deltas.shape}")
-    if not np.all(np.isfinite(deltas)):
-        raise ValueError("detunings must be finite")
+    tau = evolution_time(tau)
+    deltas = detunings(deltas, plan.k)
     seg = np.array([tau / (plan.n_projections + 1)])
     return _kernel(plan, deltas[None, :], seg)[:, 0]
 
@@ -348,8 +341,8 @@ def run_ensemble(plan: ExperimentPlan) -> List[DecayCurve]:
     flat batch. Output is deterministic for a given plan.
     """
     taus = np.asarray(plan.tau_grid, dtype=float)
-    deltas = _draw_detunings(plan.seed, plan.stream, range(taus.size), plan.shots,
-                             plan.noise)
+    deltas = sample_detunings(plan.seed, plan.stream, range(taus.size), plan.shots,
+                              plan.noise)
     seg = np.repeat(taus / (plan.n_projections + 1), plan.shots)
     vals = _kernel(plan, deltas, seg).reshape(-1, taus.size, plan.shots)
     means = vals.mean(axis=2)

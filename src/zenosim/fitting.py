@@ -18,7 +18,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from .ensemble import DecayCurve
-from .model import MAX_PROJECTIONS, _decay_and_slope, checked, sqrt_e_time
+from .model import _decay_and_slope, checked, projection_count, sqrt_e_time
 
 MAX_ITER = 200
 REL_TOL = 1e-9
@@ -79,13 +79,14 @@ def _solve_linear(columns, w, wy, theta):
 
     c solves the normal equations (A^T A) c = A^T (w y) and r = A c - w y.
     theta is rejected when columns raises ValueError, when the equations
-    are singular or when the cost is not finite.
+    are singular, when a float error is raised (under np.errstate) or when
+    the cost is not finite.
     """
     try:
         phi, dphi = columns(theta)
         a = w[:, None] * phi
         c = np.linalg.solve(a.T @ a, a.T @ wy)
-    except (ValueError, np.linalg.LinAlgError):
+    except (ValueError, np.linalg.LinAlgError, FloatingPointError):
         return None
     r = a @ c - wy
     cost = float(r @ r)
@@ -165,20 +166,29 @@ def fit_decay(curve: DecayCurve, n_projections: int,
               t2_guess: Optional[float] = None) -> FitResult:
     """Fit the N-projection binomial-sum decay with free (A, T2eff, offset).
 
-    Serves every int N in [0, MAX_PROJECTIONS], and raises FitError for
-    any other N, a bool included; at N = 0 the model is
-    offset + A*exp(-(tau/T)^2). A and offset need no start values: they
+    Serves every N that passes model.projection_count; at N = 0 the model
+    is offset + A*exp(-(tau/T)^2). A and offset need no start values: they
     are solved exactly for every trial T2eff. The T2eff guess should be
     the quadrature combination of nominal per-spin values; without one a
-    crossing-time heuristic on the data is used.
+    crossing-time heuristic on the data is used. Raises FitError for any
+    other N and for data whose fit leaves the float range (values or error
+    bars near its ends), rather than warn: the fit runs with numpy's
+    overflow, division and invalid-value errors raised.
     """
     try:
-        n_projections = checked(int, n_projections, "projection count")
-    except TypeError as e:
+        n_projections = projection_count(n_projections)
+    except (TypeError, ValueError) as e:
         raise FitError(str(e)) from e
-    if not 0 <= n_projections <= MAX_PROJECTIONS:
-        raise FitError(f"projection count must lie in [0, {MAX_PROJECTIONS}], "
-                       f"got {n_projections}")
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _fit_decay(curve, n_projections, t2_guess)
+    except FloatingPointError as e:
+        raise FitError(f"decay fit (N={n_projections}) left the float range: {e}") from e
+
+
+def _fit_decay(curve: DecayCurve, n_projections: int,
+               t2_guess: Optional[float]) -> FitResult:
+    """fit_decay's fit of a checked N, run under its np.errstate."""
     tau = np.asarray(curve.tau, dtype=float)
     y = np.asarray(curve.mean, dtype=float)
     if tau.size < 4:

@@ -10,7 +10,10 @@ N, and only the O(sqrt(N)) weights that do not underflow are kept. The
 fits also need the derivative in T2eff, which comes from the same blocks.
 Intermediate fixed-detuning expressions are kept as deterministic oracles
 for the matrix-level simulator. The type rule of every value a module is
-given is :func:`checked`, and the rule of every T2* is :func:`dephasing_times`.
+given is :func:`checked`. Each input of the physics has one gate that every
+module reads it through: :func:`dephasing_times` for T2*,
+:func:`projection_count` for N, :func:`evolution_time` for a free-evolution
+time and :func:`detunings` for a detuning vector.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ _CURVE_ENTRIES = 2**16
 # Largest N of the closed form. Its per-N table holds about 2 sqrt(373 (N+1))
 # terms, which take about a second to build at N = 10**9.
 MAX_PROJECTIONS = 10**9
+# Largest register of the dense simulators: four spins, dimension 16.
+MAX_SPINS = 4
 # Bound on |tau|/T2eff in decay_curve, far below sqrt of the float range, so
 # that no (tau/T2eff)**2 overflows.
 MAX_TIME_RATIO = 1e150
@@ -78,6 +83,43 @@ def dephasing_times(t2_star) -> Tuple[float, ...]:
     return t2
 
 
+def projection_count(n_projections) -> int:
+    """N as a built-in int: the one rule for a projection count.
+
+    TypeError unless N is an int (see checked: a bool or a float N is
+    refused); ValueError unless 0 <= N <= MAX_PROJECTIONS, the limit of the
+    closed form.
+    """
+    n = checked(int, n_projections, "projection count")
+    if not 0 <= n <= MAX_PROJECTIONS:
+        raise ValueError(f"projection count {n} is past the limits 0 and {MAX_PROJECTIONS}")
+    return n
+
+
+def evolution_time(t) -> float:
+    """A free-evolution time in ms as a built-in float: the one rule for a time.
+
+    TypeError unless t is a real number (see checked); ValueError unless it
+    is finite and >= 0.
+    """
+    t = checked(float, t, "evolution time")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"evolution time must be finite and >= 0, got {t}")
+    return t
+
+
+def detunings(deltas, k: int) -> np.ndarray:
+    """Per-spin detunings in rad/ms as a float array of shape (k,): the one rule.
+
+    ValueError unless 1 <= k <= MAX_SPINS, deltas holds k numbers and every
+    one is finite.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    if not (1 <= k <= MAX_SPINS and deltas.shape == (k,) and np.isfinite(deltas).all()):
+        raise ValueError(f"expected {k} finite detunings, 1 to {MAX_SPINS}, got {deltas!r}")
+    return deltas
+
+
 def effective_t2(t2_list: Sequence[float]) -> float:
     """Quadrature combination of per-spin dephasing times.
 
@@ -107,12 +149,9 @@ def _binomial_terms(n_projections: int) -> Tuple[np.ndarray, np.ndarray]:
     1 to rounding. Only l with |l - (N+1)/2| <= sqrt(373 (N+1)) + 1 are
     kept: by Hoeffding's bound every other weight lies below e^-746 and
     underflows to zero anyway. For N+1 <= 1490 that is every l. The arrays
-    are shared by every caller and therefore read-only. Raises ValueError
-    for N past MAX_PROJECTIONS.
+    are shared by every caller and therefore read-only. N must have passed
+    projection_count.
     """
-    if n_projections > MAX_PROJECTIONS:
-        raise ValueError(f"projection count {n_projections} exceeds the closed "
-                         f"form's limit of {MAX_PROJECTIONS}")
     n1 = n_projections + 1
     half = math.sqrt(-_LOG_UNDERFLOW / 2 * n1) + 1.0
     ls = range(max(0, math.ceil(n1 / 2 - half)), min(n1, math.floor(n1 / 2 + half)) + 1)
@@ -132,14 +171,12 @@ def decay_curve(n_projections: int, taus: Sequence[float], t2eff: float,
 
     offset + A/2^(N+1) * sum_l C(N+1, l) * exp(-(tau f_l / T)^2) with
     f_l = 1 - 2l/(N+1), evaluated as sum_l exp(log w_l - (tau f_l / T)^2)
-    for a (tau, l) block at a time. Finite for every N >= 0. T2eff must be
-    finite and positive, and every |tau|/T2eff below MAX_TIME_RATIO, so
-    that (tau/T)^2 stays finite; ValueError otherwise. N is read through
-    checked, so a bool or a float N is a TypeError.
+    for a (tau, l) block at a time. Finite for every N that passes
+    projection_count. T2eff must be finite and positive, and every
+    |tau|/T2eff below MAX_TIME_RATIO, so that (tau/T)^2 stays finite;
+    ValueError otherwise. tau may be negative: the decay is even in tau.
     """
-    n = checked(int, n_projections, "projection count")
-    if n < 0:
-        raise ValueError("projection count must be >= 0")
+    n = projection_count(n_projections)
     t2eff = _t2eff(t2eff)
     if not 0 <= amplitude <= 1:
         raise ValueError("amplitude must lie in [0, 1]")
@@ -188,18 +225,16 @@ def single_shot_expectation(deltas: Sequence[float], t: float, n_projections: in
 
     All N+1 segments have duration t. Averages cos^(N+1) of the signed
     detuning sums over all relative-sign configurations of spins 2..k.
+    N, t and the k detunings pass their gates before any work is done.
     """
-    if t < 0:
-        raise ValueError("segment time must be >= 0")
-    if n_projections < 0:
-        raise ValueError("projection count must be >= 0")
-    deltas = np.asarray(deltas, dtype=float)
-    k = deltas.size
+    n = projection_count(n_projections)
+    t = evolution_time(t)
+    deltas = detunings(deltas, np.size(deltas))
     total = 0.0
-    for signs in product((1.0, -1.0), repeat=k - 1):
+    for signs in product((1.0, -1.0), repeat=deltas.size - 1):
         freq = deltas[0] + float(np.dot(signs, deltas[1:]))
-        total += math.cos(freq * t) ** (n_projections + 1)
-    return total / 2.0 ** (k - 1)
+        total += math.cos(freq * t) ** (n + 1)
+    return total / 2.0 ** (deltas.size - 1)
 
 
 def odd_n_asymptote(n_projections: int) -> float:
@@ -207,11 +242,12 @@ def odd_n_asymptote(n_projections: int) -> float:
 
     The central term of the binomial sum survives at tau -> infinity only
     when N is odd; for even N the limit is zero and a ValueError is raised
-    to keep the two cases distinct.
+    to keep the two cases distinct. N is read through projection_count.
     """
-    if n_projections < 1 or n_projections % 2 == 0:
-        raise ValueError(f"plateau only exists for odd N >= 1, got {n_projections}")
-    frac, logw = _binomial_terms(n_projections)
+    n = projection_count(n_projections)
+    if n % 2 == 0:
+        raise ValueError(f"plateau only exists for odd N, got {n}")
+    frac, logw = _binomial_terms(n)
     return math.exp(logw[frac == 0][0])
 
 
@@ -220,10 +256,9 @@ def _unit_sqrt_e_time(n_projections: int) -> float:
     """1/sqrt(e) crossing of the decay at T2eff = 1.
 
     One decay_curve scan of a uniform grid brackets the first sign change,
-    then bisection narrows it to 1e-9 relative. N past MAX_PROJECTIONS is a
-    ValueError before N is turned into a float.
+    then bisection narrows it to 1e-9 relative. N must have passed
+    projection_count.
     """
-    _binomial_terms(n_projections)
     hi = 20.0 * (n_projections + 1)
     grid = np.linspace(0.0, hi, 400)
     above = decay_curve(n_projections, grid, 1.0) > SQRT_E_LEVEL
@@ -246,10 +281,10 @@ def sqrt_e_time(n_projections: int, t2eff: float) -> float:
     Restricted to even N: odd-N curves plateau above the crossing level for
     N >= 3 and the scaling analysis only uses even N. The decay depends on
     tau only through tau/T2eff, so the crossing is T2eff times the T2eff = 1
-    crossing, which is computed once per N. A bool or a float N is a
-    TypeError, as in decay_curve.
+    crossing, which is computed once per N. N is read through
+    projection_count, as in decay_curve.
     """
-    n = checked(int, n_projections, "projection count")
+    n = projection_count(n_projections)
     if n % 2 != 0:
         raise ValueError("crossing time defined for even N only")
     return _t2eff(t2eff) * _unit_sqrt_e_time(n)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-MAX_SPINS = 4
+from .model import MAX_SPINS, detunings, evolution_time
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -88,15 +88,11 @@ def dephasing_phases(deltas: Sequence[float], t: float, k: int) -> np.ndarray:
 
     Basis state b picks up ``exp(-1j * (t/2) * sum_i deltas[i] * s_i)`` with
     ``s_i = +1`` for bit 0 and ``-1`` for bit 1, so each single-spin
-    coherence rotates by ``exp(-1j * delta_i * t)``.
+    coherence rotates by ``exp(-1j * delta_i * t)``. The detunings pass
+    model.detunings.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.shape != (k,):
-        raise ValueError(f"expected {k} detunings, got shape {deltas.shape}")
-    if not np.all(np.isfinite(deltas)):
-        raise ValueError("detunings must be finite")
-    signs = basis_signs(k)
-    return np.exp(-0.5j * t * signs @ deltas)
+    deltas = detunings(deltas, k)
+    return np.exp(-0.5j * t * basis_signs(k) @ deltas)
 
 
 def basis_signs(k: int) -> np.ndarray:
@@ -107,9 +103,11 @@ def basis_signs(k: int) -> np.ndarray:
 
 
 def evolve_dephasing(rho: np.ndarray, deltas: Sequence[float], t: float) -> np.ndarray:
-    """Evolve under the diagonal detuning Hamiltonian for a time t (ms)."""
-    if t < 0:
-        raise ValueError(f"negative evolution time {t}")
+    """Evolve under the diagonal detuning Hamiltonian for a time t (ms).
+
+    t passes model.evolution_time, and the detunings model.detunings.
+    """
+    t = evolution_time(t)
     k = num_spins(rho)
     phases = dephasing_phases(deltas, t, k)
     return phases[:, None] * rho * phases.conj()[None, :]

@@ -87,6 +87,10 @@ class TestAncillaProject:
         out = ancilla_project(product_state(["Y"]), "X")
         assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="register size"):
+            ancilla_project(product_state(["X"]), "XX")
+
     @pytest.mark.parametrize("word", ["X", "XX", "XXX"])
     def test_random_state_equivalence(self, word):
         rng = np.random.default_rng(11)

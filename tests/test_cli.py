@@ -156,6 +156,22 @@ class TestSimulate:
         assert err.count("\n") == 1, err
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_non_integer_seed_env_rejected(self, config, tmp_path, monkeypatch, capsys):
+        path, _ = config
+        monkeypatch.setenv("ZENO_SEED", "12.5")
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        _assert_one_error_line(code, err)
+        assert "ZENO_SEED" in err and not list(tmp_path.rglob("*.csv"))
+
+    def test_out_under_a_regular_file_is_an_io_error(self, config, tmp_path, capsys):
+        path, _ = config
+        (tmp_path / "file").write_text("")
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "file" / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1, err
+
     def test_negative_seed_env_rejected(self, config, tmp_path, monkeypatch, capsys):
         path, _ = config
         monkeypatch.setenv("ZENO_SEED", "-3")
@@ -250,15 +266,53 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot parse") and err.count("\n") == 1, err
 
-    def test_projection_limit_is_a_failed_fit(self, tmp_path):
+    def test_projection_limit_is_a_failed_fit(self, tmp_path, capsys):
         self._write_gaussian(tmp_path / "c0.csv")
         text = (tmp_path / "c0.csv").read_text()
         (tmp_path / "c0.csv").write_text(
             text.replace("# n_projections: 0", f"# n_projections: {10**9 + 2}"))
         out = tmp_path / "fits.json"
-        assert main(["fit", "--in", str(tmp_path / "*.csv"), "--out", str(out)]) == 2
+        code = main(["fit", "--in", str(tmp_path / "*.csv"), "--out", str(out)])
+        # the table is written, and one error line says that nothing fitted
         row = json.loads(out.read_text())["fits"][0]
         assert row["converged"] is False and "projection count" in row["error"]
+        err = capsys.readouterr().err
+        _assert_one_error_line(code, err)
+        assert "c0.csv" in err and "projection count" in err
+
+    def test_float_limit_curve_is_a_failed_fit(self, tmp_path):
+        # means of 1e200 overflow the weighted fit: a failed fit, no warning
+        self._write_gaussian(tmp_path / "c0.csv", a=0.9e200, off=0.05e200)
+        code, out, err = _main_quiet(["fit", "--in", str(tmp_path / "*.csv")])
+        _assert_one_error_line(code, err)
+        row = json.loads(out)["fits"][0]
+        assert row["converged"] is False and "overflow" in row["error"]
+
+    def test_directory_matched_is_an_io_error(self, tmp_path, capsys):
+        self._write_gaussian(tmp_path / "c0.csv")
+        (tmp_path / "d.csv").mkdir()
+        assert main(["fit", "--in", str(tmp_path / "*.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("text", ["tau_ms,mean,stderr\n", "1,0.5,0.01\n2,0.4,0.01\n",
+                                      "# n_projections: 0\n\n"])
+    def test_missing_header_or_rows_rejected(self, tmp_path, capsys, text):
+        (tmp_path / "c.csv").write_text(text)
+        code = main(["fit", "--in", str(tmp_path / "*.csv"), "--n", "0"])
+        err = capsys.readouterr().err
+        _assert_one_error_line(code, err)
+        assert "missing header or data rows" in err
+
+    def test_blank_lines_skipped(self, tmp_path):
+        self._write_gaussian(tmp_path / "c.csv")
+        text = (tmp_path / "c.csv").read_text()
+        spaced = text.replace("\n", "\n\n   \n", 3).replace("0.01\n", "0.01\n\n", 2)
+        assert spaced.count("\n\n") >= 4
+        got, want = parse_curve_csv(spaced), parse_curve_csv(text)
+        for field in ("tau", "mean", "stderr"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert got.n_projections == want.n_projections == 0
 
     def test_no_match(self, tmp_path):
         assert main(["fit", "--in", str(tmp_path / "*.csv")]) == 2
@@ -333,6 +387,27 @@ class TestFitCommand:
         assert build_parser() is build_parser()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--n", "x", "--t2eff", "1", "--tau", "1"],
+    ["analytic", "--t2eff", "1", "--tau", "1"],
+    ["fit", "--in", "x.csv", "--t2-guess", "fast"],
+    ["reproduce", "fig2c"],
+    ["scaling", "--in", "x.json", "--bogus"],
+    ["frobnicate"],
+    [],
+])
+def test_argument_rejections_are_one_error_line(argv, capsys):
+    # argparse's rejections return 2 with one error line, no usage block
+    code = main(argv)
+    _assert_one_error_line(code, capsys.readouterr().err)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--help"])
+    assert exc.value.code == 0 and "--t2-guess" in capsys.readouterr().out
+
+
 def test_json_output_rejects_nan():
     with pytest.raises(ValueError):
         _json_dumps({"mu_err": float("nan")})
@@ -371,6 +446,7 @@ class TestScalingCommand:
         '{"times": {"0": 1.0, "2": Infinity, "4": 2.0}}',
         '{"times": {"0": 1.0, "2.5": 1.5, "4": 2.0}}',
         '[1.0, 1.5, 2.0]',
+        '{"times": 5}',
         # non-ASCII digits: superscript two, Arabic-Indic one
         r'{"times": {"0": 1, "2": 1.5, "\u00b2": 2, "4": 1.9}}',
         r'{"times": {"0": 1, "\u0661": 1.2, "2": 1.5, "4": 1.9}}',
@@ -396,6 +472,19 @@ class TestScalingCommand:
         assert main(["scaling", "--in", str(inp)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_integer_past_the_digit_limit_rejected(self, config, tmp_path):
+        # Python reads at most 4300 digits into an int by default; a longer N
+        # key or JSON integer is one error line, not a traceback
+        big = "1" * 5000
+        (tmp_path / "times.json").write_text(f'{{"times": {{"0": 1, "2": 2, "{big}": 3}}}}')
+        path, cfg = config
+        path.write_text(json.dumps(cfg).replace('"seed": 11', f'"seed": {big}'))
+        for argv in (["scaling", "--in", str(tmp_path / "times.json")],
+                     ["simulate", "--config", str(path), "--out", str(tmp_path / "s")]):
+            code, _, err = _main_quiet(argv)
+            _assert_one_error_line(code, err)
+            assert len(err) < 300, err
 
     def test_n_past_float_precision_kept(self, tmp_path, capsys):
         # float(N) is 99999999999999991611392: N must not pass through float
@@ -476,9 +565,14 @@ class TestReproduce:
         for name in files:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    def test_unknown_figure(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["reproduce", "fig9", "--out", str(tmp_path)])
+    def test_no_crossing_is_none(self):
+        tau = np.array([0.0, 1.0, 2.0])
+        assert cli._crossing_time(tau, np.array([1.0, 0.9, 0.8]), 0.5) is None
+        assert cli._crossing_time(tau, np.array([1.0, 0.6, 0.4]), 0.5) == pytest.approx(1.5)
+
+    def test_unknown_figure(self, tmp_path, capsys):
+        code = main(["reproduce", "fig9", "--out", str(tmp_path)])
+        _assert_one_error_line(code, capsys.readouterr().err)
 
     def test_fig2c_decay_times_increase(self, tmp_path):
         out = tmp_path / "fig2c"
@@ -560,7 +654,7 @@ def _reproduce_plans(out, fig, shots):
 
 def _first_block(plan):
     """The plan's detunings at its first tau point, as bytes."""
-    return sample_detunings(plan.seed, plan.stream, 0, plan.shots, plan.noise).tobytes()
+    return sample_detunings(plan.seed, plan.stream, [0], plan.shots, plan.noise).tobytes()
 
 
 class TestAvgCurve:
@@ -713,17 +807,53 @@ _TAU_TEXTS = st.lists(st.floats(0.0, 100.0).map(str) | _FLOAT_TEXTS, min_size=1,
                       max_size=5).map(",".join)
 
 
-def _main_quiet(argv):
-    """main(argv) with stdout and stderr captured: (exit code, stdout, stderr).
+# Curve-CSV texts for zeno fit: a fittable N = 2 decay with its headers,
+# lines and cells mutated. A cell is a number, often extreme, or a word.
+_CURVE_TAUS = np.linspace(0.0, 30.0, 16)
+_CURVE_ROWS = [[repr(float(t)), repr(float(v)), "0.01"] for t, v in
+               zip(_CURVE_TAUS, 0.05 + 0.9 * decay_curve(2, _CURVE_TAUS, 6.5))]
+_CELLS = (_WORDS | st.floats().map(repr)
+          | st.sampled_from(["1e308", "-1e308", "1e200", "1e-310", "5e-324", "0", "-1"]))
 
-    An argparse error's SystemExit is returned as its exit code.
-    """
+
+@st.composite
+def _curve_texts(draw):
+    rows = [list(row) for row in _CURVE_ROWS]
+    # about a third of the texts keep every row
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        # a cell replaced (a whole column in one of six), or a row cut
+        # short, lengthened or dropped
+        i = draw(st.integers(0, len(rows) - 1))
+        change = draw(st.sampled_from(["cell"] * 4 + ["column", "short", "long", "drop"]))
+        if change == "cell" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(_CELLS)
+        elif change == "column":
+            j, cell = draw(st.integers(0, 2)), draw(_CELLS)
+            for row in rows:
+                row[j:j + 1] = [cell]
+        elif change == "short":
+            rows[i] = rows[i][:draw(st.integers(0, 2))]
+        elif change == "long":
+            rows[i] = rows[i] + [draw(_CELLS)]
+        else:
+            del rows[i]
+    lines = ["# zenosim curve v1",
+             "# config: " + draw(st.sampled_from(["{}", "{}", '{"x": 1}', "{bad"]))]
+    if draw(st.booleans()):
+        lines.append("# n_projections: " + draw(st.just("2") | st.just("2") | _N_TEXTS))
+    lines.append(draw(st.sampled_from(["tau_ms,mean,stderr"] * 4
+                                      + ["tau,mean,stderr", "# tau_ms,mean,stderr"])))
+    lines += [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
+    return "\n".join(lines) + "\n"
+
+
+def _main_quiet(argv):
+    """main(argv) with stdout and stderr captured: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as e:
-            code = e.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -770,16 +900,34 @@ class TestCommandProperties:
             assert err == "" and all(math.isfinite(fit[k])
                                      for k in ("mu", "nu", "mu_err", "nu_err"))
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_curve_texts(), st.none() | st.none() | st.just("2") | _N_TEXTS,
+           st.none() | st.none() | st.floats(1.0, 20.0).map(str) | _FLOAT_TEXTS)
+    def test_fit_curve_texts_and_argv(self, text, n, t2_guess):
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "c.csv").write_text(text)
+            argv = ["fit", "--in", str(Path(tmp) / "*.csv")]
+            argv += ["--n", n] if n is not None else []
+            argv += ["--t2-guess", t2_guess] if t2_guess is not None else []
+            code, out, err = _main_quiet(argv)
+        if code:
+            _assert_one_error_line(code, err)
+        else:
+            def reject(token):
+                raise AssertionError(f"non-finite {token} in the output")
+
+            (row,) = json.loads(out, parse_constant=reject)["fits"]
+            assert err == "" and row["converged"]
+            numbers = [row[k] for k in ("A", "T2eff_ms", "offset", "rss", "chi2_dof")]
+            assert all(math.isfinite(v) for v in numbers + list(row["std_errors"].values()))
+
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(_N_TEXTS, _FLOAT_TEXTS, _TAU_TEXTS)
     def test_analytic_argv(self, n, t2eff, tau):
         code, out, err = _main_quiet(["analytic", "--n", n, "--t2eff", t2eff,
                                       "--tau", tau])
         if code:
-            # argparse prints its usage lines before its one error line
-            lines = err.splitlines()
-            assert code == 2 and sum("error:" in line for line in lines) == 1, (code, err)
-            assert lines[-1].startswith(("error:", "zeno analytic: error:")), err
+            _assert_one_error_line(code, err)
         else:
             rows = [line.split(",") for line in out.splitlines()
                     if line and not line.startswith(("#", "tau_ms"))]

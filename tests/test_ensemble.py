@@ -76,27 +76,27 @@ def loop_kernel(plan, deltas, seg):
 class TestSampleDetunings:
     def test_deterministic(self):
         noise = NoiseModel((12.4, 8.2))
-        a = sample_detunings(42, 5, 3, 7, noise)
-        b = sample_detunings(42, 5, 3, 7, noise)
+        a = sample_detunings(42, 5, [3], 7, noise)
+        b = sample_detunings(42, 5, [3], 7, noise)
         assert a.shape == (7, 2)
         assert np.array_equal(a, b)
         # a longer block extends the same stream
-        assert np.array_equal(sample_detunings(42, 5, 3, 20, noise)[:7], a)
+        assert np.array_equal(sample_detunings(42, 5, [3], 20, noise)[:7], a)
 
     def test_distinct_across_shots(self):
         noise = NoiseModel((12.4,))
-        draws = {tuple(row) for row in sample_detunings(1, 5, 0, 50, noise)}
+        draws = {tuple(row) for row in sample_detunings(1, 5, [0], 50, noise)}
         assert len(draws) == 50
 
     def test_distinct_across_points(self):
         noise = NoiseModel((12.4, 8.2))
-        blocks = [sample_detunings(1, 5, p, 50, noise) for p in range(3)]
+        blocks = [sample_detunings(1, 5, [p], 50, noise) for p in range(3)]
         draws = {tuple(row) for b in blocks for row in b}
         assert len(draws) == 150
 
     def test_sample_width(self):
         noise = NoiseModel((12.4,))
-        x = sample_detunings(5, 5, 0, 100_000, noise)[:, 0]
+        x = sample_detunings(5, 5, [0], 100_000, noise)[:, 0]
         sigma = math.sqrt(2) / 12.4
         assert abs(x.std() - sigma) / sigma < 0.01
         assert abs(x.mean()) < 4 * sigma / math.sqrt(100_000)
@@ -111,13 +111,13 @@ class TestSampleDetunings:
         # shared generator replaces
         noise = NoiseModel((12.4, 8.2, 21.0, 5.5)[:k])
         key = np.array([seed, stream], dtype=np.uint64)
-        stacked = ensemble._draw_detunings(seed, stream, points, shots, noise)
+        stacked = sample_detunings(seed, stream, points, shots, noise)
         assert stacked.shape == (len(points) * shots, k)
         for i, p in enumerate(points):
             bg = np.random.Philox(key=key, counter=np.array([0, 0, 0, p], dtype=np.uint64))
             want = np.random.Generator(bg).standard_normal((shots, k)) * noise.sigma
             assert np.array_equal(stacked[i * shots:(i + 1) * shots], want)
-            assert np.array_equal(sample_detunings(seed, stream, p, shots, noise), want)
+            assert np.array_equal(sample_detunings(seed, stream, [p], shots, noise), want)
 
 
 class TestPlanStream:
@@ -207,6 +207,17 @@ class TestRunShot:
         plan = make_plan(readout=("F:X",))
         assert run_shot(plan, [0.0], 1.0)[0] == pytest.approx(1.0, abs=1e-12)
 
+    def test_bad_time_or_detunings_rejected(self):
+        plan = make_plan()
+        for tau in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="evolution time"):
+                run_shot(plan, [0.1], tau)
+        with pytest.raises(TypeError, match="evolution time"):
+            run_shot(plan, [0.1], True)
+        for deltas in ([], [0.1, 0.2], [math.nan], [[0.1]]):
+            with pytest.raises(ValueError, match="detunings"):
+                run_shot(plan, deltas, 1.0)
+
 
 class TestRunEnsemble:
     def test_n0_mean_matches_gaussian(self):
@@ -262,7 +273,7 @@ class TestRunEnsemble:
                          n_projections=3, tau_grid=(2.5, 6.0), shots=40)
         curves = run_ensemble(plan)
         for p, tau in enumerate(plan.tau_grid):
-            block = sample_detunings(plan.seed, plan.stream, p, plan.shots, plan.noise)
+            block = sample_detunings(plan.seed, plan.stream, [p], plan.shots, plan.noise)
             vals = np.stack([dense_reference(plan, d, tau) for d in block])
             curve_means = np.array([c.mean[p] for c in curves])
             assert np.allclose(curve_means, vals.mean(axis=0), atol=1e-12)
@@ -429,6 +440,10 @@ class TestValidation:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 make_plan(tau_grid=(1.0, bad))
+        # a NaN inside the grid, a NaN alone and a negative start
+        for grid in ((1.0, math.nan, 3.0), (math.nan,), (-1.0, 2.0), (-math.inf, 0.0)):
+            with pytest.raises(ValueError):
+                make_plan(tau_grid=grid)
 
     def test_non_finite_dephasing_time(self):
         # 1e-320 is finite, but its width sqrt(2)/1e-320 is not
@@ -451,7 +466,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("field,bad", [
         ("seed", 3.7), ("n_projections", 2.5), ("n_projections", True), ("shots", 2.0),
-        ("tau_grid", ("1", "5")), ("readout", "X"), ("initial_state", 5),
+        ("tau_grid", ("1", "5")), ("readout", "X"), ("readout", ()), ("initial_state", 5),
         # N + 1 must convert to a float in the kernel
         ("n_projections", 2**64),
         pytest.param("n_projections", 10**400, id="n_projections-10**400"),
@@ -489,3 +504,5 @@ class TestValidation:
     def test_curve_invariants(self):
         with pytest.raises(ValueError):
             DecayCurve(np.array([1.0]), np.array([0.5]), np.array([-0.1]), 0, "X")
+        with pytest.raises(ValueError, match="length mismatch"):
+            DecayCurve(np.array([1.0, 2.0]), np.array([0.5]), np.array([0.1]), 0, "X")

@@ -104,6 +104,16 @@ class TestFitDecay:
         with pytest.raises(FitError):
             fit_decay(curve_from(tau[:3], y[:3], n=n), n, t2_guess=6.0)
 
+    @pytest.mark.parametrize("scale,stderr", [(1e200, 0.01), (1.0, 1e-310),
+                                              (1.0, 5e-324), (1e160, 1.0)])
+    def test_data_at_the_float_limits_is_a_fit_error(self, scale, stderr):
+        # weights 1/stderr or weighted means past the float range raise a
+        # FitError, not a numpy warning
+        tau = np.linspace(0, 30, 16)
+        y = scale * (0.05 + 0.9 * decay_curve(2, tau, 6.5))
+        with pytest.raises(FitError, match="overflow"):
+            fit_decay(curve_from(tau, y, np.full(tau.size, stderr), n=2), 2)
+
     def test_nan_guess_fails_as_fit_error(self):
         tau = np.linspace(0, 40, 30)
         with pytest.raises(FitError):

@@ -1,5 +1,6 @@
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenosim import model
-from zenosim.model import (SQRT_E_LEVEL, decay_curve, effective_t2,
-                           odd_n_asymptote, single_shot_expectation,
-                           sqrt_e_time)
+from zenosim.model import (MAX_PROJECTIONS, MAX_SPINS, SQRT_E_LEVEL, decay_curve,
+                           detunings, effective_t2, evolution_time, odd_n_asymptote,
+                           projection_count, single_shot_expectation, sqrt_e_time)
 
 
 def exact_decay(n, tau, t2eff):
@@ -20,6 +21,43 @@ def exact_decay(n, tau, t2eff):
         total += c / 2**n1 * math.exp(-((tau * (1 - 2 * l / n1) / t2eff) ** 2))
         c = c * (n1 - l) // (l + 1)
     return total
+
+
+class TestGates:
+    """projection_count, evolution_time and detunings: one rule per input."""
+
+    def test_projection_count(self):
+        for n in (0, 7, np.int64(4), MAX_PROJECTIONS):
+            got = projection_count(n)
+            assert got == n and type(got) is int
+        for n in (2.5, True, False, "3", None):
+            with pytest.raises(TypeError, match="projection count"):
+                projection_count(n)
+        for n in (-1, -2, MAX_PROJECTIONS + 1, 10**400):
+            with pytest.raises(ValueError, match="projection count.*limit"):
+                projection_count(n)
+
+    def test_evolution_time(self):
+        for t in (0.0, -0.0, 3, np.float64(2.5), 1e300):
+            got = evolution_time(t)
+            assert got == t and type(got) is float
+        for t in (True, "1", None, 1j):
+            with pytest.raises(TypeError, match="evolution time"):
+                evolution_time(t)
+        for t in (math.nan, math.inf, -math.inf, -1e-300, -1, 10**400):
+            with pytest.raises(ValueError, match="evolution time"):
+                evolution_time(t)
+
+    def test_detunings(self):
+        got = detunings([1, 2.5], 2)
+        assert got.dtype == float and got.tolist() == [1.0, 2.5]
+        for k in range(1, MAX_SPINS + 1):
+            assert detunings(np.zeros(k), k).shape == (k,)
+        for deltas, k in (([], 0), ([0.1] * 5, 5), ([0.1], 2), ([[0.1, 0.2]], 2),
+                          (0.1, 1), ([math.nan], 1), ([0.1, math.inf], 2),
+                          (["x"], 1)):
+            with pytest.raises(ValueError):
+                detunings(deltas, k)
 
 
 class TestEffectiveT2:
@@ -238,6 +276,21 @@ class TestSingleShotExpectation:
         with pytest.raises(ValueError):
             single_shot_expectation([0.1], -1.0, 0)
 
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_bool_or_float_n_rejected(self, n):
+        with pytest.raises(TypeError, match="projection count"):
+            single_shot_expectation([0.1], 1.0, n)
+
+    @pytest.mark.parametrize("deltas,t", [
+        ([0.1], math.nan), ([math.nan], 1.0), ([], 1.0), ([0.1] * 5, 1.0),
+        ([0.1] * 16, 1.0)])
+    def test_bad_time_or_detunings_rejected_before_any_work(self, deltas, t):
+        # a 16-spin sign sum would take 2**15 terms; the gates refuse it first
+        with mock.patch.object(model, "product") as signs:
+            with pytest.raises(ValueError):
+                single_shot_expectation(deltas, t, 2)
+        signs.assert_not_called()
+
 
 class TestOddNAsymptote:
     def test_values(self):
@@ -245,8 +298,18 @@ class TestOddNAsymptote:
         assert odd_n_asymptote(3) == pytest.approx(0.375)
 
     def test_even_rejected(self):
-        with pytest.raises(ValueError):
-            odd_n_asymptote(2)
+        for n in (0, 2):
+            with pytest.raises(ValueError):
+                odd_n_asymptote(n)
+
+    @pytest.mark.parametrize("n", [3.0, True])
+    def test_bool_or_float_n_rejected(self, n):
+        with pytest.raises(TypeError, match="projection count"):
+            odd_n_asymptote(n)
+
+    def test_projection_limit(self):
+        with pytest.raises(ValueError, match="limit"):
+            odd_n_asymptote(MAX_PROJECTIONS + 1)
 
     @pytest.mark.parametrize("n", [1023, 4095])
     def test_large_n_finite(self, n):
@@ -280,6 +343,10 @@ class TestSqrtETime:
     def test_odd_rejected(self):
         with pytest.raises(ValueError):
             sqrt_e_time(1, 5.0)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="projection count"):
+            sqrt_e_time(-2, 1.0)
 
     @pytest.mark.parametrize("n", [False, True, 2.0])
     def test_bool_or_float_n_rejected(self, n):

@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from zenosim.spins import (basis_signs, evolve_dephasing, expectation,
+from zenosim.spins import (basis_signs, evolve_dephasing, expectation, num_spins,
                            pauli_matrix, product_ket, product_state,
                            state_fidelity)
 
@@ -63,6 +64,11 @@ class TestProductState:
         with pytest.raises(ValueError):
             product_state(["Q"])
 
+    @pytest.mark.parametrize("factors", [[], ["X"] * 5])
+    def test_factor_count(self, factors):
+        with pytest.raises(ValueError, match="factors"):
+            product_ket(factors)
+
 
 class TestEvolveDephasing:
     def test_zero_detuning(self):
@@ -83,6 +89,16 @@ class TestEvolveDephasing:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             evolve_dephasing(product_state(["X"]), [0.1], -1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="evolution time"):
+            evolve_dephasing(product_state(["X"]), [0.1], t)
+
+    @pytest.mark.parametrize("deltas", [[math.nan], [0.1, 0.2], []])
+    def test_bad_detunings_rejected(self, deltas):
+        with pytest.raises(ValueError, match="detunings"):
+            evolve_dephasing(product_state(["X"]), deltas, 1.0)
 
     def test_unitarity(self):
         rng = np.random.default_rng(5)
@@ -127,6 +143,17 @@ class TestStateFidelity:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             state_fidelity(np.eye(2) / 2, np.array([1.0, 1.0]))
+
+    def test_wrong_size_target_rejected(self):
+        with pytest.raises(ValueError, match="target shape"):
+            state_fidelity(np.eye(2) / 2, product_ket(["X", "X"]))
+
+
+@pytest.mark.parametrize("rho", [np.eye(32) / 32, np.eye(3) / 3, np.ones((2, 4))])
+def test_num_spins_rejects_bad_shapes(rho):
+    # five spins are past MAX_SPINS; 3 is no power of two; (2, 4) is not square
+    with pytest.raises(ValueError, match="density-matrix shape"):
+        num_spins(rho)
 
 
 def test_basis_signs_single_spin_order():
