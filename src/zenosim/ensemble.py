@@ -11,16 +11,18 @@ A plan draws from one generator, whose counter is reset before each point.
 One kernel simulates a flat batch of (point, shot) rows in cache-sized
 chunks, with no loop over projections: it evaluates each read-out entry
 of the final density matrix in closed form, in one pass with a single
-complex power for all N projections. :func:`run_ensemble` runs every
-point and shot of a plan through it; :func:`run_shot` runs one row for
-given detunings. The tables the kernel reads are built once per
-(initial state, observable, readout), and each readout operator once.
+complex power for all N projections. An entry's free-evolution phase
+depends only on its pair angle, so each chunk takes one exp per distinct
+pair angle of the plan, shared by every readout. :func:`run_ensemble`
+runs every point and shot of a plan through it; :func:`run_shot` runs one
+row for given detunings. The tables the kernel reads are built once per
+(initial state, observable, readout), the plan's phase table once per
+(initial state, observable, readouts), and each readout operator once.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Sequence, Tuple
@@ -28,24 +30,21 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .logical import logical_operator, resolve_state
-from .model import checked, dephasing_times, detunings, evolution_time
+from .model import checked, dephasing_times, detunings, evolution_time, phase_scale
 from .spins import basis_signs, pauli_matrix, validate_word
 
 FIDELITY_PREFIX = "F:"
 LOGICAL_PREFIX = "L:"
 
-# Entry pairs per kernel chunk: 2**13 complex128 is 128 KiB per working
-# array, small enough for malloc to reuse rather than map afresh, and the
-# chunk's dozen temporaries stay in L2.
+# Entries of a kernel chunk's largest array (rows x the plan's widest phase
+# block or readout): 2**13 complex128 is 128 KiB per working array, small
+# enough for malloc to reuse rather than map afresh, and the chunk's dozen
+# temporaries stay in L2.
 _CHUNK_ENTRIES = 2**13
 
 # Largest Monte-Carlo size of one plan, rows = tau points x shots. The
 # detunings of a plan are drawn at once, so this bounds its memory too.
 MAX_ROWS = 2**24
-
-# Bound on the largest tau x largest detuning width of a plan, far below the
-# float range, so that no drawn detuning's phase overflows to inf.
-MAX_PHASE_SCALE = 1e300
 
 
 @dataclass(frozen=True)
@@ -120,16 +119,14 @@ class ExperimentPlan:
             raise ValueError("tau grid must be nonempty and strictly increasing")
         evolution_time(taus[0])
         evolution_time(taus[-1])
-        if taus[-1] * (math.sqrt(2.0) / min(self.noise.t2_star)) >= MAX_PHASE_SCALE:
-            raise ValueError(f"largest tau x largest detuning width sqrt(2)/T2* "
-                             f"must stay below {MAX_PHASE_SCALE:g}")
+        phase_scale(taus[-1], self.noise.sigma,
+                    "largest tau x largest detuning width sqrt(2)/T2*")
         if len(taus) * self.shots > MAX_ROWS:
             raise ValueError(f"{len(taus)} tau points x {self.shots} shots exceed "
                              f"the limit of {MAX_ROWS} Monte-Carlo rows per plan")
         if not self.readout:
             raise ValueError("need at least one readout")
-        for readout in self.readout:
-            _plan_tables(self.initial_state, self.observable, readout)
+        _phase_table(self.initial_state, self.observable, self.readout)
 
     @property
     def k(self) -> int:
@@ -223,22 +220,17 @@ def readout_operator(readout: str) -> np.ndarray:
 
 
 class _Tables(NamedTuple):
-    """Kernel tables of one readout: one line per pair {e, e'} of its support.
+    """Kernel tables of one readout, one entry per pair {e, e'} of its support.
 
-    e = (a, b) is a density-matrix entry and e' = (p(a), p(b)) its mirror
-    under O rho O, with sign sigma_e. Mirror-side columns are taken in the
-    sigma frame, so the signs appear only here.
+    Index 0 of the first axis holds the entries e = (a, b), index 1 their
+    mirrors e' = (p(a), p(b)) under O rho O, with sign sigma_e. Mirror-side
+    values are taken in the sigma frame, so the signs appear only here.
+    rho0 and weights end in an axis of length 1 that broadcasts over rows.
     """
 
-    z: np.ndarray               # (k, dim) spin signs per basis state
-    a: np.ndarray               # (pairs,) row index of e
-    b: np.ndarray               # column index of e
-    pa: np.ndarray              # p(a), row index of e'
-    pb: np.ndarray              # p(b), column index of e'
-    rho0: np.ndarray            # rho0[e]
-    mirror0: np.ndarray         # sigma_e rho0[e']
-    weights: np.ndarray         # readout weights of e
-    mirror_weights: np.ndarray  # sigma_e times the weight of e'; 0 when e' = e
+    angles: np.ndarray   # (2, pairs, k) pair angle (z_b - z_a)/2 of e and e'
+    rho0: np.ndarray     # (2, pairs, 1) rho0[e] and sigma_e rho0[e']
+    weights: np.ndarray  # (2, pairs, 1) weight of e and sigma_e times that of e', 0 if e' = e
 
 
 @lru_cache(maxsize=256)
@@ -267,13 +259,54 @@ def _plan_tables(initial_state: str, observable: str, readout: str) -> _Tables:
     weighted = weights != 0
     e = np.flatnonzero((weighted | weighted[mirror]) & (np.arange(dim * dim) <= mirror))
     m = mirror[e]
+    both = np.stack([e, m])
+    z = basis_signs(k)
     rho0 = np.outer(psi, psi.conj()).ravel()
-    tables = _Tables(z=basis_signs(k).T, a=e // dim, b=e % dim, pa=m // dim, pb=m % dim,
-                     rho0=rho0[e], mirror0=sigma[e] * rho0[m], weights=weights[e],
-                     mirror_weights=np.where(m != e, sigma[e] * weights[m], 0))
+    tables = _Tables(angles=0.5 * (z[both % dim] - z[both // dim]),
+                     rho0=np.stack([rho0[e], sigma[e] * rho0[m]])[..., None],
+                     weights=np.stack([weights[e], np.where(m != e, sigma[e] * weights[m],
+                                                            0)])[..., None])
     for arr in tables:
         arr.flags.writeable = False
     return tables
+
+
+class _Phases(NamedTuple):
+    """Phase table of a plan: every distinct pair angle of all its readouts.
+
+    A chunk's phase block is exp(i angles @ delta seg), one line per angle
+    and one column per row. The zero angle, always present, and each
+    angle's negative are ordinary lines, so the block is a single exp and a
+    diagonal readout adds no line. lines[r] maps the (2, pairs) entries of
+    readout r, whose tables are tables[r], to their block lines.
+    """
+
+    angles: np.ndarray             # (distinct angles, k)
+    tables: Tuple[_Tables, ...]    # per readout
+    lines: Tuple[np.ndarray, ...]  # per readout, (2, pairs) block line of e and e'
+    width: int                     # lines of a chunk's largest array: block or readout
+
+
+@lru_cache(maxsize=256)
+def _phase_table(initial_state: str, observable: str,
+                 readouts: Tuple[str, ...]) -> _Phases:
+    """Phase table of a plan, built once per (initial state, observable, readouts).
+
+    A line holds one angle whatever readouts share the plan, so a readout's
+    phases are the same alone or beside others. The arrays are shared by
+    every caller, so they are read-only.
+    """
+    k = len(observable)
+    tables = tuple(_plan_tables(initial_state, observable, r) for r in readouts)
+    flat = [t.angles.reshape(-1, k) for t in tables]
+    # the zero angle leads the list, so it is always a line of the block
+    angles, index = np.unique(np.concatenate([np.zeros((1, k)), *flat]), axis=0,
+                              return_inverse=True)
+    index = np.split(index.ravel()[1:], np.cumsum([len(f) for f in flat])[:-1])
+    lines = tuple(i.reshape(t.angles.shape[:2]) for i, t in zip(index, tables))
+    for arr in (angles, *lines):
+        arr.flags.writeable = False
+    return _Phases(angles, tables, lines, max(len(angles), *(len(f) for f in flat)))
 
 
 def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.ndarray:
@@ -282,38 +315,39 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
     Row i starts in the plan's initial state and alternates N+1 free
     segments of duration seg[i] under detunings deltas[i] with N
     projections of the plan observable, in closed form. A free segment
-    multiplies entry e = (a, b) by the phase phi_e = u_a conj(u_b). The
-    projection (rho + O rho O)/2 leaves rho[e'] = sigma_e rho[e], after
-    which each further segment and projection multiplies the pair by
+    multiplies entry e = (a, b) by the phase phi_e = exp(i seg delta.theta_e)
+    of its pair angle theta_e = (z_b - z_a)/2. The projection
+    (rho + O rho O)/2 leaves rho[e'] = sigma_e rho[e], after which each
+    further segment and projection multiplies the pair by
     g = (phi_e + phi_e')/2. So, for N >= 1,
 
         rho_N[e] = phi_e/2 g**(N-1) (phi_e rho0[e] + sigma_e phi_e' rho0[e'])
 
     and rho_N[e'] = sigma_e phi_e'/phi_e rho_N[e], while rho_0[e] = phi_e rho0[e].
-    Only the readout support is evaluated, one line per pair {e, e'}: one
-    exp per basis state, a fixed number of products per pair and one
-    complex power g**(N-1). Each readout runs alone on its own tables, in
-    chunks of _CHUNK_ENTRIES // pairs rows, so its values are bit-identical
-    whatever other readouts share the plan.
+    Only the readout support is evaluated, one pair {e, e'} at a time. Rows
+    run in chunks of _CHUNK_ENTRIES // width rows (see _Phases). A chunk
+    takes one exp per distinct pair angle of the plan (the phase block, one
+    line per angle and one column per row); each readout gathers the lines
+    of its phi_e and phi_e', forms g**(N-1) with one complex power and sums
+    its weighted entries line by line, in a fixed order, with numpy rather
+    than BLAS. A block line does not depend on the others, so a readout's
+    values are bit-identical whatever readouts share the plan.
     """
     n = plan.n_projections
+    phases = _phase_table(plan.initial_state, plan.observable, plan.readout)
     rows = len(seg)
-    out = np.empty((len(plan.readout), rows))
-    for r, readout in enumerate(plan.readout):
-        t = _plan_tables(plan.initial_state, plan.observable, readout)
-        chunk = max(1, _CHUNK_ENTRIES // max(1, len(t.a)))
-        for lo in range(0, rows, chunk):
-            hi = min(lo + chunk, rows)
-            u = np.exp(-0.5j * seg[lo:hi, None] * (deltas[lo:hi] @ t.z))
-            v = u.conj()
-            phi = u[:, t.a] * v[:, t.b]
-            phi_m = u[:, t.pa] * v[:, t.pb]
-            # y = rho[e] and y_m = sigma_e rho[e'], after the first segment
-            y, y_m = phi * t.rho0, phi_m * t.mirror0
+    out = np.empty((len(phases.tables), rows))
+    chunk = max(1, _CHUNK_ENTRIES // phases.width)
+    for lo in range(0, rows, chunk):
+        hi = min(lo + chunk, rows)
+        block = np.exp(phases.angles @ deltas[lo:hi].T * seg[lo:hi] * 1j)
+        for r, (t, lines) in enumerate(zip(phases.tables, phases.lines)):
+            phi = block[lines]
+            # rho[e] and sigma_e rho[e'], after the first segment
+            y = phi * t.rho0
             if n:
-                x = 0.5 * (y + y_m) * (0.5 * (phi + phi_m)) ** (n - 1)
-                y, y_m = x * phi, x * phi_m
-            out[r, lo:hi] = (y @ t.weights + y_m @ t.mirror_weights).real
+                y = phi * (0.5 * (y[0] + y[1]) * (0.5 * (phi[0] + phi[1])) ** (n - 1))
+            out[r, lo:hi] = (y * t.weights).reshape(-1, hi - lo).sum(axis=0).real
     return out
 
 
@@ -325,10 +359,12 @@ def run_shot(plan: ExperimentPlan, deltas: Sequence[float], tau: float) -> np.nd
     evaluates each readout on the final density matrix: one row of the
     kernel that run_ensemble uses, in closed form with no loop over
     projections. The plan's tables are built once and reused by every call.
-    tau passes model.evolution_time, and the detunings model.detunings.
+    tau passes model.evolution_time, the detunings model.detunings, and
+    both together the phase bound model.phase_scale.
     """
     tau = evolution_time(tau)
     deltas = detunings(deltas, plan.k)
+    phase_scale(tau, deltas, "tau x largest |detuning|")
     seg = np.array([tau / (plan.n_projections + 1)])
     return _kernel(plan, deltas[None, :], seg)[:, 0]
 

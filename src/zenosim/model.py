@@ -13,7 +13,9 @@ for the matrix-level simulator. The type rule of every value a module is
 given is :func:`checked`. Each input of the physics has one gate that every
 module reads it through: :func:`dephasing_times` for T2*,
 :func:`projection_count` for N, :func:`evolution_time` for a free-evolution
-time and :func:`detunings` for a detuning vector.
+time and :func:`detunings` for a detuning vector. :func:`phase_scale` bounds
+a time and the detunings it evolves under together, so that no phase
+overflows.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ MAX_SPINS = 4
 # Bound on |tau|/T2eff in decay_curve, far below sqrt of the float range, so
 # that no (tau/T2eff)**2 overflows.
 MAX_TIME_RATIO = 1e150
+# Bound on |t| x max |delta| of a free evolution, far below the float range,
+# so that no phase t (+-delta_1 +- ... +- delta_k) of MAX_SPINS spins overflows.
+MAX_PHASE_SCALE = 1e300
 
 _ACCEPTS = {int: numbers.Integral, float: numbers.Real, str: str}
 
@@ -115,9 +120,25 @@ def detunings(deltas, k: int) -> np.ndarray:
     one is finite.
     """
     deltas = np.asarray(deltas, dtype=float)
-    if not (1 <= k <= MAX_SPINS and deltas.shape == (k,) and np.isfinite(deltas).all()):
+    # at most MAX_SPINS numbers: a Python loop is cheaper than a ufunc call
+    if not (1 <= k <= MAX_SPINS and deltas.shape == (k,)
+            and all(map(math.isfinite, deltas.tolist()))):
         raise ValueError(f"expected {k} finite detunings, 1 to {MAX_SPINS}, got {deltas!r}")
     return deltas
+
+
+def phase_scale(t: float, deltas, what: str) -> float:
+    """|t| x max |delta| for a time t in ms and finite detunings in rad/ms: the phase bound.
+
+    ValueError, naming what, unless it is below MAX_PHASE_SCALE; that also
+    refuses a NaN or infinite t. t may be negative. The detunings (or
+    widths) must have passed detunings or dephasing_times.
+    """
+    scale = abs(t) * max(map(abs, np.asarray(deltas, dtype=float).tolist()))
+    if not scale < MAX_PHASE_SCALE:
+        raise ValueError(f"{what} must be finite and below {MAX_PHASE_SCALE:g}, "
+                         f"got {scale:g}")
+    return scale
 
 
 def effective_t2(t2_list: Sequence[float]) -> float:
@@ -225,11 +246,13 @@ def single_shot_expectation(deltas: Sequence[float], t: float, n_projections: in
 
     All N+1 segments have duration t. Averages cos^(N+1) of the signed
     detuning sums over all relative-sign configurations of spins 2..k.
-    N, t and the k detunings pass their gates before any work is done.
+    N, t and the k detunings pass their gates, and t with the detunings
+    the phase bound, before any work is done.
     """
     n = projection_count(n_projections)
     t = evolution_time(t)
     deltas = detunings(deltas, np.size(deltas))
+    phase_scale(t, deltas, "t x largest |detuning|")
     total = 0.0
     for signs in product((1.0, -1.0), repeat=deltas.size - 1):
         freq = deltas[0] + float(np.dot(signs, deltas[1:]))

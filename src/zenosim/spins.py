@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import MAX_SPINS, detunings, evolution_time
+from .model import MAX_SPINS, checked, detunings, evolution_time, phase_scale
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -89,9 +89,12 @@ def dephasing_phases(deltas: Sequence[float], t: float, k: int) -> np.ndarray:
     Basis state b picks up ``exp(-1j * (t/2) * sum_i deltas[i] * s_i)`` with
     ``s_i = +1`` for bit 0 and ``-1`` for bit 1, so each single-spin
     coherence rotates by ``exp(-1j * delta_i * t)``. The detunings pass
-    model.detunings.
+    model.detunings, and t, which may be negative, with them the phase
+    bound model.phase_scale: a NaN or infinite t raises ValueError.
     """
     deltas = detunings(deltas, k)
+    t = checked(float, t, "evolution time")
+    phase_scale(t, deltas, "evolution time x largest |detuning|")
     return np.exp(-0.5j * t * basis_signs(k) @ deltas)
 
 

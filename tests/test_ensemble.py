@@ -161,6 +161,8 @@ class TestPlanStream:
         (2, "+L", "XX", ("XX", "L:+L")),
         (3, "X0L", "XXX", ("F:X0L", "XYZ")),
         (4, "X,X,X,X", "XXXX", ("XXXX", "F:X,X,X,X")),
+        # kernel_deep's plan: the diagonal readout shares the phase block
+        (4, "X,Y,0,X", "XYZX", ("XYZX", "ZIZZ")),
     ])
     def test_readouts_run_alone_or_together(self, k, state, word, readout, n):
         # the pairs a readout reads differ with the readouts beside it, which
@@ -217,6 +219,14 @@ class TestRunShot:
         for deltas in ([], [0.1, 0.2], [math.nan], [[0.1]]):
             with pytest.raises(ValueError, match="detunings"):
                 run_shot(plan, deltas, 1.0)
+
+    def test_phase_overflow_rejected(self):
+        # each input is finite, but tau x detuning is not
+        plan = make_plan(n_projections=2)
+        for deltas, tau in (([1e300], 1e300), ([-1e200], 1e100)):
+            with pytest.raises(ValueError, match="tau x largest"):
+                run_shot(plan, deltas, tau)
+        assert np.isfinite(run_shot(plan, [1e150], 1e149)).all()
 
 
 class TestRunEnsemble:
@@ -365,11 +375,11 @@ class TestKernelProperties:
                          readout=(word, "Z" * k), n_projections=n,
                          tau_grid=tuple(3.0 * (p + 1) for p in range(points)),
                          shots=shots)
-        pairs = len(ensemble._plan_tables(plan.initial_state, plan.observable,
-                                          plan.readout[0]).a)
+        width = ensemble._phase_table(plan.initial_state, plan.observable,
+                                      plan.readout).width
         whole = run_ensemble(plan)
-        # each chunk of the first readout holds exactly `rows` rows
-        with mock.patch.object(ensemble, "_CHUNK_ENTRIES", rows * pairs):
+        # each chunk holds exactly `rows` rows
+        with mock.patch.object(ensemble, "_CHUNK_ENTRIES", rows * width):
             chunked = run_ensemble(plan)
         for a, b in zip(whole, chunked):
             assert np.max(np.abs(a.mean - b.mean)) < 1e-14
@@ -416,6 +426,67 @@ class TestPlanTables:
                                        plan.readout[0])
         with pytest.raises(ValueError):
             tables.rho0[0] = 0.0
+
+
+LABELS = ["0", "1", "X", "-X", "Y", "-Y"]
+
+
+def readouts_for(k):
+    """Readouts of a k-spin register: Pauli words, F: product states, L: labels."""
+    words = st.text("IXYZ", min_size=k, max_size=k)
+    products = st.lists(st.sampled_from(LABELS), min_size=k, max_size=k).map(
+        lambda labels: "F:" + ",".join(labels))
+    labels = {2: logical.CARDINAL_2SPIN, 3: logical.LOGICAL_3SPIN}.get(k, ())
+    options = words | products
+    if labels:
+        options |= st.sampled_from(labels).map(lambda label: "L:" + label)
+    return st.lists(options, min_size=1, max_size=3, unique=True)
+
+
+class TestPhaseTable:
+    @settings(deadline=None, max_examples=80)
+    @given(PAULI_WORDS, st.data())
+    def test_gathered_lines_are_the_entry_phases(self, word, data):
+        k = len(word)
+        state = ",".join(data.draw(st.lists(st.sampled_from(LABELS), min_size=k,
+                                            max_size=k)))
+        readouts = tuple(data.draw(readouts_for(k)))
+        deltas = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=k,
+                                             max_size=k)))
+        s = data.draw(st.floats(0.0, 1.0))
+        phases = ensemble._phase_table(state, word, readouts)
+        block = np.exp(phases.angles @ deltas[:, None] * s * 1j)
+        z = basis_signs(k)
+        dim = 2**k
+        perm, _ = ensemble._word_action(word)
+        for readout, lines in zip(readouts, phases.lines):
+            # the support pairs, one per pair {e, e'}, in flat order of e
+            op = readout_operator(readout)
+            pairs = [(a, b) for a in range(dim) for b in range(dim)
+                     if (op[b, a] != 0 or op[perm[b], perm[a]] != 0)
+                     and a * dim + b <= perm[a] * dim + perm[b]]
+            assert lines.shape == (2, len(pairs))
+            for i, (a, b) in enumerate(pairs):
+                for side, (x, y) in enumerate(((a, b), (perm[a], perm[b]))):
+                    want = np.exp(-0.5j * s * (deltas @ (z[x] - z[y])))
+                    assert abs(block[lines[side, i], 0] - want) <= 1e-15
+
+    def test_diagonal_readout_adds_no_line(self):
+        args = ("X,Y,0,X", "XYZX")
+        alone = ensemble._phase_table(*args, ("XYZX",))
+        both = ensemble._phase_table(*args, ("XYZX", "ZIZZ"))
+        assert np.array_equal(alone.angles, both.angles)
+        assert np.array_equal(alone.lines[0], both.lines[0])
+        # the zero angle, which the diagonal readout reads on every entry
+        assert not both.angles[both.lines[1]].any()
+
+    def test_table_is_cached_and_read_only(self):
+        args = ("X,Y,0,X", "XYZX", ("XYZX", "ZIZZ"))
+        table = ensemble._phase_table(*args)
+        assert ensemble._phase_table(*args) is table
+        for arr in (table.angles, *table.lines):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestValidation:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from zenosim import model
 from zenosim.model import (MAX_PROJECTIONS, MAX_SPINS, SQRT_E_LEVEL, decay_curve,
                            detunings, effective_t2, evolution_time, odd_n_asymptote,
-                           projection_count, single_shot_expectation, sqrt_e_time)
+                           phase_scale, projection_count, single_shot_expectation,
+                           sqrt_e_time)
 
 
 def exact_decay(n, tau, t2eff):
@@ -24,7 +25,15 @@ def exact_decay(n, tau, t2eff):
 
 
 class TestGates:
-    """projection_count, evolution_time and detunings: one rule per input."""
+    """projection_count, evolution_time, detunings and phase_scale: one rule per input."""
+
+    def test_phase_scale(self):
+        assert phase_scale(-2.0, np.array([0.5, -3.0]), "x") == 6.0
+        assert phase_scale(1e150, [1e149], "x") == pytest.approx(1e299)
+        for t, deltas in ((1e300, [1.0]), (1e300, [1e300]), (-1e200, [0.0, -1e100]),
+                          (math.nan, [0.1]), (math.inf, [0.1]), (math.inf, [0.0])):
+            with pytest.raises(ValueError, match="the width"):
+                phase_scale(t, deltas, "the width")
 
     def test_projection_count(self):
         for n in (0, 7, np.int64(4), MAX_PROJECTIONS):
@@ -275,6 +284,12 @@ class TestSingleShotExpectation:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             single_shot_expectation([0.1], -1.0, 0)
+
+    def test_phase_overflow_rejected(self):
+        # each input is finite, but t x detuning is not
+        for deltas, t in (([1e300], 1e300), ([0.1, -1e200], 1e100)):
+            with pytest.raises(ValueError, match="t x largest"):
+                single_shot_expectation(deltas, t, 2)
 
     @pytest.mark.parametrize("n", [2.5, True])
     def test_bool_or_float_n_rejected(self, n):

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from zenosim.spins import (basis_signs, evolve_dephasing, expectation, num_spins,
-                           pauli_matrix, product_ket, product_state,
-                           state_fidelity)
+from zenosim.spins import (basis_signs, dephasing_phases, evolve_dephasing,
+                           expectation, num_spins, pauli_matrix, product_ket,
+                           product_state, state_fidelity)
 
 
 def random_density(k, rng):
@@ -99,6 +99,16 @@ class TestEvolveDephasing:
     def test_bad_detunings_rejected(self, deltas):
         with pytest.raises(ValueError, match="detunings"):
             evolve_dephasing(product_state(["X"]), deltas, 1.0)
+
+    def test_phases_gate_their_time(self):
+        # a negative time runs the evolution backwards
+        assert np.allclose(dephasing_phases([0.2], -1.5, 1),
+                           dephasing_phases([0.2], 1.5, 1).conj(), atol=1e-15)
+        for t in (math.nan, math.inf, -math.inf, -1e301):
+            with pytest.raises(ValueError, match="evolution time"):
+                dephasing_phases([0.1], t, 1)
+        with pytest.raises(TypeError, match="evolution time"):
+            dephasing_phases([0.1], "1", 1)
 
     def test_unitarity(self):
         rng = np.random.default_rng(5)
