@@ -32,7 +32,7 @@ import numpy as np
 from . import logical, model
 from .ensemble import (FIDELITY_PREFIX, LOGICAL_PREFIX, DecayCurve, ExperimentPlan,
                        NoiseModel, readout_operator, run_ensemble)
-from .fitting import FitError, fit_decay, fit_scaling
+from .fitting import REL_TOL, FitError, fit_decay, fit_scaling
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -168,6 +168,18 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _resolved(row):
+    """A fit row with every float rounded to the digits the fit resolves.
+
+    A fit stops once its step is below REL_TOL of T2eff, so digits past
+    -log10(REL_TOL) significant ones are noise that a 1e-16 change in the
+    curve moves.
+    """
+    if isinstance(row, dict):
+        return {k: _resolved(v) for k, v in row.items()}
+    return float(f"{row:.{round(-math.log10(REL_TOL))}g}") if isinstance(row, float) else row
+
+
 def _read_json(path: str):
     """The parsed JSON of a file; IOError if unreadable, ConfigError if not JSON."""
     try:
@@ -214,9 +226,9 @@ def cmd_analytic(args) -> int:
 
 
 def _fit_row(curve: DecayCurve, n: int, t2_guess: Optional[float]) -> Dict:
-    """fit_decay's result as a JSON row, or {"converged": False, "error": ...}."""
+    """fit_decay's result as a JSON row at resolved precision, or {"converged": False, ...}."""
     try:
-        return fit_decay(curve, n, t2_guess=t2_guess).as_dict()
+        return _resolved(fit_decay(curve, n, t2_guess=t2_guess).as_dict())
     except FitError as e:
         return {"converged": False, "error": str(e)}
 

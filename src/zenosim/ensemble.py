@@ -30,7 +30,8 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .logical import logical_operator, resolve_state
-from .model import checked, dephasing_times, detunings, evolution_time, phase_scale
+from .model import (checked, dephasing_times, detunings, evolution_time, phase_scale,
+                    projection_count)
 from .spins import basis_signs, pauli_matrix, validate_word
 
 FIDELITY_PREFIX = "F:"
@@ -87,7 +88,8 @@ class ExperimentPlan:
     np.int64(2) is stored as 2; a bool, a fractional N, shot count or seed,
     a string where a number belongs and a bare string of readouts raise
     TypeError. Equal plans therefore stream, hash and print alike. A value
-    out of range raises ValueError, as does N or seed outside [0, 2**64).
+    out of range raises ValueError: N is read through model.projection_count
+    (0 <= N <= MAX_PROJECTIONS) and the seed must lie in [0, 2**64).
     """
 
     noise: NoiseModel
@@ -107,9 +109,12 @@ class ExperimentPlan:
         validate_word(self.observable)
         if len(self.observable) != self.k:
             raise ValueError("observable length must match register size")
-        for name in ("n_projections", "seed"):
-            if not 0 <= getattr(self, name) < 2**64:
-                raise ValueError(f"{name} {getattr(self, name)} is not in [0, 2**64)")
+        try:
+            projection_count(self.n_projections)
+        except ValueError as e:
+            raise ValueError(f"n_projections: {e}") from e
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed {self.seed} is not in [0, 2**64)")
         if self.shots < 1:
             raise ValueError("need at least one shot")
         taus = self.tau_grid
@@ -382,6 +387,8 @@ def run_ensemble(plan: ExperimentPlan) -> List[DecayCurve]:
     seg = np.repeat(taus / (plan.n_projections + 1), plan.shots)
     vals = _kernel(plan, deltas, seg).reshape(-1, taus.size, plan.shots)
     means = vals.mean(axis=2)
+    # the spread about each point's first shot, exactly 0 when every shot is equal
+    vals -= vals[..., :1]
     errs = (vals.std(axis=2, ddof=1) / np.sqrt(plan.shots) if plan.shots > 1
             else np.zeros_like(means))
     meta = {
