@@ -9,15 +9,15 @@ with the point index in the counter: reproducible in any execution order.
 A plan draws from one generator, whose counter is reset before each point.
 
 One kernel simulates a flat batch of (point, shot) rows in cache-sized
-chunks, with no loop over projections: it evaluates each read-out entry
-of the final density matrix in closed form, in one pass with a single
-complex power for all N projections. An entry's free-evolution phase
-depends only on its pair angle, so each chunk takes one exp per distinct
-pair angle of the plan, shared by every readout. :func:`run_ensemble`
-runs every point and shot of a plan through it; :func:`run_shot` runs one
-row for given detunings. The tables the kernel reads are built once per
-(initial state, observable, readout), the plan's phase table once per
-(initial state, observable, readouts), and each readout operator once.
+chunks, with no loop over projections. It uses the paper's cos-power
+form: between projections a density-matrix entry and its mirror under the
+observable are multiplied by exp(i alpha_u) cos alpha_f per segment, so
+each read-out value is a short sum over the plan's distinct pair angles
+of real terms with one cos, one sin and one real power cos**(N-1) per
+angle. :func:`run_ensemble` runs every point and shot of a plan through
+it; :func:`run_shot` runs one row for given detunings. The kernel reads
+one table per (initial state, observable, readouts), built once, and each
+readout operator is built once.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from .spins import basis_signs, pauli_matrix, validate_word
 FIDELITY_PREFIX = "F:"
 LOGICAL_PREFIX = "L:"
 
-# Entries of a kernel chunk's largest array (rows x the plan's widest phase
-# block or readout): 2**13 complex128 is 128 KiB per working array, small
-# enough for malloc to reuse rather than map afresh, and the chunk's dozen
-# temporaries stay in L2.
+# Entries of a kernel chunk's largest array, rows x readouts x angles of
+# the plan's table: 2**13 float64 is 64 KiB per working array (128 KiB when
+# the table is complex), small enough for malloc to reuse rather than map
+# afresh, and the chunk's temporaries stay in L2.
 _CHUNK_ENTRIES = 2**13
 
 # Largest Monte-Carlo size of one plan, rows = tau points x shots. The
@@ -131,7 +131,7 @@ class ExperimentPlan:
                              f"the limit of {MAX_ROWS} Monte-Carlo rows per plan")
         if not self.readout:
             raise ValueError("need at least one readout")
-        _phase_table(self.initial_state, self.observable, self.readout)
+        _plan_table(self.initial_state, self.observable, self.readout)
 
     @property
     def k(self) -> int:
@@ -224,29 +224,33 @@ def readout_operator(readout: str) -> np.ndarray:
     return op
 
 
-class _Tables(NamedTuple):
-    """Kernel tables of one readout, one entry per pair {e, e'} of its support.
+class _Table(NamedTuple):
+    """Kernel table of a plan: each readout's cos-form coefficients per pair angle.
 
-    Index 0 of the first axis holds the entries e = (a, b), index 1 their
-    mirrors e' = (p(a), p(b)) under O rho O, with sign sigma_e. Mirror-side
-    values are taken in the sigma frame, so the signs appear only here.
-    rho0 and weights end in an axis of length 1 that broadcasts over rows.
+    One column per distinct pair angle theta = (z_b - z_a)/2 with a nonzero
+    coefficient, split into theta_f on the spins the observable flips (X
+    and Y letters) and theta_u on the others. Row r of p, q and d holds
+    readout r's P = A + C, Q = i(A - C) and D = (B - A - C)/2 (see _kernel),
+    summed over the pairs {e, e'} with that angle in flat order of e. They
+    are stored real unless some theta_u is nonzero, since then only their
+    real parts reach a readout value.
     """
 
-    angles: np.ndarray   # (2, pairs, k) pair angle (z_b - z_a)/2 of e and e'
-    rho0: np.ndarray     # (2, pairs, 1) rho0[e] and sigma_e rho0[e']
-    weights: np.ndarray  # (2, pairs, 1) weight of e and sigma_e times that of e', 0 if e' = e
+    flipped: np.ndarray    # (angles, k) theta_f
+    unflipped: np.ndarray  # (angles, k) theta_u
+    p: np.ndarray          # (readouts, angles)
+    q: np.ndarray          # (readouts, angles)
+    d: np.ndarray          # (readouts, angles)
 
 
 @lru_cache(maxsize=256)
-def _plan_tables(initial_state: str, observable: str, readout: str) -> _Tables:
-    """Kernel tables of a readout, built once per (initial state, observable, readout).
+def _plan_table(initial_state: str, observable: str, readouts: Tuple[str, ...]) -> _Table:
+    """Kernel table of a plan, built once per (initial state, observable, readouts).
 
-    The register size k is len(observable). The support is every entry
-    with a nonzero readout weight, joined with its mirror; each pair
-    {e, e'} appears once, as its smaller flat index e. Raises ValueError
-    if the initial state or the readout operator does not fit the k-spin
-    register. The arrays are shared by every caller, so they are read-only.
+    The register size k is len(observable). Raises ValueError if the
+    initial state or a readout operator does not fit the k-spin register.
+    A readout's coefficients are the same alone or beside others. The
+    arrays are shared by every caller, so they are read-only.
     """
     k = len(observable)
     dim = 2**k
@@ -254,64 +258,37 @@ def _plan_tables(initial_state: str, observable: str, readout: str) -> _Tables:
     if psi.shape != (dim,):
         raise ValueError(f"initial state {initial_state!r} does not match "
                          f"the {k}-spin register")
-    op = readout_operator(readout)
-    if op.shape != (dim, dim):
-        raise ValueError(f"readout {readout!r} does not match the {k}-spin register")
-    weights = op.T.ravel()
+    for readout in readouts:
+        if readout_operator(readout).shape != (dim, dim):
+            raise ValueError(f"readout {readout!r} does not match the {k}-spin register")
+    weights = np.stack([readout_operator(r).T.ravel() for r in readouts])
     perm, sign = _word_action(observable)
     mirror = (perm[:, None] * dim + perm[None, :]).ravel()
-    sigma = np.outer(sign, sign).ravel()
-    weighted = weights != 0
-    e = np.flatnonzero((weighted | weighted[mirror]) & (np.arange(dim * dim) <= mirror))
+    # each pair {e, e'} once, as its smaller flat index e; rho0 and the weight
+    # of e' are taken in the sigma_e frame, and that weight is 0 when e' = e
+    e = np.flatnonzero(np.arange(dim * dim) <= mirror)
     m = mirror[e]
-    both = np.stack([e, m])
-    z = basis_signs(k)
+    sigma = np.outer(sign, sign).ravel()[e]
     rho0 = np.outer(psi, psi.conj()).ravel()
-    tables = _Tables(angles=0.5 * (z[both % dim] - z[both // dim]),
-                     rho0=np.stack([rho0[e], sigma[e] * rho0[m]])[..., None],
-                     weights=np.stack([weights[e], np.where(m != e, sigma[e] * weights[m],
-                                                            0)])[..., None])
-    for arr in tables:
-        arr.flags.writeable = False
-    return tables
-
-
-class _Phases(NamedTuple):
-    """Phase table of a plan: every distinct pair angle of all its readouts.
-
-    A chunk's phase block is exp(i angles @ delta seg), one line per angle
-    and one column per row. The zero angle, always present, and each
-    angle's negative are ordinary lines, so the block is a single exp and a
-    diagonal readout adds no line. lines[r] maps the (2, pairs) entries of
-    readout r, whose tables are tables[r], to their block lines.
-    """
-
-    angles: np.ndarray             # (distinct angles, k)
-    tables: Tuple[_Tables, ...]    # per readout
-    lines: Tuple[np.ndarray, ...]  # per readout, (2, pairs) block line of e and e'
-    width: int                     # lines of a chunk's largest array: block or readout
-
-
-@lru_cache(maxsize=256)
-def _phase_table(initial_state: str, observable: str,
-                 readouts: Tuple[str, ...]) -> _Phases:
-    """Phase table of a plan, built once per (initial state, observable, readouts).
-
-    A line holds one angle whatever readouts share the plan, so a readout's
-    phases are the same alone or beside others. The arrays are shared by
-    every caller, so they are read-only.
-    """
-    k = len(observable)
-    tables = tuple(_plan_tables(initial_state, observable, r) for r in readouts)
-    flat = [t.angles.reshape(-1, k) for t in tables]
-    # the zero angle leads the list, so it is always a line of the block
-    angles, index = np.unique(np.concatenate([np.zeros((1, k)), *flat]), axis=0,
+    w_e, w_m = weights[:, e], np.where(m != e, sigma * weights[:, m], 0)
+    rho_e, rho_m = rho0[e], sigma * rho0[m]
+    a, c = w_e * rho_e, w_m * rho_m
+    z = basis_signs(k)
+    angles, index = np.unique(0.5 * (z[e % dim] - z[e // dim]), axis=0,
                               return_inverse=True)
-    index = np.split(index.ravel()[1:], np.cumsum([len(f) for f in flat])[:-1])
-    lines = tuple(i.reshape(t.angles.shape[:2]) for i, t in zip(index, tables))
-    for arr in (angles, *lines):
+    coef = np.zeros((3, len(readouts), len(angles)), complex)
+    np.add.at(coef, (slice(None), slice(None), index.ravel()),
+              np.stack([a + c, 1j * (a - c), 0.5 * (w_e * rho_m + w_m * rho_e - a - c)]))
+    flips = np.array([letter in "XY" for letter in observable])
+    unflipped = np.where(flips, 0.0, angles)
+    if not unflipped[coef.any(axis=(0, 1))].any():
+        coef = coef.real
+    # an angle is kept where some stored coefficient is nonzero
+    keep = coef.any(axis=(0, 1))
+    table = _Table(np.where(flips, angles, 0.0)[keep], unflipped[keep], *coef[..., keep])
+    for arr in table:
         arr.flags.writeable = False
-    return _Phases(angles, tables, lines, max(len(angles), *(len(f) for f in flat)))
+    return table
 
 
 def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.ndarray:
@@ -320,39 +297,50 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
     Row i starts in the plan's initial state and alternates N+1 free
     segments of duration seg[i] under detunings deltas[i] with N
     projections of the plan observable, in closed form. A free segment
-    multiplies entry e = (a, b) by the phase phi_e = exp(i seg delta.theta_e)
-    of its pair angle theta_e = (z_b - z_a)/2. The projection
-    (rho + O rho O)/2 leaves rho[e'] = sigma_e rho[e], after which each
-    further segment and projection multiplies the pair by
-    g = (phi_e + phi_e')/2. So, for N >= 1,
+    multiplies entry e = (a, b) by exp(i alpha), alpha = seg delta.theta,
+    theta = (z_b - z_a)/2 being its pair angle. Split theta into theta_f on
+    the spins the observable flips and theta_u on the others (alpha_f,
+    alpha_u likewise): the mirror e' of e under O rho O has angle
+    -theta_f + theta_u. The projection (rho + O rho O)/2 leaves
+    rho[e'] = sigma_e rho[e], after which each further segment and
+    projection multiplies the pair by exp(i alpha_u) cos alpha_f. With
+    readout weights w (w_e' read as 0 when e' = e), A = w_e rho0[e],
+    B = w_e sigma_e rho0[e'] + sigma_e w_e' rho0[e] and C = w_e' rho0[e'],
+    a pair adds to the readout, for N >= 1,
 
-        rho_N[e] = phi_e/2 g**(N-1) (phi_e rho0[e] + sigma_e phi_e' rho0[e'])
+        Re[exp(i(N+1) alpha_u) cos**(N-1) alpha_f
+           (A exp(2i alpha_f) + B + C exp(-2i alpha_f)) / 2]
+            = Re[exp(i(N+1) alpha_u) c**(N-1) (c (P c + Q s) + D)]
 
-    and rho_N[e'] = sigma_e phi_e'/phi_e rho_N[e], while rho_0[e] = phi_e rho0[e].
-    Only the readout support is evaluated, one pair {e, e'} at a time. Rows
-    run in chunks of _CHUNK_ENTRIES // width rows (see _Phases). A chunk
-    takes one exp per distinct pair angle of the plan (the phase block, one
-    line per angle and one column per row); each readout gathers the lines
-    of its phi_e and phi_e', forms g**(N-1) with one complex power and sums
-    its weighted entries line by line, in a fixed order, with numpy rather
-    than BLAS. A block line does not depend on the others, so a readout's
-    values are bit-identical whatever readouts share the plan.
+    with c, s = cos, sin alpha_f, P = A + C, Q = i(A - C) and
+    D = (B - A - C)/2. At N = 0 it adds Re[exp(i alpha_u) (A exp(i alpha_f)
+    + C exp(-i alpha_f))] = Re[exp(i alpha_u) (P c + Q s)]. P, Q and D
+    depend only on the readout and theta, so the plan's table (_Table) sums
+    them per distinct angle and a readout value is a short sum over angles:
+    the paper's cos-power form. Rows run in chunks of
+    _CHUNK_ENTRIES // (readouts x angles) rows. A chunk sums each angle's
+    phase over the spins with numpy, in a fixed order, rather than BLAS; it
+    takes one cos, sin and real power per angle, and exp(i(N+1) alpha_u)
+    only when the table is complex. Each readout then sums its angles one
+    after another; an angle with zero coefficients adds exactly 0, so a
+    readout's values are bit-identical whatever readouts share the plan.
     """
     n = plan.n_projections
-    phases = _phase_table(plan.initial_state, plan.observable, plan.readout)
+    table = _plan_table(plan.initial_state, plan.observable, plan.readout)
     rows = len(seg)
-    out = np.empty((len(phases.tables), rows))
-    chunk = max(1, _CHUNK_ENTRIES // phases.width)
+    out = np.empty((len(table.p), rows))
+    chunk = max(1, _CHUNK_ENTRIES // max(table.p.size, 1))
     for lo in range(0, rows, chunk):
         hi = min(lo + chunk, rows)
-        block = np.exp(phases.angles @ deltas[lo:hi].T * seg[lo:hi] * 1j)
-        for r, (t, lines) in enumerate(zip(phases.tables, phases.lines)):
-            phi = block[lines]
-            # rho[e] and sigma_e rho[e'], after the first segment
-            y = phi * t.rho0
-            if n:
-                y = phi * (0.5 * (y[0] + y[1]) * (0.5 * (phi[0] + phi[1])) ** (n - 1))
-            out[r, lo:hi] = (y * t.weights).reshape(-1, hi - lo).sum(axis=0).real
+        step = deltas[lo:hi].T * seg[lo:hi]
+        alpha = (table.flipped[:, :, None] * step).sum(axis=1)
+        c, s = np.cos(alpha), np.sin(alpha)
+        v = table.p[..., None] * c + table.q[..., None] * s
+        if n:
+            v = c ** (n - 1) * (c * v + table.d[..., None])
+        if np.iscomplexobj(table.p):
+            v *= np.exp((n + 1) * 1j * (table.unflipped[:, :, None] * step).sum(axis=1))
+        out[:, lo:hi] = v.real.sum(axis=1)
     return out
 
 

@@ -277,21 +277,32 @@ class TestRunEnsemble:
         assert np.array_equal(a.stderr, b.stderr)
 
     def test_batched_matches_scalar_path(self):
-        plan = make_plan(noise=NoiseModel((12.4, 8.2)), initial_state="X,X",
-                         observable="XX",
-                         readout=("XX", "ZZ", "F:X,X", "L:0L", "L:+iL"),
-                         n_projections=3, tau_grid=(2.5, 6.0), shots=40)
-        curves = run_ensemble(plan)
-        for p, tau in enumerate(plan.tau_grid):
-            block = sample_detunings(plan.seed, plan.stream, [p], plan.shots, plan.noise)
-            vals = np.stack([dense_reference(plan, d, tau) for d in block])
-            curve_means = np.array([c.mean[p] for c in curves])
-            assert np.allclose(curve_means, vals.mean(axis=0), atol=1e-12)
-            # per-shot values, so an L: readout's error bar holds the
-            # covariance of its correlators
-            curve_errs = np.array([c.stderr[p] for c in curves])
-            want_errs = vals.std(axis=0, ddof=1) / np.sqrt(plan.shots)
-            assert np.allclose(curve_errs, want_errs, atol=1e-12)
+        plans = [make_plan(noise=NoiseModel((12.4, 8.2)), initial_state="X,X",
+                           observable="XX",
+                           readout=("XX", "ZZ", "F:X,X", "L:0L", "L:+iL"),
+                           n_projections=3, tau_grid=(2.5, 6.0), shots=40)]
+        # readouts that flip a spin the observable does not, so that the
+        # kernel's terms carry the phase exp(i(N+1) alpha_u)
+        for state, word, readout in (("X,X", "XZ", "XX"), ("X,Y,X", "XIZ", "F:X,Y,X"),
+                                     ("X,Y,X", "YIZ", "XYX")):
+            assert np.iscomplexobj(ensemble._plan_table(state, word, (readout,)).p)
+            plans += [make_plan(noise=NoiseModel((12.4, 8.2, 21.0)[:len(word)]),
+                                initial_state=state, observable=word, readout=(readout,),
+                                n_projections=n, tau_grid=(2.5, 6.0), shots=40)
+                      for n in (0, 1, 2, 5)]
+        for plan in plans:
+            curves = run_ensemble(plan)
+            for p, tau in enumerate(plan.tau_grid):
+                block = sample_detunings(plan.seed, plan.stream, [p], plan.shots,
+                                         plan.noise)
+                vals = np.stack([dense_reference(plan, d, tau) for d in block])
+                curve_means = np.array([c.mean[p] for c in curves])
+                assert np.allclose(curve_means, vals.mean(axis=0), atol=1e-12)
+                # per-shot values, so an L: readout's error bar holds the
+                # covariance of its correlators
+                curve_errs = np.array([c.stderr[p] for c in curves])
+                want_errs = vals.std(axis=0, ddof=1) / np.sqrt(plan.shots)
+                assert np.allclose(curve_errs, want_errs, atol=1e-12)
 
 
 PAULI_WORDS = st.integers(1, 4).flatmap(
@@ -375,8 +386,8 @@ class TestKernelProperties:
                          readout=(word, "Z" * k), n_projections=n,
                          tau_grid=tuple(3.0 * (p + 1) for p in range(points)),
                          shots=shots)
-        width = ensemble._phase_table(plan.initial_state, plan.observable,
-                                      plan.readout).width
+        width = ensemble._plan_table(plan.initial_state, plan.observable,
+                                     plan.readout).p.size
         whole = run_ensemble(plan)
         # each chunk holds exactly `rows` rows
         with mock.patch.object(ensemble, "_CHUNK_ENTRIES", rows * width):
@@ -384,6 +395,21 @@ class TestKernelProperties:
         for a, b in zip(whole, chunked):
             assert np.max(np.abs(a.mean - b.mean)) < 1e-14
             assert np.max(np.abs(a.stderr - b.stderr)) < 1e-14
+
+
+LABELS = ["0", "1", "X", "-X", "Y", "-Y"]
+
+
+def readouts_for(k):
+    """Readouts of a k-spin register: Pauli words, F: product states, L: labels."""
+    words = st.text("IXYZ", min_size=k, max_size=k)
+    products = st.lists(st.sampled_from(LABELS), min_size=k, max_size=k).map(
+        lambda labels: "F:" + ",".join(labels))
+    labels = {2: logical.CARDINAL_2SPIN, 3: logical.LOGICAL_3SPIN}.get(k, ())
+    options = words | products
+    if labels:
+        options |= st.sampled_from(labels).map(lambda label: "L:" + label)
+    return st.lists(options, min_size=1, max_size=3, unique=True)
 
 
 class TestPlanTables:
@@ -420,73 +446,50 @@ class TestPlanTables:
         # a one-letter word's operator is a copy, not the spins module's matrix
         assert pauli_matrix("X").flags.writeable
 
-    def test_tables_are_read_only(self):
-        plan = make_plan(n_projections=2)
-        tables = ensemble._plan_tables(plan.initial_state, plan.observable,
-                                       plan.readout[0])
-        with pytest.raises(ValueError):
-            tables.rho0[0] = 0.0
+    @pytest.mark.parametrize("args", [
+        ("X,Y,0,X", "XYZX", ("XYZX", "ZIZZ")),
+        # a readout that flips a spin the observable does not: complex terms
+        ("X,X", "XZ", ("XX", "F:X,X")),
+    ])
+    def test_tables_are_read_only(self, args):
+        table = ensemble._plan_table(*args)
+        assert ensemble._plan_table(*args) is table
+        assert np.iscomplexobj(table.p) == (args[1] == "XZ")
+        for arr in table:
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
-
-LABELS = ["0", "1", "X", "-X", "Y", "-Y"]
-
-
-def readouts_for(k):
-    """Readouts of a k-spin register: Pauli words, F: product states, L: labels."""
-    words = st.text("IXYZ", min_size=k, max_size=k)
-    products = st.lists(st.sampled_from(LABELS), min_size=k, max_size=k).map(
-        lambda labels: "F:" + ",".join(labels))
-    labels = {2: logical.CARDINAL_2SPIN, 3: logical.LOGICAL_3SPIN}.get(k, ())
-    options = words | products
-    if labels:
-        options |= st.sampled_from(labels).map(lambda label: "L:" + label)
-    return st.lists(options, min_size=1, max_size=3, unique=True)
-
-
-class TestPhaseTable:
     @settings(deadline=None, max_examples=80)
     @given(PAULI_WORDS, st.data())
-    def test_gathered_lines_are_the_entry_phases(self, word, data):
+    def test_readout_terms_alone_or_together(self, word, data):
+        # a readout's coefficients do not depend on the readouts beside it,
+        # every other angle of the plan adds exactly 0 to it, and so its
+        # kernel values are the same bits
         k = len(word)
         state = ",".join(data.draw(st.lists(st.sampled_from(LABELS), min_size=k,
                                             max_size=k)))
         readouts = tuple(data.draw(readouts_for(k)))
-        deltas = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=k,
-                                             max_size=k)))
-        s = data.draw(st.floats(0.0, 1.0))
-        phases = ensemble._phase_table(state, word, readouts)
-        block = np.exp(phases.angles @ deltas[:, None] * s * 1j)
-        z = basis_signs(k)
-        dim = 2**k
-        perm, _ = ensemble._word_action(word)
-        for readout, lines in zip(readouts, phases.lines):
-            # the support pairs, one per pair {e, e'}, in flat order of e
-            op = readout_operator(readout)
-            pairs = [(a, b) for a in range(dim) for b in range(dim)
-                     if (op[b, a] != 0 or op[perm[b], perm[a]] != 0)
-                     and a * dim + b <= perm[a] * dim + perm[b]]
-            assert lines.shape == (2, len(pairs))
-            for i, (a, b) in enumerate(pairs):
-                for side, (x, y) in enumerate(((a, b), (perm[a], perm[b]))):
-                    want = np.exp(-0.5j * s * (deltas @ (z[x] - z[y])))
-                    assert abs(block[lines[side, i], 0] - want) <= 1e-15
+        n = data.draw(st.integers(0, 6))
+        deltas = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=3 * k,
+                                             max_size=3 * k))).reshape(3, k)
+        seg = np.array([0.5, 2.0, 7.0])
 
-    def test_diagonal_readout_adds_no_line(self):
-        args = ("X,Y,0,X", "XYZX")
-        alone = ensemble._phase_table(*args, ("XYZX",))
-        both = ensemble._phase_table(*args, ("XYZX", "ZIZZ"))
-        assert np.array_equal(alone.angles, both.angles)
-        assert np.array_equal(alone.lines[0], both.lines[0])
-        # the zero angle, which the diagonal readout reads on every entry
-        assert not both.angles[both.lines[1]].any()
+        def plan(ro):
+            return make_plan(noise=NoiseModel((10.0,) * k), initial_state=state,
+                             observable=word, readout=ro, n_projections=n)
 
-    def test_table_is_cached_and_read_only(self):
-        args = ("X,Y,0,X", "XYZX", ("XYZX", "ZIZZ"))
-        table = ensemble._phase_table(*args)
-        assert ensemble._phase_table(*args) is table
-        for arr in (table.angles, *table.lines):
-            with pytest.raises(ValueError):
-                arr[0] = 0
+        both = ensemble._plan_table(state, word, readouts)
+        values = ensemble._kernel(plan(readouts), deltas, seg)
+        for r, readout in enumerate(readouts):
+            alone = ensemble._plan_table(state, word, (readout,))
+            used = (both.p[r] != 0) | (both.q[r] != 0) | (both.d[r] != 0)
+            assert np.array_equal(both.flipped[used], alone.flipped)
+            for name in ("p", "q", "d"):
+                got, want = getattr(both, name)[r, used], getattr(alone, name)[0]
+                # a real table holds the real parts, all that a theta_u = 0 term reads
+                assert np.array_equal(got if want.dtype == complex else got.real, want)
+            assert np.array_equal(ensemble._kernel(plan((readout,)), deltas, seg)[0],
+                                  values[r])
 
 
 class TestValidation:
