@@ -168,16 +168,17 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _resolved(row):
-    """A fit row with every float rounded to the digits the fit resolves.
+# Format of a fit row's floats: a fit stops once its step is below REL_TOL of
+# T2eff, so digits past -log10(REL_TOL) significant ones are noise that a
+# 1e-16 change in the curve moves.
+_RESOLVED = f".{round(-math.log10(REL_TOL))}g"
 
-    A fit stops once its step is below REL_TOL of T2eff, so digits past
-    -log10(REL_TOL) significant ones are noise that a 1e-16 change in the
-    curve moves.
-    """
+
+def _resolved(row):
+    """A fit row with every float rounded to the digits the fit resolves."""
     if isinstance(row, dict):
         return {k: _resolved(v) for k, v in row.items()}
-    return float(f"{row:.{round(-math.log10(REL_TOL))}g}") if isinstance(row, float) else row
+    return float(format(float(row), _RESOLVED)) if isinstance(row, float) else row
 
 
 def _read_json(path: str):

@@ -15,6 +15,7 @@ from zenosim import cli
 from zenosim.cli import (AMPLITUDE_LOGICAL, T2_STAR, _avg_curve, _json_dumps,
                          build_parser, main, parse_curve_csv)
 from zenosim.ensemble import ExperimentPlan, NoiseModel, run_ensemble, sample_detunings
+from zenosim.fitting import fit_decay
 from zenosim.logical import CARDINAL_2SPIN
 from zenosim.model import decay_curve, sqrt_e_time
 
@@ -250,6 +251,20 @@ class TestFitCommand:
         assert row["converged"]
         assert row["T2eff_ms"] == pytest.approx(6.5, abs=1e-4)
         assert row["A"] == pytest.approx(0.9, abs=1e-4)
+
+    def test_rows_at_resolved_precision(self, tmp_path):
+        # a fit stops at REL_TOL = 1e-9, so each float of a row is fit_decay's
+        # to 9 significant digits
+        self._write_gaussian(tmp_path / "c0.csv")
+        out = tmp_path / "fits.json"
+        assert main(["fit", "--in", str(tmp_path / "*.csv"), "--out", str(out)]) == 0
+        (row,) = json.loads(out.read_text())["fits"]
+        fit = fit_decay(parse_curve_csv((tmp_path / "c0.csv").read_text()), 0).as_dict()
+        for key in ("A", "T2eff_ms", "offset", "rss", "chi2_dof"):
+            assert row[key] == float(f"{fit[key]:.9g}")
+        for key, err in fit["std_errors"].items():
+            assert row["std_errors"][key] == float(f"{err:.9g}")
+        assert row["iterations"] == fit["iterations"]
 
     def test_malformed_csv(self, tmp_path):
         (tmp_path / "bad.csv").write_text("this,is\nnot,a,curve\n")

@@ -17,7 +17,7 @@ from zenosim.ensemble import (MAX_ROWS, DecayCurve, ExperimentPlan, NoiseModel,
                               readout_operator, run_ensemble, run_shot,
                               sample_detunings)
 from zenosim.logical import logical_pauli_fidelity, resolve_state
-from zenosim.model import decay_curve, single_shot_expectation
+from zenosim.model import MAX_PROJECTIONS, decay_curve, single_shot_expectation
 from zenosim.spins import (basis_signs, evolve_dephasing, expectation, pauli_matrix,
                            state_fidelity)
 
@@ -269,6 +269,15 @@ class TestRunEnsemble:
         vals = run_shot(plan, [np.pi / (tau / 2)], tau)
         assert vals[0] == pytest.approx(1.0, abs=1e-12)
 
+    def test_equal_shots_have_zero_stderr(self):
+        # at tau = 0 every shot reads the same value; the spread is taken
+        # about each point's first shot, so it is exactly 0, not a residue
+        plan = make_plan(noise=NoiseModel((12.4, 8.2)), initial_state="+iL",
+                         observable="XX", readout=("XX", "F:+iL", "L:+iL"),
+                         n_projections=2, tau_grid=(0.0, 5.0), shots=333)
+        for curve in run_ensemble(plan):
+            assert curve.stderr[0] == 0.0 and curve.stderr[1] > 0, curve.readout
+
     def test_bit_identical_reruns(self):
         plan = make_plan(shots=500, n_projections=2)
         a = run_ensemble(plan)[0]
@@ -446,18 +455,16 @@ class TestPlanTables:
         # a one-letter word's operator is a copy, not the spins module's matrix
         assert pauli_matrix("X").flags.writeable
 
-    @pytest.mark.parametrize("args", [
-        ("X,Y,0,X", "XYZX", ("XYZX", "ZIZZ")),
-        # a readout that flips a spin the observable does not: complex terms
-        ("X,X", "XZ", ("XX", "F:X,X")),
-    ])
-    def test_tables_are_read_only(self, args):
-        table = ensemble._plan_table(*args)
-        assert ensemble._plan_table(*args) is table
-        assert np.iscomplexobj(table.p) == (args[1] == "XZ")
-        for arr in table:
-            with pytest.raises(ValueError):
-                arr[0] = 0
+    def test_tables_are_read_only(self):
+        # the second plan reads a spin the observable does not flip, so its
+        # table is complex
+        for args in (("X,Y,0,X", "XYZX", ("XYZX", "ZIZZ")), ("X,X", "XZ", ("XX", "F:X,X"))):
+            table = ensemble._plan_table(*args)
+            assert ensemble._plan_table(*args) is table
+            assert np.iscomplexobj(table.p) == (args[1] == "XZ")
+            for arr in table:
+                with pytest.raises(ValueError):
+                    arr[0] = 0
 
     @settings(deadline=None, max_examples=80)
     @given(PAULI_WORDS, st.data())
@@ -531,6 +538,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="largest tau"):
             make_plan(noise=tiny, tau_grid=(0.0, 1e10))
         make_plan(noise=tiny, tau_grid=(0.0, 1e-3))
+
+    def test_projection_limit(self):
+        # the plan reads N through model.projection_count, the one rule for N
+        make_plan(n_projections=MAX_PROJECTIONS)
+        with pytest.raises(ValueError, match="n_projections"):
+            make_plan(n_projections=MAX_PROJECTIONS + 1)
 
     def test_seed_range(self):
         for bad in (-3, 2**64):
