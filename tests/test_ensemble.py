@@ -489,10 +489,12 @@ class TestPlanTables:
         values = ensemble._kernel(plan(readouts), deltas, seg)
         for r, readout in enumerate(readouts):
             alone = ensemble._plan_table(state, word, (readout,))
-            used = (both.p[r] != 0) | (both.q[r] != 0) | (both.d[r] != 0)
-            assert np.array_equal(both.flipped[used], alone.flipped)
+            # the column of each of the readout's own angles in the plan's table
+            cols = [np.flatnonzero((both.flipped == f).all(axis=1)
+                                   & (both.unflipped == u).all(axis=1))[0]
+                    for f, u in zip(alone.flipped, alone.unflipped)]
             for name in ("p", "q", "d"):
-                got, want = getattr(both, name)[r, used], getattr(alone, name)[0]
+                got, want = getattr(both, name)[r, cols], getattr(alone, name)[0]
                 # a real table holds the real parts, all that a theta_u = 0 term reads
                 assert np.array_equal(got if want.dtype == complex else got.real, want)
             assert np.array_equal(ensemble._kernel(plan((readout,)), deltas, seg)[0],
