@@ -458,7 +458,9 @@ class TestPlanTables:
     def test_tables_are_read_only(self):
         # the second plan reads a spin the observable does not flip, so its
         # table is complex
-        for args in (("X,Y,0,X", "XYZX", ("XYZX", "ZIZZ")), ("X,X", "XZ", ("XX", "F:X,X"))):
+        plan = make_plan(n_projections=2)
+        for args in ((plan.initial_state, plan.observable, plan.readout),
+                     ("X,X", "XZ", ("XX", "F:X,X"))):
             table = ensemble._plan_table(*args)
             assert ensemble._plan_table(*args) is table
             assert np.iscomplexobj(table.p) == (args[1] == "XZ")
@@ -499,6 +501,19 @@ class TestPlanTables:
                 assert np.array_equal(got if want.dtype == complex else got.real, want)
             assert np.array_equal(ensemble._kernel(plan((readout,)), deltas, seg)[0],
                                   values[r])
+
+
+class TestPhaseTable:
+    def test_table_is_cached_and_read_only(self):
+        # kernel_deep's plan: its pair angles and their coefficients are one
+        # cached table, shared by every shot of the plan
+        args = ("X,Y,0,X", "XYZX", ("XYZX", "ZIZZ"))
+        table = ensemble._plan_table(*args)
+        assert ensemble._plan_table(*args) is table
+        assert not np.iscomplexobj(table.p)
+        for arr in table:
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestValidation:
