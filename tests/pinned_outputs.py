@@ -3,8 +3,12 @@
 collect() runs `zeno reproduce <fig> --shots 40 --seed 7` for each figure
 through cli.main and returns, per figure, every curve the run writes (in
 the order written, at full precision rather than the CSV's 12 digits) and
-its summary with the fit iteration counts left out. test_pinned_outputs
-compares that with pinned_outputs.json.
+its summary with the fit iteration counts left out. It also runs `zeno
+simulate` on SIMULATE at each N of SIMULATE_N and returns its curves: a
+plan off every eigenstate of its observable, which leaves two spins
+unflipped, so that its kernel table is complex with nonzero Q and D terms,
+which no figure plan has. test_pinned_outputs compares that with
+pinned_outputs.json.
 
 A change that alters a random stream or the physics on purpose regenerates
 the file, and says so:
@@ -27,6 +31,10 @@ FIGURES = ("fig2c", "fig3b", "fig3c", "fig4b", "fig5")
 SHOTS = 40
 SEED = 7
 PINNED = Path(__file__).with_name("pinned_outputs.json")
+SIMULATE = {"t2_star": [12.4, 8.2, 21.0], "initial_state": "Y,X,X", "observable": "YIZ",
+            "readout": ["XYX", "F:Y,X,X"], "tau_grid": [0.0, 2.0, 5.0, 10.0, 20.0],
+            "shots": SHOTS, "seed": SEED}
+SIMULATE_N = (0, 3)
 
 
 def _unpinned(summary):
@@ -37,7 +45,8 @@ def _unpinned(summary):
 
 
 def collect():
-    """{"shots", "seed", "figures": {fig: {"curves": [...], "summary": {...}}}}."""
+    """{"shots", "seed", "figures": {fig: {"curves": [...], "summary": {...}}},
+    "simulate": {"config": SIMULATE, "curves": [...]}}."""
     figures = {}
     to_csv = cli.curve_to_csv
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
@@ -61,7 +70,26 @@ def collect():
                 raise RuntimeError(f"zeno reproduce {fig} exited {code}")
             summary = json.loads((out / f"{fig}_summary.json").read_text())
             figures[fig] = {"curves": curves, "summary": _unpinned(summary)}
-    return {"shots": SHOTS, "seed": SEED, "figures": figures}
+        simulated = []
+
+        def record_simulated(curve):
+            simulated.append({"n_projections": curve.n_projections,
+                              "readout": curve.readout, "tau": curve.tau.tolist(),
+                              "mean": curve.mean.tolist(),
+                              "stderr": curve.stderr.tolist()})
+            return to_csv(curve)
+
+        for n in SIMULATE_N:
+            config = Path(tmp, f"simulate_{n}.json")
+            config.write_text(json.dumps(dict(SIMULATE, n_projections=n)))
+            with mock.patch.object(cli, "curve_to_csv", record_simulated), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["simulate", "--config", str(config), "--out",
+                                 str(Path(tmp, f"simulate_{n}"))])
+            if code != 0:
+                raise RuntimeError(f"zeno simulate at N={n} exited {code}")
+    return {"shots": SHOTS, "seed": SEED, "figures": figures,
+            "simulate": {"config": SIMULATE, "curves": simulated}}
 
 
 if __name__ == "__main__":

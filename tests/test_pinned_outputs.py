@@ -31,3 +31,11 @@ def test_figures_match_pinned_outputs():
                             lambda a, b: math.isclose(a, b, rel_tol=1e-8, abs_tol=1e-8),
                             f"{fig} summary"))
         assert not bad, "\n".join(bad[:20])
+
+
+def test_simulate_matches_pinned_outputs():
+    # a complex table with Q, D and theta_u nonzero: a sign or power slip in
+    # any kernel term moves these means by far more than 1e-12
+    got, want = collect()["simulate"], json.loads(PINNED.read_text())["simulate"]
+    bad = mismatches(got, want, lambda a, b: abs(a - b) <= 1e-12, "simulate")
+    assert not bad, "\n".join(bad[:20])
