@@ -191,20 +191,6 @@ def sample_detunings(seed: int, stream: int, points: Sequence[int], shots: int,
     return out
 
 
-def _word_action(word: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Permutation p and signs s with (O rho O)[a, b] = s[a] s[b] rho[p[a], p[b]].
-
-    A Pauli word maps basis state |b> to c_b |b ^ m>: X and Y letters set
-    the flip mask m, and Y and Z letters make c_b a fixed phase times -1 for
-    each of their bits set in b. The fixed phase cancels in O rho O.
-    """
-    k = len(word)
-    flip = sum(1 << (k - 1 - i) for i, c in enumerate(word) if c in "XY")
-    perm = np.arange(2**k) ^ flip
-    phased = [i for i, c in enumerate(word) if c in "YZ"]
-    return perm, basis_signs(k)[perm][:, phased].prod(axis=1)
-
-
 @lru_cache(maxsize=256)
 def readout_operator(readout: str) -> np.ndarray:
     """Operator M with readout value Re Tr(rho M): a Pauli word, F:<spec> or L:<label>.
@@ -218,8 +204,7 @@ def readout_operator(readout: str) -> np.ndarray:
     elif readout.startswith(LOGICAL_PREFIX):
         op = logical_operator(readout[len(LOGICAL_PREFIX):])
     else:
-        # a copy: a one-letter word's matrix is the spins module's own array
-        op = pauli_matrix(readout).copy()
+        op = pauli_matrix(readout)
     op.flags.writeable = False
     return op
 
@@ -247,29 +232,32 @@ class _Table(NamedTuple):
 def _plan_table(initial_state: str, observable: str, readouts: Tuple[str, ...]) -> _Table:
     """Kernel table of a plan, built once per (initial state, observable, readouts).
 
-    The register size k is len(observable). Raises ValueError if the
-    initial state or a readout operator does not fit the k-spin register.
+    The register size k is len(observable). rho0 is the initial state's
+    F: readout operator, and the observable's action is read off its dense
+    matrix spins.pauli_matrix. Raises ValueError if the initial state or a
+    readout operator does not fit the k-spin register.
     A readout's coefficients are the same alone or beside others. The
     arrays are shared by every caller, so they are read-only.
     """
     k = len(observable)
     dim = 2**k
-    psi = resolve_state(initial_state)
-    if psi.shape != (dim,):
-        raise ValueError(f"initial state {initial_state!r} does not match "
-                         f"the {k}-spin register")
-    for readout in readouts:
-        if readout_operator(readout).shape != (dim, dim):
-            raise ValueError(f"readout {readout!r} does not match the {k}-spin register")
+    for i, spec in enumerate((FIDELITY_PREFIX + initial_state, *readouts)):
+        if readout_operator(spec).shape != (dim, dim):
+            what = f"readout {spec!r}" if i else f"initial state {initial_state!r}"
+            raise ValueError(f"{what} does not match the {k}-spin register")
     weights = np.stack([readout_operator(r).T.ravel() for r in readouts])
-    perm, sign = _word_action(observable)
+    # O has one nonzero per row, O[a, perm a] = s_a times a phase shared by
+    # all rows, so (O rho O)[a, b] = s_a s_b rho[perm a, perm b]
+    o = pauli_matrix(observable)
+    perm = abs(o).argmax(axis=1)
+    sign = (o[np.arange(dim), perm] * np.conj(o[0, perm[0]])).real
     mirror = (perm[:, None] * dim + perm[None, :]).ravel()
     # each pair {e, e'} once, as its smaller flat index e; rho0 and the weight
     # of e' are taken in the sigma_e frame, and that weight is 0 when e' = e
     e = np.flatnonzero(np.arange(dim * dim) <= mirror)
     m = mirror[e]
-    sigma = np.outer(sign, sign).ravel()[e]
-    rho0 = np.outer(psi, psi.conj()).ravel()
+    sigma = sign[e // dim] * sign[e % dim]
+    rho0 = readout_operator(FIDELITY_PREFIX + initial_state).ravel()
     w_e, w_m = weights[:, e], np.where(m != e, sigma * weights[:, m], 0)
     rho_e, rho_m = rho0[e], sigma * rho0[m]
     a, c = w_e * rho_e, w_m * rho_m

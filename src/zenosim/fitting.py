@@ -18,7 +18,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from .ensemble import DecayCurve
-from .model import _decay_and_slope, checked, projection_count, sqrt_e_time
+from .model import _decay_and_slope, _t2eff, checked, projection_count, sqrt_e_time
 
 MAX_ITER = 200
 REL_TOL = 1e-9
@@ -170,13 +170,17 @@ def fit_decay(curve: DecayCurve, n_projections: int,
     is offset + A*exp(-(tau/T)^2). A and offset need no start values: they
     are solved exactly for every trial T2eff. The T2eff guess should be
     the quadrature combination of nominal per-spin values; without one a
-    crossing-time heuristic on the data is used. Raises FitError for any
-    other N and for data whose fit leaves the float range (values or error
-    bars near its ends), rather than warn: the fit runs with numpy's
-    overflow, division and invalid-value errors raised.
+    crossing-time heuristic on the data is used. A given guess is read as
+    an effective dephasing time (a finite positive float, model._t2eff).
+    Raises FitError for any other N or guess and for data whose fit leaves
+    the float range (values or error bars near its ends), rather than
+    warn: the fit runs with numpy's overflow, division and invalid-value
+    errors raised.
     """
     try:
         n_projections = projection_count(n_projections)
+        if t2_guess is not None:
+            t2_guess = _t2eff(t2_guess)
     except (TypeError, ValueError) as e:
         raise FitError(str(e)) from e
     try:

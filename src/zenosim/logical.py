@@ -21,12 +21,12 @@ _SQ2 = np.sqrt(2.0)
 
 
 def _logical_kets() -> Mapping[str, np.ndarray]:
-    """Label -> ket of every two-spin and three-spin logical state."""
+    """Label -> ket of every two-spin and three-spin logical state, read-only."""
     zero, one = product_ket(["X", "X"]), product_ket(["-X", "-X"])
     b00 = product_ket(["X", "X", "X"])
     b10 = product_ket(["X", "-X", "-X"])
     b11 = product_ket(["-X", "-X", "X"])
-    return {
+    kets = {
         "0L": zero,
         "1L": one,
         "+L": (zero + one) / _SQ2,
@@ -37,6 +37,9 @@ def _logical_kets() -> Mapping[str, np.ndarray]:
         "X0L": (b00 + b10) / _SQ2,
         "PhiPlusL": (b00 + b11) / _SQ2,
     }
+    for ket in kets.values():
+        ket.flags.writeable = False
+    return kets
 
 
 _STATES = _logical_kets()
@@ -74,7 +77,7 @@ _COMPONENTS = {
 
 
 def logical_target(label: str) -> np.ndarray:
-    """Pure target state vector for a logical label (either register size)."""
+    """Pure target state vector for a logical label (either register size), read-only."""
     if label not in _STATES:
         raise ValueError(f"unknown logical label {label!r}")
     return _STATES[label]

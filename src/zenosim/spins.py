@@ -9,6 +9,9 @@ Phase convention: under a detuning ``delta`` (rad/ms) a single-spin
 coherence rho_01 acquires the phase factor ``exp(-1j * delta * t)`` after a
 time ``t`` (ms). With detunings drawn from a Gaussian of width
 ``sqrt(2)/T2star`` this yields the ensemble decay ``exp(-(t/T2star)**2)``.
+
+Array rule: the shared single-spin tables (PAULI, _KETS) are read-only,
+and every array a function here builds and returns is a fresh one.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import MAX_SPINS, checked, detunings, evolution_time, phase_scale
+from .model import MAX_SPINS, detunings, evolution_time, phase_scale
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -35,6 +38,9 @@ _KETS = {
     "Y": np.array([1, 1j], dtype=complex) / np.sqrt(2),
     "-Y": np.array([1, -1j], dtype=complex) / np.sqrt(2),
 }
+for _factor in (*PAULI.values(), *_KETS.values()):
+    _factor.flags.writeable = False
+del _factor
 
 
 def validate_word(word: str) -> str:
@@ -49,9 +55,8 @@ def validate_word(word: str) -> str:
 
 def pauli_matrix(word: str) -> np.ndarray:
     """Tensor product of single-spin Pauli matrices, first letter outermost."""
-    validate_word(word)
-    m = PAULI[word[0]]
-    for c in word[1:]:
+    m = np.ones((1, 1), dtype=complex)
+    for c in validate_word(word):
         m = np.kron(m, PAULI[c])
     return m
 
@@ -60,11 +65,11 @@ def product_ket(factors: Sequence[str]) -> np.ndarray:
     """Pure product state vector from single-spin labels in {0,1,X,-X,Y,-Y}."""
     if not 1 <= len(factors) <= MAX_SPINS:
         raise ValueError(f"need 1..{MAX_SPINS} factors, got {len(factors)}")
-    psi = None
+    psi = np.ones(1, dtype=complex)
     for label in factors:
         if label not in _KETS:
             raise ValueError(f"unknown state label {label!r}")
-        psi = _KETS[label] if psi is None else np.kron(psi, _KETS[label])
+        psi = np.kron(psi, _KETS[label])
     return psi
 
 
@@ -83,21 +88,6 @@ def num_spins(rho: np.ndarray) -> int:
     return k
 
 
-def dephasing_phases(deltas: Sequence[float], t: float, k: int) -> np.ndarray:
-    """Diagonal of exp(-iHt) for per-spin detunings, length 2**k.
-
-    Basis state b picks up ``exp(-1j * (t/2) * sum_i deltas[i] * s_i)`` with
-    ``s_i = +1`` for bit 0 and ``-1`` for bit 1, so each single-spin
-    coherence rotates by ``exp(-1j * delta_i * t)``. The detunings pass
-    model.detunings, and t, which may be negative, with them the phase
-    bound model.phase_scale: a NaN or infinite t raises ValueError.
-    """
-    deltas = detunings(deltas, k)
-    t = checked(float, t, "evolution time")
-    phase_scale(t, deltas, "evolution time x largest |detuning|")
-    return np.exp(-0.5j * t * basis_signs(k) @ deltas)
-
-
 def basis_signs(k: int) -> np.ndarray:
     """(2**k, k) array of z-eigenvalues (+1/-1) per basis state and spin."""
     idx = np.arange(2**k)
@@ -108,11 +98,17 @@ def basis_signs(k: int) -> np.ndarray:
 def evolve_dephasing(rho: np.ndarray, deltas: Sequence[float], t: float) -> np.ndarray:
     """Evolve under the diagonal detuning Hamiltonian for a time t (ms).
 
-    t passes model.evolution_time, and the detunings model.detunings.
+    Basis state b picks up ``exp(-1j * (t/2) * sum_i deltas[i] * s_i)`` with
+    ``s_i = +1`` for bit 0 and ``-1`` for bit 1, so each single-spin
+    coherence rotates by ``exp(-1j * delta_i * t)``. t passes
+    model.evolution_time, the detunings model.detunings, and both together
+    the phase bound model.phase_scale.
     """
     t = evolution_time(t)
     k = num_spins(rho)
-    phases = dephasing_phases(deltas, t, k)
+    deltas = detunings(deltas, k)
+    phase_scale(t, deltas, "evolution time x largest |detuning|")
+    phases = np.exp(-0.5j * t * basis_signs(k) @ deltas)
     return phases[:, None] * rho * phases.conj()[None, :]
 
 

@@ -59,9 +59,12 @@ def loop_kernel(plan, deltas, seg):
     psi = resolve_state(plan.initial_state)
     rho0 = np.outer(psi, psi.conj()).ravel()
     weights = np.stack([readout_operator(r).T.ravel() for r in plan.readout], axis=1)
-    perm, sign = ensemble._word_action(plan.observable)
+    # (O rho O)[a, b] = O[a, perm a] rho[perm a, perm b] conj(O[b, perm b])
+    o = pauli_matrix(plan.observable)
+    perm = np.nonzero(o)[1]
+    coeff = o[np.arange(dim), perm]
     flat_perm = (perm[:, None] * dim + perm[None, :]).ravel()
-    flat_sign = np.outer(sign, sign).ravel()
+    flat_sign = np.outer(coeff, coeff.conj()).ravel()
     z = basis_signs(k).T
     u = np.exp(-0.5j * seg[:, None] * (deltas @ z))
     step = (u[:, :, None] * u.conj()[:, None, :]).reshape(len(seg), dim * dim)

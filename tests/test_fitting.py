@@ -120,6 +120,12 @@ class TestFitDecay:
             fit_decay(curve_from(tau, decay_curve(4, tau, 6.5), n=4), 4,
                       t2_guess=float("nan"))
 
+    @pytest.mark.parametrize("guess", ["12", True, -5.0, 0.0, float("nan"), float("inf")])
+    def test_bad_guess_names_the_effective_time(self, guess):
+        tau = np.linspace(0, 40, 30)
+        with pytest.raises(FitError, match="effective dephasing time"):
+            fit_decay(curve_from(tau, decay_curve(2, tau, 6.5), n=2), 2, t2_guess=guess)
+
     def test_calibration_of_std_errors(self):
         # parameters recovered within 3 reported std errors in >= 95% of
         # independently seeded noisy trials

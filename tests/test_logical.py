@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 
 import numpy as np
@@ -166,3 +167,14 @@ class TestResolveState:
     def test_unknown(self):
         with pytest.raises(ValueError):
             resolve_state("nope")
+
+    def test_returned_arrays_do_not_share_writable_tables(self):
+        # writing into a returned array either fails, for a read-only shared
+        # table, or changes a fresh copy: no later call sees it
+        calls = [lambda: resolve_state("0L"), lambda: logical_target("0L"),
+                 lambda: product_ket(["X"]), lambda: pauli_matrix("X")]
+        for call in calls:
+            want = call().copy()
+            with contextlib.suppress(ValueError):
+                call()[...] = 0
+            assert np.array_equal(call(), want)

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from zenosim.spins import (basis_signs, dephasing_phases, evolve_dephasing,
-                           expectation, num_spins, pauli_matrix, product_ket,
-                           product_state, state_fidelity)
+from zenosim.spins import (basis_signs, evolve_dephasing, expectation, num_spins,
+                           pauli_matrix, product_ket, product_state, state_fidelity)
 
 
 def random_density(k, rng):
@@ -87,10 +86,13 @@ class TestEvolveDephasing:
             np.cos(np.pi / 3) * np.cos(np.pi / 6), abs=1e-12)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            evolve_dephasing(product_state(["X"]), [0.1], -1.0)
+        for t in (-1.0, -1e301):
+            with pytest.raises(ValueError, match="evolution time"):
+                evolve_dephasing(product_state(["X"]), [0.1], t)
+        with pytest.raises(TypeError, match="evolution time"):
+            evolve_dephasing(product_state(["X"]), [0.1], "1")
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, t):
         with pytest.raises(ValueError, match="evolution time"):
             evolve_dephasing(product_state(["X"]), [0.1], t)
@@ -99,16 +101,6 @@ class TestEvolveDephasing:
     def test_bad_detunings_rejected(self, deltas):
         with pytest.raises(ValueError, match="detunings"):
             evolve_dephasing(product_state(["X"]), deltas, 1.0)
-
-    def test_phases_gate_their_time(self):
-        # a negative time runs the evolution backwards
-        assert np.allclose(dephasing_phases([0.2], -1.5, 1),
-                           dephasing_phases([0.2], 1.5, 1).conj(), atol=1e-15)
-        for t in (math.nan, math.inf, -math.inf, -1e301):
-            with pytest.raises(ValueError, match="evolution time"):
-                dephasing_phases([0.1], t, 1)
-        with pytest.raises(TypeError, match="evolution time"):
-            dephasing_phases([0.1], "1", 1)
 
     def test_unitarity(self):
         rng = np.random.default_rng(5)
