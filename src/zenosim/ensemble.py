@@ -235,9 +235,9 @@ def _plan_table(initial_state: str, observable: str, readouts: Tuple[str, ...]) 
     The register size k is len(observable). rho0 is the initial state's
     F: readout operator, and the observable's action is read off its dense
     matrix spins.pauli_matrix. Raises ValueError if the initial state or a
-    readout operator does not fit the k-spin register.
-    A readout's coefficients are the same alone or beside others. The
-    arrays are shared by every caller, so they are read-only.
+    readout operator does not fit the k-spin register. A readout's
+    coefficients are the same alone or beside others. The arrays are
+    shared by every caller, so they are read-only.
     """
     k = len(observable)
     dim = 2**k

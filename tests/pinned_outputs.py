@@ -3,12 +3,12 @@
 collect() runs `zeno reproduce <fig> --shots 40 --seed 7` for each figure
 through cli.main and returns, per figure, every curve the run writes (in
 the order written, at full precision rather than the CSV's 12 digits) and
-its summary with the fit iteration counts left out. It also runs `zeno
-simulate` on SIMULATE at each N of SIMULATE_N and returns its curves: a
-plan off every eigenstate of its observable, which leaves two spins
-unflipped, so that its kernel table is complex with nonzero Q and D terms,
-which no figure plan has. test_pinned_outputs compares that with
-pinned_outputs.json.
+its summary with the fit iteration counts left out. It also returns
+collect_simulated(): the curves `zeno simulate` writes for SIMULATE at
+each N of SIMULATE_N. That plan starts off every eigenstate of its
+observable, which leaves two spins unflipped, so its kernel table is
+complex with nonzero Q and D terms, which no figure plan has.
+test_pinned_outputs compares both with pinned_outputs.json.
 
 A change that alters a random stream or the physics on purpose regenerates
 the file, and says so:
@@ -44,52 +44,54 @@ def _unpinned(summary):
     return summary
 
 
-def collect():
-    """{"shots", "seed", "figures": {fig: {"curves": [...], "summary": {...}}},
-    "simulate": {"config": SIMULATE, "curves": [...]}}."""
-    figures = {}
+def _curves(argv, name):
+    """Every curve cli.main(argv) writes, in order, with the keys name(curve) gives."""
+    curves = []
     to_csv = cli.curve_to_csv
+
+    def record(curve):
+        curves.append({**name(curve), "tau": curve.tau.tolist(),
+                       "mean": curve.mean.tolist(), "stderr": curve.stderr.tolist()})
+        return to_csv(curve)
+
+    with mock.patch.object(cli, "curve_to_csv", record), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"zeno {argv[0]} exited {code}")
+    return curves
+
+
+def collect_simulated():
+    """{"config": SIMULATE, "curves": [...]}, the curves of every N of SIMULATE_N."""
+    curves = []
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
         os.environ.pop("ZENO_SEED", None)
-        for fig in FIGURES:
-            curves = []
-
-            def record(curve):
-                curves.append({"n_projections": curve.n_projections,
-                               "states": curve.metadata["states"],
-                               "tau": curve.tau.tolist(), "mean": curve.mean.tolist(),
-                               "stderr": curve.stderr.tolist()})
-                return to_csv(curve)
-
-            out = Path(tmp, fig)
-            with mock.patch.object(cli, "curve_to_csv", record), \
-                    contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["reproduce", fig, "--shots", str(SHOTS), "--seed",
-                                 str(SEED), "--out", str(out)])
-            if code != 0:
-                raise RuntimeError(f"zeno reproduce {fig} exited {code}")
-            summary = json.loads((out / f"{fig}_summary.json").read_text())
-            figures[fig] = {"curves": curves, "summary": _unpinned(summary)}
-        simulated = []
-
-        def record_simulated(curve):
-            simulated.append({"n_projections": curve.n_projections,
-                              "readout": curve.readout, "tau": curve.tau.tolist(),
-                              "mean": curve.mean.tolist(),
-                              "stderr": curve.stderr.tolist()})
-            return to_csv(curve)
-
         for n in SIMULATE_N:
             config = Path(tmp, f"simulate_{n}.json")
             config.write_text(json.dumps(dict(SIMULATE, n_projections=n)))
-            with mock.patch.object(cli, "curve_to_csv", record_simulated), \
-                    contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["simulate", "--config", str(config), "--out",
-                                 str(Path(tmp, f"simulate_{n}"))])
-            if code != 0:
-                raise RuntimeError(f"zeno simulate at N={n} exited {code}")
+            curves += _curves(["simulate", "--config", str(config), "--out", tmp],
+                              lambda c: {"n_projections": c.n_projections,
+                                         "readout": c.readout})
+    return {"config": SIMULATE, "curves": curves}
+
+
+def collect():
+    """{"shots", "seed", "figures": {fig: {"curves": [...], "summary": {...}}},
+    "simulate": collect_simulated()}."""
+    figures = {}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("ZENO_SEED", None)
+        for fig in FIGURES:
+            out = Path(tmp, fig)
+            curves = _curves(["reproduce", fig, "--shots", str(SHOTS), "--seed",
+                              str(SEED), "--out", str(out)],
+                             lambda c: {"n_projections": c.n_projections,
+                                        "states": c.metadata["states"]})
+            summary = json.loads((out / f"{fig}_summary.json").read_text())
+            figures[fig] = {"curves": curves, "summary": _unpinned(summary)}
     return {"shots": SHOTS, "seed": SEED, "figures": figures,
-            "simulate": {"config": SIMULATE, "curves": simulated}}
+            "simulate": collect_simulated()}
 
 
 if __name__ == "__main__":
