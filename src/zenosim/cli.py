@@ -235,9 +235,11 @@ def _fit_row(curve: DecayCurve, n: int, t2_guess: Optional[float]) -> Dict:
 
 
 def cmd_fit(args) -> int:
-    if args.t2_guess is not None and not (math.isfinite(args.t2_guess)
-                                          and args.t2_guess > 0):
-        raise ConfigError(f"--t2-guess {args.t2_guess!r} is not finite and positive")
+    if args.t2_guess is not None:
+        try:
+            model._t2eff(args.t2_guess)
+        except ValueError as e:
+            raise ConfigError(f"--t2-guess {args.t2_guess!r} is not finite and positive") from e
     paths = sorted(glob.glob(args.input))
     if not paths:
         raise ConfigError(f"no files match {args.input!r}")

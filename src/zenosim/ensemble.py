@@ -30,8 +30,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .logical import logical_operator, resolve_state
-from .model import (checked, dephasing_times, detunings, evolution_time, phase_scale,
-                    projection_count)
+from .model import checked, dephasing_times, free_evolution, projection_count
 from .spins import basis_signs, pauli_matrix, validate_word
 
 FIDELITY_PREFIX = "F:"
@@ -119,13 +118,12 @@ class ExperimentPlan:
             raise ValueError("need at least one shot")
         taus = self.tau_grid
         # b > a is false for a NaN, and a strictly increasing grid is finite
-        # and nonnegative when its two ends are
+        # and nonnegative when its two ends are: the gate reads the first end
+        # if it is negative, else the last, which bounds every phase
         if not taus or not all(b > a for a, b in zip(taus, taus[1:])):
             raise ValueError("tau grid must be nonempty and strictly increasing")
-        evolution_time(taus[0])
-        evolution_time(taus[-1])
-        phase_scale(taus[-1], self.noise.sigma,
-                    "largest tau x largest detuning width sqrt(2)/T2*")
+        free_evolution(taus[0] if taus[0] < 0 else taus[-1], self.noise.sigma, self.k,
+                       "largest tau x largest detuning width sqrt(2)/T2*")
         if len(taus) * self.shots > MAX_ROWS:
             raise ValueError(f"{len(taus)} tau points x {self.shots} shots exceed "
                              f"the limit of {MAX_ROWS} Monte-Carlo rows per plan")
@@ -340,12 +338,9 @@ def run_shot(plan: ExperimentPlan, deltas: Sequence[float], tau: float) -> np.nd
     evaluates each readout on the final density matrix: one row of the
     kernel that run_ensemble uses, in closed form with no loop over
     projections. The plan's tables are built once and reused by every call.
-    tau passes model.evolution_time, the detunings model.detunings, and
-    both together the phase bound model.phase_scale.
+    tau and the detunings pass model.free_evolution.
     """
-    tau = evolution_time(tau)
-    deltas = detunings(deltas, plan.k)
-    phase_scale(tau, deltas, "tau x largest |detuning|")
+    tau, deltas = free_evolution(tau, deltas, plan.k, "tau x largest |detuning|")
     seg = np.array([tau / (plan.n_projections + 1)])
     return _kernel(plan, deltas[None, :], seg)[:, 0]
 

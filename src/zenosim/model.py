@@ -12,10 +12,9 @@ Intermediate fixed-detuning expressions are kept as deterministic oracles
 for the matrix-level simulator. The type rule of every value a module is
 given is :func:`checked`. Each input of the physics has one gate that every
 module reads it through: :func:`dephasing_times` for T2*,
-:func:`projection_count` for N, :func:`evolution_time` for a free-evolution
-time and :func:`detunings` for a detuning vector. :func:`phase_scale` bounds
-a time and the detunings it evolves under together, so that no phase
-overflows.
+:func:`projection_count` for N and :func:`free_evolution` for the time and
+detunings of a free evolution, which it also bounds together, so that no
+phase overflows.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ MAX_SPINS = 4
 # Bound on |tau|/T2eff in decay_curve, far below sqrt of the float range, so
 # that no (tau/T2eff)**2 overflows.
 MAX_TIME_RATIO = 1e150
-# Bound on |t| x max |delta| of a free evolution, far below the float range,
+# Bound on t x max |delta| of a free evolution, far below the float range,
 # so that no phase t (+-delta_1 +- ... +- delta_k) of MAX_SPINS spins overflows.
 MAX_PHASE_SCALE = 1e300
 
@@ -101,44 +100,27 @@ def projection_count(n_projections) -> int:
     return n
 
 
-def evolution_time(t) -> float:
-    """A free-evolution time in ms as a built-in float: the one rule for a time.
+def free_evolution(t, deltas, k: int, what: str) -> Tuple[float, np.ndarray]:
+    """t in ms as a built-in float and k detunings in rad/ms as a float array.
 
-    TypeError unless t is a real number (see checked); ValueError unless it
-    is finite and >= 0.
+    The one rule for a free evolution. TypeError unless t is a real number
+    (see checked); ValueError unless t is finite and >= 0, unless
+    1 <= k <= MAX_SPINS and deltas holds k finite numbers, and, naming
+    what, unless the phase scale t x max |delta| is below MAX_PHASE_SCALE.
     """
     t = checked(float, t, "evolution time")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"evolution time must be finite and >= 0, got {t}")
-    return t
-
-
-def detunings(deltas, k: int) -> np.ndarray:
-    """Per-spin detunings in rad/ms as a float array of shape (k,): the one rule.
-
-    ValueError unless 1 <= k <= MAX_SPINS, deltas holds k numbers and every
-    one is finite.
-    """
     deltas = np.asarray(deltas, dtype=float)
     # at most MAX_SPINS numbers: a Python loop is cheaper than a ufunc call
     if not (1 <= k <= MAX_SPINS and deltas.shape == (k,)
-            and all(map(math.isfinite, deltas.tolist()))):
+            and all(map(math.isfinite, values := deltas.tolist()))):
         raise ValueError(f"expected {k} finite detunings, 1 to {MAX_SPINS}, got {deltas!r}")
-    return deltas
-
-
-def phase_scale(t: float, deltas, what: str) -> float:
-    """|t| x max |delta| for a time t in ms and finite detunings in rad/ms: the phase bound.
-
-    ValueError, naming what, unless it is below MAX_PHASE_SCALE; that also
-    refuses a NaN or infinite t. t may be negative. The detunings (or
-    widths) must have passed detunings or dephasing_times.
-    """
-    scale = abs(t) * max(map(abs, np.asarray(deltas, dtype=float).tolist()))
+    scale = t * max(map(abs, values))
     if not scale < MAX_PHASE_SCALE:
         raise ValueError(f"{what} must be finite and below {MAX_PHASE_SCALE:g}, "
                          f"got {scale:g}")
-    return scale
+    return t, deltas
 
 
 def effective_t2(t2_list: Sequence[float]) -> float:
@@ -246,13 +228,11 @@ def single_shot_expectation(deltas: Sequence[float], t: float, n_projections: in
 
     All N+1 segments have duration t. Averages cos^(N+1) of the signed
     detuning sums over all relative-sign configurations of spins 2..k.
-    N, t and the k detunings pass their gates, and t with the detunings
-    the phase bound, before any work is done.
+    N passes projection_count and t with the k detunings free_evolution
+    before any work is done.
     """
     n = projection_count(n_projections)
-    t = evolution_time(t)
-    deltas = detunings(deltas, np.size(deltas))
-    phase_scale(t, deltas, "t x largest |detuning|")
+    t, deltas = free_evolution(t, deltas, np.size(deltas), "t x largest |detuning|")
     total = 0.0
     for signs in product((1.0, -1.0), repeat=deltas.size - 1):
         freq = deltas[0] + float(np.dot(signs, deltas[1:]))

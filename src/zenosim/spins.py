@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import MAX_SPINS, detunings, evolution_time, phase_scale
+from .model import MAX_SPINS, free_evolution
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -100,14 +100,11 @@ def evolve_dephasing(rho: np.ndarray, deltas: Sequence[float], t: float) -> np.n
 
     Basis state b picks up ``exp(-1j * (t/2) * sum_i deltas[i] * s_i)`` with
     ``s_i = +1`` for bit 0 and ``-1`` for bit 1, so each single-spin
-    coherence rotates by ``exp(-1j * delta_i * t)``. t passes
-    model.evolution_time, the detunings model.detunings, and both together
-    the phase bound model.phase_scale.
+    coherence rotates by ``exp(-1j * delta_i * t)``. t and the detunings
+    pass model.free_evolution.
     """
-    t = evolution_time(t)
     k = num_spins(rho)
-    deltas = detunings(deltas, k)
-    phase_scale(t, deltas, "evolution time x largest |detuning|")
+    t, deltas = free_evolution(t, deltas, k, "evolution time x largest |detuning|")
     phases = np.exp(-0.5j * t * basis_signs(k) @ deltas)
     return phases[:, None] * rho * phases.conj()[None, :]
 

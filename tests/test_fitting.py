@@ -245,6 +245,41 @@ class TestVariableProjection:
             misses += not (abs(a.mu - b.mu) <= 1e-10 and abs(a.nu - b.nu) <= 1e-10)
         assert misses == 0
 
+    def test_gives_up_after_max_halvings(self):
+        # every trial theta but theta0 is refused: one step, halved
+        # MAX_HALVINGS times, then no further iteration
+        x = np.linspace(0.0, 2.0, 6)
+        trials = []
+
+        def columns(theta):
+            trials.append(theta)
+            if theta != 0.5:
+                raise ValueError("refused")
+            return np.exp(-theta * x)[:, None], (-x * np.exp(-theta * x))[:, None]
+
+        p, _, _, converged, it = least_squares(columns, 2.0 * np.exp(-x), np.ones(x.size),
+                                               0.5)
+        assert not converged and it == 1 and p[-1] == 0.5
+        assert len(trials) == 1 + fitting.MAX_HALVINGS
+
+    def test_refused_steps_are_a_fit_error(self):
+        # least_squares giving up is what fit_decay and fit_scaling report as
+        # a fit that did not converge
+        real = fitting.least_squares
+
+        def only_start(columns, y, weights, theta0):
+            def refuse(theta):
+                if theta != theta0:
+                    raise ValueError("refused")
+                return columns(theta)
+            return real(refuse, y, weights, theta0)
+
+        with mock.patch.object(fitting, "least_squares", only_start):
+            with pytest.raises(FitError, match=r"decay fit \(N=2\) did not converge"):
+                fit_decay(self._noisy(1), 2, t2_guess=6.0)
+            with pytest.raises(FitError, match="scaling fit did not converge"):
+                fit_scaling({0: 1.0, 2: 2.0, 4: 2.7})
+
     def test_flat_times_are_a_fit_error(self):
         with pytest.raises(FitError):
             fit_scaling({0: 1.0, 2: 1.0, 4: 1.0})

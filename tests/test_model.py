@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from zenosim import model
 from zenosim.model import (MAX_PROJECTIONS, MAX_SPINS, SQRT_E_LEVEL, decay_curve,
-                           detunings, effective_t2, evolution_time, odd_n_asymptote,
-                           phase_scale, projection_count, single_shot_expectation,
-                           sqrt_e_time)
+                           effective_t2, free_evolution, odd_n_asymptote,
+                           projection_count, single_shot_expectation, sqrt_e_time)
 
 
 def exact_decay(n, tau, t2eff):
@@ -25,15 +24,14 @@ def exact_decay(n, tau, t2eff):
 
 
 class TestGates:
-    """projection_count, evolution_time, detunings and phase_scale: one rule per input."""
+    """projection_count and free_evolution: one rule per input."""
 
     def test_phase_scale(self):
-        assert phase_scale(-2.0, np.array([0.5, -3.0]), "x") == 6.0
-        assert phase_scale(1e150, [1e149], "x") == pytest.approx(1e299)
-        for t, deltas in ((1e300, [1.0]), (1e300, [1e300]), (-1e200, [0.0, -1e100]),
-                          (math.nan, [0.1]), (math.inf, [0.1]), (math.inf, [0.0])):
+        t, deltas = free_evolution(1e150, [1e149], 1, "x")
+        assert t == 1e150 and deltas.tolist() == [1e149]
+        for t, deltas in ((1e300, [1.0]), (1e300, [1e300]), (1e200, [0.0, -1e100])):
             with pytest.raises(ValueError, match="the width"):
-                phase_scale(t, deltas, "the width")
+                free_evolution(t, deltas, len(deltas), "the width")
 
     def test_projection_count(self):
         for n in (0, 7, np.int64(4), MAX_PROJECTIONS):
@@ -48,25 +46,27 @@ class TestGates:
 
     def test_evolution_time(self):
         for t in (0.0, -0.0, 3, np.float64(2.5), 1e300):
-            got = evolution_time(t)
+            got, _ = free_evolution(t, [0.0], 1, "x")
             assert got == t and type(got) is float
         for t in (True, "1", None, 1j):
             with pytest.raises(TypeError, match="evolution time"):
-                evolution_time(t)
-        for t in (math.nan, math.inf, -math.inf, -1e-300, -1, 10**400):
-            with pytest.raises(ValueError, match="evolution time"):
-                evolution_time(t)
+                free_evolution(t, [0.1], 1, "x")
+        # a negative or non-finite time is refused before the phase bound
+        for t in (math.nan, math.inf, -math.inf, -1e-300, -1, -2.0, -1e200, 10**400):
+            for deltas in ([0.1], [0.0]):
+                with pytest.raises(ValueError, match="evolution time"):
+                    free_evolution(t, deltas, 1, "x")
 
     def test_detunings(self):
-        got = detunings([1, 2.5], 2)
+        _, got = free_evolution(1.0, [1, 2.5], 2, "x")
         assert got.dtype == float and got.tolist() == [1.0, 2.5]
         for k in range(1, MAX_SPINS + 1):
-            assert detunings(np.zeros(k), k).shape == (k,)
+            assert free_evolution(1.0, np.zeros(k), k, "x")[1].shape == (k,)
         for deltas, k in (([], 0), ([0.1] * 5, 5), ([0.1], 2), ([[0.1, 0.2]], 2),
                           (0.1, 1), ([math.nan], 1), ([0.1, math.inf], 2),
                           (["x"], 1)):
             with pytest.raises(ValueError):
-                detunings(deltas, k)
+                free_evolution(1.0, deltas, k, "x")
 
 
 class TestEffectiveT2:

@@ -130,6 +130,11 @@ class TestExpectation:
         with pytest.raises(ValueError):
             expectation(product_state(["X"]), "XX")
 
+    def test_imaginary_residue_rejected(self):
+        # not Hermitian: Tr(rho X) = rho_01 + rho_10 = 0.5j
+        with pytest.raises(ValueError, match="imaginary residue 0.5"):
+            expectation(np.array([[0.5, 0.5j], [0, 0.5]]), "X")
+
 
 class TestStateFidelity:
     def test_self_overlap(self):
