@@ -13,8 +13,9 @@ chunks, with no loop over projections. It uses the paper's cos-power
 form: between projections a density-matrix entry and its mirror under the
 observable are multiplied by exp(i alpha_u) cos alpha_f per segment, so
 each read-out value is a short sum over the plan's distinct pair angles
-of real terms with one cos, one sin and one real power cos**(N-1) per
-angle. :func:`run_ensemble` runs every point and shot of a plan through
+of real terms with one cos and one real power |cos|**(N-1) per angle,
+plus one sin per angle for the few plans whose terms need it.
+:func:`run_ensemble` runs every point and shot of a plan through
 it; :func:`run_shot` runs one row for given detunings. The kernel reads
 one table per (initial state, observable, readouts), built once, and each
 readout operator is built once.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -216,14 +217,17 @@ class _Table(NamedTuple):
     readout r's P = A + C, Q = i(A - C) and D = (B - A - C)/2 (see _kernel),
     summed over the pairs {e, e'} with that angle in flat order of e. They
     are stored real unless some theta_u is nonzero, since then only their
-    real parts reach a readout value.
+    real parts reach a readout value. q or d is None when all of its
+    coefficients are 0, as for a plan that starts in an eigenstate of its
+    observable and reads operators that commute with it: every figure
+    plan. The kernel then skips that term.
     """
 
-    flipped: np.ndarray    # (angles, k) theta_f
-    unflipped: np.ndarray  # (angles, k) theta_u
-    p: np.ndarray          # (readouts, angles)
-    q: np.ndarray          # (readouts, angles)
-    d: np.ndarray          # (readouts, angles)
+    flipped: np.ndarray            # (angles, k) theta_f
+    unflipped: np.ndarray          # (angles, k) theta_u
+    p: np.ndarray                  # (readouts, angles)
+    q: Optional[np.ndarray]        # (readouts, angles), None if all 0
+    d: Optional[np.ndarray]        # (readouts, angles), None if all 0
 
 
 @lru_cache(maxsize=256)
@@ -269,11 +273,15 @@ def _plan_table(initial_state: str, observable: str, readouts: Tuple[str, ...]) 
     unflipped = np.where(flips, 0.0, angles)
     if not unflipped[coef.any(axis=(0, 1))].any():
         coef = coef.real
-    # an angle is kept where some stored coefficient is nonzero
+    # an angle is kept where some stored coefficient is nonzero, and Q and D
+    # are kept where some of theirs is
     keep = coef.any(axis=(0, 1))
-    table = _Table(np.where(flips, angles, 0.0)[keep], unflipped[keep], *coef[..., keep])
+    p, q, d = coef[..., keep]
+    table = _Table(np.where(flips, angles, 0.0)[keep], unflipped[keep], p,
+                   q if q.any() else None, d if d.any() else None)
     for arr in table:
-        arr.flags.writeable = False
+        if arr is not None:
+            arr.flags.writeable = False
     return table
 
 
@@ -305,9 +313,12 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
     them per distinct angle and a readout value is a short sum over angles:
     the paper's cos-power form. Rows run in chunks of
     _CHUNK_ENTRIES // (readouts x angles) rows. A chunk sums each angle's
-    phase over the spins with numpy, in a fixed order, rather than BLAS; it
-    takes one cos, sin and real power per angle, and exp(i(N+1) alpha_u)
-    only when the table is complex. Each readout then sums its angles one
+    phase over the spins with numpy, in a fixed order, rather than BLAS,
+    along C-ordered rows; it takes one cos and one real power per angle, a
+    sin only when the table has Q terms, D only when it has D terms, and
+    exp(i(N+1) alpha_u) only when the table is complex. The power is
+    |c|**(N-1), its sign restored by copysign when N-1 is odd, since
+    numpy's power takes a slow path on a negative base. Each readout then sums its angles one
     after another; an angle with zero coefficients adds exactly 0, so a
     readout's values are bit-identical whatever readouts share the plan.
     """
@@ -318,12 +329,21 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
     chunk = max(1, _CHUNK_ENTRIES // max(table.p.size, 1))
     for lo in range(0, rows, chunk):
         hi = min(lo + chunk, rows)
-        step = deltas[lo:hi].T * seg[lo:hi]
+        # C order, so the sum over spins below runs along contiguous rows
+        step = np.multiply(deltas[lo:hi].T, seg[lo:hi], order="C")
         alpha = (table.flipped[:, :, None] * step).sum(axis=1)
-        c, s = np.cos(alpha), np.sin(alpha)
-        v = table.p[..., None] * c + table.q[..., None] * s
+        c = np.cos(alpha)
+        v = table.p[..., None] * c
+        if table.q is not None:
+            v += table.q[..., None] * np.sin(alpha)
         if n:
-            v = c ** (n - 1) * (c * v + table.d[..., None])
+            v *= c
+            if table.d is not None:
+                v += table.d[..., None]
+            # numpy's power is slow on a negative base: raise |c|, then
+            # restore the sign where the exponent is odd
+            power = np.abs(c) ** (n - 1)
+            v *= np.copysign(power, c, out=power) if n % 2 == 0 else power
         if np.iscomplexobj(table.p):
             v *= np.exp((n + 1) * 1j * (table.unflipped[:, :, None] * step).sum(axis=1))
         out[:, lo:hi] = v.real.sum(axis=1)

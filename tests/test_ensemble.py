@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenosim import ensemble, logical
+from zenosim import cli, ensemble, logical
 from zenosim.channel import project
 from zenosim.cli import curve_to_csv
 from zenosim.ensemble import (MAX_ROWS, DecayCurve, ExperimentPlan, NoiseModel,
@@ -20,6 +20,8 @@ from zenosim.logical import logical_pauli_fidelity, resolve_state
 from zenosim.model import MAX_PROJECTIONS, decay_curve, single_shot_expectation
 from zenosim.spins import (basis_signs, evolve_dephasing, expectation, pauli_matrix,
                            state_fidelity)
+
+from pinned_outputs import SIMULATE
 
 
 def make_plan(**kw):
@@ -370,6 +372,33 @@ class TestKernelProperties:
         want = loop_kernel(plan, deltas[None, :], np.array([tau / (n + 1)]))[0]
         assert np.max(np.abs(got - want)) < 1e-12
 
+    @settings(deadline=None, max_examples=60)
+    @given(PAULI_WORDS, st.data(), st.integers(50, 300), st.integers(0, 2**32 - 1))
+    def test_many_rows_match_loop(self, word, data, rows, seed):
+        # every row of a many-row batch, split over several chunks, against
+        # the projection loop; states on and off the observable's eigenstates
+        # and readouts that do or do not commute with it give tables real or
+        # complex, with or without Q and D terms, and taus up to 40 make many
+        # cosines negative. The loop takes N passes, so N = 4095 stays at k <= 3
+        k = len(word)
+        labels = st.lists(st.sampled_from(LABELS), min_size=k, max_size=k).map(",".join)
+        eigenstate = ",".join({"X": "X", "Y": "Y"}.get(letter, "0") for letter in word)
+        state = data.draw(st.just(eigenstate) | labels)
+        readout = tuple(data.draw(st.lists(
+            st.just(word) | st.text("IXYZ", min_size=k, max_size=k)
+            | labels.map("F:".__add__), min_size=1, max_size=3)))
+        n = data.draw(st.sampled_from([*range(9), 31, 63] + [4095] * (k <= 3)))
+        plan = make_plan(noise=NoiseModel((10.0,) * k), initial_state=state,
+                         observable=word, readout=readout, n_projections=n)
+        rng = np.random.default_rng(seed)
+        deltas = rng.uniform(-0.5, 0.5, (rows, k))
+        seg = rng.uniform(0.0, 40.0, rows) / (n + 1)
+        table = ensemble._plan_table(state, word, readout)
+        with mock.patch.object(ensemble, "_CHUNK_ENTRIES",
+                               table.p.size * data.draw(st.integers(1, 40))):
+            got = ensemble._kernel(plan, deltas, seg)
+        assert np.max(np.abs(got - loop_kernel(plan, deltas, seg).T)) < 1e-12
+
     @settings(deadline=None, max_examples=40)
     @given(PAULI_WORDS.filter(lambda w: len(w) <= 3), st.integers(0, 6),
            st.integers(1, 30), st.integers(1, 4), st.integers(1, 7))
@@ -424,6 +453,11 @@ def readouts_for(k):
     return st.lists(options, min_size=1, max_size=3, unique=True)
 
 
+def coefficients(stored, shape):
+    """A table's Q or D coefficients, with None read as zeros of P's shape."""
+    return np.zeros(shape) if stored is None else stored
+
+
 class TestPlanTables:
     def test_second_run_shot_reuses_tables(self):
         plan = make_plan(noise=NoiseModel((12.4, 8.2)), initial_state="+iL",
@@ -468,8 +502,9 @@ class TestPlanTables:
             assert ensemble._plan_table(*args) is table
             assert np.iscomplexobj(table.p) == (args[1] == "XZ")
             for arr in table:
-                with pytest.raises(ValueError):
-                    arr[0] = 0
+                if arr is not None:
+                    with pytest.raises(ValueError):
+                        arr[0] = 0
 
     @settings(deadline=None, max_examples=80)
     @given(PAULI_WORDS, st.data())
@@ -499,11 +534,101 @@ class TestPlanTables:
                                    & (both.unflipped == u).all(axis=1))[0]
                     for f, u in zip(alone.flipped, alone.unflipped)]
             for name in ("p", "q", "d"):
-                got, want = getattr(both, name)[r, cols], getattr(alone, name)[0]
+                got, want = (coefficients(getattr(t, name), t.p.shape)
+                             for t in (both, alone))
+                got, want = got[r, cols], want[0]
                 # a real table holds the real parts, all that a theta_u = 0 term reads
                 assert np.array_equal(got if want.dtype == complex else got.real, want)
             assert np.array_equal(ensemble._kernel(plan((readout,)), deltas, seg)[0],
                                   values[r])
+
+
+def pair_coefficients(state, word, readouts):
+    """{theta: (readouts, 3) P, Q, D} summed pair by pair, as _kernel defines them.
+
+    Each pair {e, e'} of entries e = (a, b) and e' = (perm a, perm b), mirrored
+    by the observable, is taken once at its smaller flat index, with angle
+    theta = (z_b - z_a)/2, sigma = O[a, perm a] conj(O[b, perm b]) and w_e'
+    read as 0 when e' = e.
+    """
+    k = len(word)
+    dim = 2**k
+    psi = resolve_state(state)
+    rho = np.outer(psi, psi.conj())
+    weights = [readout_operator(r).T for r in readouts]
+    o = pauli_matrix(word)
+    perm = np.abs(o).argmax(axis=1)
+    z = basis_signs(k)
+    terms = {}
+    for a in range(dim):
+        for b in range(dim):
+            pa, pb = perm[a], perm[b]
+            if pa * dim + pb < a * dim + b:
+                continue
+            sigma = (o[a, pa] * np.conj(o[b, pb])).real
+            theta = tuple(0.5 * (z[b] - z[a]))
+            for r, w in enumerate(weights):
+                w_m = 0 if (pa, pb) == (a, b) else w[pa, pb]
+                big_a, big_c = w[a, b] * rho[a, b], w_m * rho[pa, pb]
+                big_b = sigma * (w[a, b] * rho[pa, pb] + w_m * rho[a, b])
+                terms.setdefault(theta, np.zeros((len(readouts), 3), complex))[r] += (
+                    big_a + big_c, 1j * (big_a - big_c), 0.5 * (big_b - big_a - big_c))
+    return terms
+
+
+# the kernel_deep benchmark's tables: its two ensemble plans, and the
+# scalar run_shot words, each read on itself from its +1 eigenstate
+KERNEL_DEEP_TABLES = (("X,Y,0,X", "XYZX", ("XYZX", "ZIZZ")), ("X,0,Y", "XIY", ("XIY", "IZI")),
+                      ("X,Y,0", "XYZ", ("XYZ",)), ("Y,0,X", "YIX", ("YIX",)),
+                      ("X,X,Y", "XXY", ("XXY",)))
+
+
+class TestQDElision:
+    @settings(deadline=None, max_examples=80)
+    @given(PAULI_WORDS, st.data())
+    def test_q_and_d_are_none_exactly_when_zero(self, word, data):
+        k = len(word)
+        labels = st.lists(st.sampled_from(LABELS), min_size=k, max_size=k).map(",".join)
+        eigenstate = ",".join({"X": "X", "Y": "Y"}.get(letter, "0") for letter in word)
+        state = data.draw(st.just(eigenstate) | labels)
+        readouts = tuple(data.draw(st.just([word]) | readouts_for(k)))
+        table = ensemble._plan_table(state, word, readouts)
+        want = pair_coefficients(state, word, readouts)
+        angles = [tuple(f + u) for f, u in zip(table.flipped, table.unflipped)]
+        assert set(angles) <= set(want)
+        for theta, coef in want.items():
+            # a real table holds the real parts, all that a theta_u = 0 term reads
+            coef = coef if np.iscomplexobj(table.p) else coef.real
+            if theta not in angles:
+                assert np.max(np.abs(coef)) < 1e-12
+                continue
+            for i, name in enumerate("pqd"):
+                got = coefficients(getattr(table, name), table.p.shape)
+                assert np.max(np.abs(got[:, angles.index(theta)] - coef[:, i])) < 1e-12
+        for name, i in (("q", 1), ("d", 2)):
+            stored = getattr(table, name)
+            zero = all(np.max(np.abs(c[:, i] if np.iscomplexobj(table.p) else c[:, i].real))
+                       < 1e-12 for c in want.values())
+            assert (stored is None) == zero
+            assert stored is None or stored.any()
+
+    def test_figure_and_benchmark_plans_have_neither(self):
+        # each starts in a +1 eigenstate of its observable and reads an
+        # operator that commutes with it
+        tables = list(KERNEL_DEEP_TABLES)
+        for t2_star, groups, prefix, *_ in cli._CURVE_FIGURES.values():
+            tables += [(state, "X" * len(t2_star), (prefix + state,))
+                       for group in groups for state in group]
+        assert len(tables) == 5 + 1 + 6 + 4 + 3
+        for args in tables:
+            table = ensemble._plan_table(*args)
+            assert table.q is None and table.d is None, args
+
+    def test_pinned_simulate_plan_has_both(self):
+        table = ensemble._plan_table(SIMULATE["initial_state"], SIMULATE["observable"],
+                                     tuple(SIMULATE["readout"]))
+        assert np.iscomplexobj(table.p)
+        assert table.q is not None and table.d is not None
 
 
 class TestPhaseTable:
@@ -515,8 +640,9 @@ class TestPhaseTable:
         assert ensemble._plan_table(*args) is table
         assert not np.iscomplexobj(table.p)
         for arr in table:
-            with pytest.raises(ValueError):
-                arr[0] = 0
+            if arr is not None:
+                with pytest.raises(ValueError):
+                    arr[0] = 0
 
 
 class TestValidation:
