@@ -381,12 +381,8 @@ class TestKernelProperties:
         # complex, with or without Q and D terms, and taus up to 40 make many
         # cosines negative. The loop takes N passes, so N = 4095 stays at k <= 3
         k = len(word)
-        labels = st.lists(st.sampled_from(LABELS), min_size=k, max_size=k).map(",".join)
-        eigenstate = ",".join({"X": "X", "Y": "Y"}.get(letter, "0") for letter in word)
-        state = data.draw(st.just(eigenstate) | labels)
-        readout = tuple(data.draw(st.lists(
-            st.just(word) | st.text("IXYZ", min_size=k, max_size=k)
-            | labels.map("F:".__add__), min_size=1, max_size=3)))
+        state = data.draw(states_for(word))
+        readout = tuple(data.draw(st.just([word]) | readouts_for(k)))
         n = data.draw(st.sampled_from([*range(9), 31, 63] + [4095] * (k <= 3)))
         plan = make_plan(noise=NoiseModel((10.0,) * k), initial_state=state,
                          observable=word, readout=readout, n_projections=n)
@@ -439,6 +435,14 @@ class TestKernelProperties:
 
 
 LABELS = ["0", "1", "X", "-X", "Y", "-Y"]
+
+
+def states_for(word):
+    """Product states of len(word) spins: the word's +1 eigenstate, or any."""
+    k = len(word)
+    eigenstate = ",".join({"X": "X", "Y": "Y"}.get(letter, "0") for letter in word)
+    return st.just(eigenstate) | st.lists(st.sampled_from(LABELS), min_size=k,
+                                          max_size=k).map(",".join)
 
 
 def readouts_for(k):
@@ -587,11 +591,8 @@ class TestQDElision:
     @settings(deadline=None, max_examples=80)
     @given(PAULI_WORDS, st.data())
     def test_q_and_d_are_none_exactly_when_zero(self, word, data):
-        k = len(word)
-        labels = st.lists(st.sampled_from(LABELS), min_size=k, max_size=k).map(",".join)
-        eigenstate = ",".join({"X": "X", "Y": "Y"}.get(letter, "0") for letter in word)
-        state = data.draw(st.just(eigenstate) | labels)
-        readouts = tuple(data.draw(st.just([word]) | readouts_for(k)))
+        state = data.draw(states_for(word))
+        readouts = tuple(data.draw(st.just([word]) | readouts_for(len(word))))
         table = ensemble._plan_table(state, word, readouts)
         want = pair_coefficients(state, word, readouts)
         angles = [tuple(f + u) for f, u in zip(table.flipped, table.unflipped)]
