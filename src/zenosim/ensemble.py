@@ -317,10 +317,10 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
     along C-ordered rows; it takes one cos and one real power per angle, a
     sin only when the table has Q terms, D only when it has D terms, and
     exp(i(N+1) alpha_u) only when the table is complex. The power is
-    |c|**(N-1), its sign restored by copysign when N-1 is odd, since
-    numpy's power takes a slow path on a negative base. Each readout then sums its angles one
-    after another; an angle with zero coefficients adds exactly 0, so a
-    readout's values are bit-identical whatever readouts share the plan.
+    |c|**(N-1), with the sign of c restored when N-1 is odd. Each readout
+    then sums its angles one after another; an angle with zero coefficients
+    adds exactly 0, so a readout's values are bit-identical whatever
+    readouts share the plan.
     """
     n = plan.n_projections
     table = _plan_table(plan.initial_state, plan.observable, plan.readout)
