@@ -10,11 +10,13 @@ A plan draws from one generator, whose counter is reset before each point.
 
 One kernel simulates a flat batch of (point, shot) rows in cache-sized
 chunks, with no loop over projections. It uses the paper's cos-power
-form: between projections a density-matrix entry and its mirror under the
-observable are multiplied by exp(i alpha_u) cos alpha_f per segment, so
-each read-out value is a short sum over the plan's distinct pair angles
-of real terms with one cos and one real power |cos|**(N-1) per angle,
-plus one sin per angle for the few plans whose terms need it.
+form: once projected, each density-matrix entry is multiplied by
+exp(i alpha_u) cos alpha_f per segment and projection, so each read-out
+value is a short sum over the plan's distinct entry angles, each taken
+once for theta_f and -theta_f, of real terms with one cos and one real
+power |cos|**(N-1) per angle, plus one sin per angle for the few plans
+whose terms need it. The terms of an entry read only rho0 and its
+projection channel.project(O, rho0).
 :func:`run_ensemble` runs every point and shot of a plan through
 it; :func:`run_shot` runs one row for given detunings. The kernel reads
 one table per (initial state, observable, readouts), built once, and each
@@ -30,6 +32,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .channel import project
 from .logical import logical_operator, resolve_state
 from .model import checked, dephasing_times, free_evolution, projection_count
 from .spins import basis_signs, pauli_matrix, validate_word
@@ -209,18 +212,23 @@ def readout_operator(readout: str) -> np.ndarray:
 
 
 class _Table(NamedTuple):
-    """Kernel table of a plan: each readout's cos-form coefficients per pair angle.
+    """Kernel table of a plan: each readout's cos-form coefficients per angle.
 
-    One column per distinct pair angle theta = (z_b - z_a)/2 with a nonzero
-    coefficient, split into theta_f on the spins the observable flips (X
-    and Y letters) and theta_u on the others. Row r of p, q and d holds
-    readout r's P = A + C, Q = i(A - C) and D = (B - A - C)/2 (see _kernel),
-    summed over the pairs {e, e'} with that angle in flat order of e. They
-    are stored real unless some theta_u is nonzero, since then only their
-    real parts reach a readout value. q or d is None when all of its
-    coefficients are 0, as for a plan that starts in an eigenstate of its
-    observable and reads operators that commute with it: every figure
-    plan. The kernel then skips that term.
+    Entry e = (a, b) of rho has angle theta = (z_b - z_a)/2, split into
+    theta_f on the spins the observable flips (X and Y letters) and theta_u
+    on the others, and sigma, the sign of the first nonzero component of
+    theta_f (0 when theta_f = 0). Its column is sigma theta_f + theta_u, so
+    theta_f and -theta_f share one: each stored theta_f is 0 or has a
+    positive first nonzero component. Row r of p, q and d holds readout r's
+    P = w_e rho0[e], sigma Q with Q = iP, and D = w_e (project(O, rho0) -
+    rho0)[e] (see _kernel), summed over the column's entries in flat order;
+    a sum within its rounding bound dim**2 eps sum|t| of 0 is stored as 0.
+    A column is kept where some coefficient is nonzero. They are stored
+    real unless some theta_u is nonzero, since then only their real parts
+    reach a readout value. q or d is None when all of its coefficients are 0, as
+    for a plan that starts in an eigenstate of its observable and reads
+    operators that commute with it (every figure plan), or whose
+    observable flips no spin (no Q). The kernel then skips that term.
     """
 
     flipped: np.ndarray            # (angles, k) theta_f
@@ -235,8 +243,8 @@ def _plan_table(initial_state: str, observable: str, readouts: Tuple[str, ...]) 
     """Kernel table of a plan, built once per (initial state, observable, readouts).
 
     The register size k is len(observable). rho0 is the initial state's
-    F: readout operator, and the observable's action is read off its dense
-    matrix spins.pauli_matrix. Raises ValueError if the initial state or a
+    F: readout operator, and the observable acts through channel.project,
+    the one definition of the projection. Raises ValueError if the initial state or a
     readout operator does not fit the k-spin register. A readout's
     coefficients are the same alone or beside others. The arrays are
     shared by every caller, so they are read-only.
@@ -248,28 +256,24 @@ def _plan_table(initial_state: str, observable: str, readouts: Tuple[str, ...]) 
             what = f"readout {spec!r}" if i else f"initial state {initial_state!r}"
             raise ValueError(f"{what} does not match the {k}-spin register")
     weights = np.stack([readout_operator(r).T.ravel() for r in readouts])
-    # O has one nonzero per row, O[a, perm a] = s_a times a phase shared by
-    # all rows, so (O rho O)[a, b] = s_a s_b rho[perm a, perm b]
-    o = pauli_matrix(observable)
-    perm = abs(o).argmax(axis=1)
-    sign = (o[np.arange(dim), perm] * np.conj(o[0, perm[0]])).real
-    mirror = (perm[:, None] * dim + perm[None, :]).ravel()
-    # each pair {e, e'} once, as its smaller flat index e; rho0 and the weight
-    # of e' are taken in the sigma_e frame, and that weight is 0 when e' = e
-    e = np.flatnonzero(np.arange(dim * dim) <= mirror)
-    m = mirror[e]
-    sigma = sign[e // dim] * sign[e % dim]
-    rho0 = readout_operator(FIDELITY_PREFIX + initial_state).ravel()
-    w_e, w_m = weights[:, e], np.where(m != e, sigma * weights[:, m], 0)
-    rho_e, rho_m = rho0[e], sigma * rho0[m]
-    a, c = w_e * rho_e, w_m * rho_m
+    rho0 = readout_operator(FIDELITY_PREFIX + initial_state)
+    # entry e = (a, b) at flat index a dim + b has angle theta = (z_b - z_a)/2,
+    # and joins the column of theta with its flipped part theta_f times sigma
     z = basis_signs(k)
-    angles, index = np.unique(0.5 * (z[e % dim] - z[e // dim]), axis=0,
-                              return_inverse=True)
-    coef = np.zeros((3, len(readouts), len(angles)), complex)
-    np.add.at(coef, (slice(None), slice(None), index.ravel()),
-              np.stack([a + c, 1j * (a - c), 0.5 * (w_e * rho_m + w_m * rho_e - a - c)]))
+    theta = 0.5 * (z[None, :] - z[:, None]).reshape(dim * dim, k)
     flips = np.array([letter in "XY" for letter in observable])
+    flipped = np.where(flips, theta, 0.0)
+    sigma = np.sign(flipped[np.arange(dim * dim), (flipped != 0).argmax(axis=1)])
+    angles, index = np.unique(np.where(flips, sigma[:, None] * theta, theta), axis=0,
+                              return_inverse=True)
+    p = weights * rho0.ravel()
+    terms = np.stack([p, 1j * sigma * p, weights * (project(observable, rho0) - rho0).ravel()])
+    # each column's sums and the sums of their magnitudes, which bound the
+    # rounding of a sum: a sum within that bound of 0 is stored as 0
+    sums = np.zeros((2, *terms.shape[:2], len(angles)), complex)
+    np.add.at(sums, (Ellipsis, index.ravel()), np.stack([terms, abs(terms)]))
+    coef, scale = sums
+    coef[abs(coef) <= dim * dim * np.finfo(float).eps * scale.real] = 0
     unflipped = np.where(flips, 0.0, angles)
     if not unflipped[coef.any(axis=(0, 1))].any():
         coef = coef.real
@@ -292,35 +296,34 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
     segments of duration seg[i] under detunings deltas[i] with N
     projections of the plan observable, in closed form. A free segment
     multiplies entry e = (a, b) by exp(i alpha), alpha = seg delta.theta,
-    theta = (z_b - z_a)/2 being its pair angle. Split theta into theta_f on
-    the spins the observable flips and theta_u on the others (alpha_f,
-    alpha_u likewise): the mirror e' of e under O rho O has angle
-    -theta_f + theta_u. The projection (rho + O rho O)/2 leaves
-    rho[e'] = sigma_e rho[e], after which each further segment and
-    projection multiplies the pair by exp(i alpha_u) cos alpha_f. With
-    readout weights w (w_e' read as 0 when e' = e), A = w_e rho0[e],
-    B = w_e sigma_e rho0[e'] + sigma_e w_e' rho0[e] and C = w_e' rho0[e'],
-    a pair adds to the readout, for N >= 1,
+    theta = (z_b - z_a)/2 being its angle. Split theta into theta_f on the
+    spins the observable flips and theta_u on the others (alpha_f, alpha_u
+    likewise). The projection rho -> (rho + O rho O)/2 averages e with an
+    entry of angle -theta_f + theta_u, so once rho = O rho O each further
+    segment and projection multiplies e by exp(i alpha_u) cos alpha_f. With
+    readout weights w, Re Tr(rho M) = Re sum_e w_e rho[e], entry e adds to
+    the readout, for N >= 1,
 
         Re[exp(i(N+1) alpha_u) cos**(N-1) alpha_f
-           (A exp(2i alpha_f) + B + C exp(-2i alpha_f)) / 2]
+           w_e (rho0[e] exp(2i alpha_f) + (O rho0 O)[e]) / 2]
             = Re[exp(i(N+1) alpha_u) c**(N-1) (c (P c + Q s) + D)]
 
-    with c, s = cos, sin alpha_f, P = A + C, Q = i(A - C) and
-    D = (B - A - C)/2. At N = 0 it adds Re[exp(i alpha_u) (A exp(i alpha_f)
-    + C exp(-i alpha_f))] = Re[exp(i alpha_u) (P c + Q s)]. P, Q and D
-    depend only on the readout and theta, so the plan's table (_Table) sums
-    them per distinct angle and a readout value is a short sum over angles:
-    the paper's cos-power form. Rows run in chunks of
-    _CHUNK_ENTRIES // (readouts x angles) rows. A chunk sums each angle's
-    phase over the spins with numpy, in a fixed order, rather than BLAS,
-    along C-ordered rows; it takes one cos and one real power per angle, a
-    sin only when the table has Q terms, D only when it has D terms, and
-    exp(i(N+1) alpha_u) only when the table is complex. The power is
-    |c|**(N-1), with the sign of c restored when N-1 is odd. Each readout
-    then sums its angles one after another; an angle with zero coefficients
-    adds exactly 0, so a readout's values are bit-identical whatever
-    readouts share the plan.
+    with c, s = cos, sin alpha_f, P = w_e rho0[e], Q = iP and
+    D = w_e (project(O, rho0) - rho0)[e]. At N = 0 it adds
+    Re[exp(i alpha) w_e rho0[e]] = Re[exp(i alpha_u) (P c + Q s)]. P, Q and
+    D depend only on the readout and the entry, and c is even in theta_f
+    and s odd, so the plan's table (_Table) sums them per column
+    sigma theta_f + theta_u, with Q times sigma, and a readout value is a
+    short sum over columns: the paper's cos-power form. Rows run in chunks
+    of _CHUNK_ENTRIES // (readouts x angles) rows. A chunk sums each
+    angle's phase over the spins with numpy, in a fixed order, rather than
+    BLAS, along C-ordered rows; it takes one cos and one real power per
+    angle, a sin only when the table has Q terms, D only when it has D
+    terms, and exp(i(N+1) alpha_u) only when the table is complex. The
+    power is |c|**(N-1), with the sign of c restored when N-1 is odd. Each
+    readout then sums its angles one after another; an angle with zero
+    coefficients adds exactly 0, so a readout's values are bit-identical
+    whatever readouts share the plan.
     """
     n = plan.n_projections
     table = _plan_table(plan.initial_state, plan.observable, plan.readout)

@@ -547,37 +547,62 @@ class TestPlanTables:
                                   values[r])
 
 
-def pair_coefficients(state, word, readouts):
-    """{theta: (readouts, 3) P, Q, D} summed pair by pair, as _kernel defines them.
+def entry_coefficients(state, word, readouts):
+    """{sigma theta: (readouts, 3) P, Q, D} summed entry by entry, as _kernel defines them.
 
-    Each pair {e, e'} of entries e = (a, b) and e' = (perm a, perm b), mirrored
-    by the observable, is taken once at its smaller flat index, with angle
-    theta = (z_b - z_a)/2, sigma = O[a, perm a] conj(O[b, perm b]) and w_e'
-    read as 0 when e' = e.
+    Entry e = (a, b) has angle theta = (z_b - z_a)/2 and sigma, the sign of
+    the first nonzero component of theta on the spins the word flips (0 if
+    there is none). It joins the column of theta with that part times sigma,
+    adding P = w_e rho0[e], Q = i sigma P and D = w_e ((O rho0 O)[e] - rho0[e])/2.
     """
     k = len(word)
     dim = 2**k
     psi = resolve_state(state)
     rho = np.outer(psi, psi.conj())
-    weights = [readout_operator(r).T for r in readouts]
     o = pauli_matrix(word)
-    perm = np.abs(o).argmax(axis=1)
+    mirrored = o @ rho @ o
+    weights = [readout_operator(r).T for r in readouts]
+    flips = [letter in "XY" for letter in word]
     z = basis_signs(k)
     terms = {}
     for a in range(dim):
         for b in range(dim):
-            pa, pb = perm[a], perm[b]
-            if pa * dim + pb < a * dim + b:
-                continue
-            sigma = (o[a, pa] * np.conj(o[b, pb])).real
-            theta = tuple(0.5 * (z[b] - z[a]))
+            theta = 0.5 * (z[b] - z[a])
+            flipped = [t for t, f in zip(theta, flips) if f and t != 0]
+            sigma = np.sign(flipped[0]) if flipped else 0.0
+            key = tuple(sigma * t if f else t for t, f in zip(theta, flips))
             for r, w in enumerate(weights):
-                w_m = 0 if (pa, pb) == (a, b) else w[pa, pb]
-                big_a, big_c = w[a, b] * rho[a, b], w_m * rho[pa, pb]
-                big_b = sigma * (w[a, b] * rho[pa, pb] + w_m * rho[a, b])
-                terms.setdefault(theta, np.zeros((len(readouts), 3), complex))[r] += (
-                    big_a + big_c, 1j * (big_a - big_c), 0.5 * (big_b - big_a - big_c))
+                big_p = w[a, b] * rho[a, b]
+                terms.setdefault(key, np.zeros((len(readouts), 3), complex))[r] += (
+                    big_p, 1j * sigma * big_p, 0.5 * w[a, b] * (mirrored[a, b] - rho[a, b]))
     return terms
+
+
+def check_table(state, word, readouts):
+    """Assert that a plan's table holds the entry sums, with None for an all-zero Q or D."""
+    table = ensemble._plan_table(state, word, readouts)
+    # a real table holds the real parts, all that a theta_u = 0 term reads
+    real = not np.iscomplexobj(table.p)
+    want = {theta: coef.real if real else coef
+            for theta, coef in entry_coefficients(state, word, readouts).items()}
+    angles = [tuple(f + u) for f, u in zip(table.flipped, table.unflipped)]
+    assert set(angles) <= set(want)
+    for theta, coef in want.items():
+        if theta not in angles:
+            assert np.max(np.abs(coef)) < 1e-12
+            continue
+        for i, name in enumerate("pqd"):
+            got = coefficients(getattr(table, name), table.p.shape)
+            assert np.max(np.abs(got[:, angles.index(theta)] - coef[:, i])) < 1e-12
+    for name, i in (("q", 1), ("d", 2)):
+        stored = getattr(table, name)
+        assert (stored is None) == all(np.max(np.abs(coef[:, i])) < 1e-12
+                                       for coef in want.values())
+        assert stored is None or stored.any()
+    # each stored theta_f is 0 or has a positive first nonzero component
+    for flipped in table.flipped:
+        assert not flipped.any() or flipped[flipped != 0][0] > 0
+    return table
 
 
 # the kernel_deep benchmark's tables: its two ensemble plans, and the
@@ -593,25 +618,23 @@ class TestQDElision:
     def test_q_and_d_are_none_exactly_when_zero(self, word, data):
         state = data.draw(states_for(word))
         readouts = tuple(data.draw(st.just([word]) | readouts_for(len(word))))
-        table = ensemble._plan_table(state, word, readouts)
-        # a real table holds the real parts, all that a theta_u = 0 term reads
-        real = not np.iscomplexobj(table.p)
-        want = {theta: coef.real if real else coef
-                for theta, coef in pair_coefficients(state, word, readouts).items()}
-        angles = [tuple(f + u) for f, u in zip(table.flipped, table.unflipped)]
-        assert set(angles) <= set(want)
-        for theta, coef in want.items():
-            if theta not in angles:
-                assert np.max(np.abs(coef)) < 1e-12
-                continue
-            for i, name in enumerate("pqd"):
-                got = coefficients(getattr(table, name), table.p.shape)
-                assert np.max(np.abs(got[:, angles.index(theta)] - coef[:, i])) < 1e-12
-        for name, i in (("q", 1), ("d", 2)):
-            stored = getattr(table, name)
-            assert (stored is None) == all(np.max(np.abs(coef[:, i])) < 1e-12
-                                           for coef in want.values())
-            assert stored is None or stored.any()
+        check_table(state, word, readouts)
+
+    @pytest.mark.parametrize("state,word,readouts,zero", [
+        ("X,-Y,-Y,X", "YXXI", ("F:X,1,Y,Y",), "q"),
+        ("-X,0,-X,-Y", "XXXZ", ("F:-X,Y,-X,-X", "XYXX"), "q"),
+        ("Y,-X,Y,Y", "XXIY", ("XZII", "F:0,Y,-Y,-X"), "d"),
+    ])
+    def test_rounding_residues_are_stored_as_zero(self, state, word, readouts, zero):
+        # each column's sum cancels to a rounding residue of at most 3e-17
+        # in some summation order; the table stores it as exactly 0
+        assert getattr(check_table(state, word, readouts), zero) is None
+
+    def test_observable_that_flips_no_spin_has_no_q(self):
+        # theta_f = 0 on every entry, where sin alpha_f is 0
+        table = check_table("X,Y,0", "ZZI", ("XYZ", "F:X,Y,0"))
+        assert table.q is None and table.d is not None
+        assert not table.flipped.any()
 
     def test_figure_and_benchmark_plans_have_neither(self):
         # each starts in a +1 eigenstate of its observable and reads an
