@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,10 +85,11 @@ class ExperimentPlan:
     must fit the register of k = len(noise.t2_star) spins. Analysis-time
     amplitudes are not part of the plan; the figure pipelines apply them.
 
-    The plan is the one gate for an experiment's description. Each field is
-    checked and stored as a built-in type (model.checked): the state and
-    observable as str, the readouts as a tuple of str, the tau grid as a
-    float tuple, and N, shots and seed as int. numpy scalars pass, so
+    The plan is the one gate for an experiment's description. noise must
+    be a NoiseModel, which checks its own times, else TypeError. Each other
+    field is checked and stored as a built-in type (model.checked): the
+    state and observable as str, the readouts as a tuple of str, the tau
+    grid as a float tuple, and N, shots and seed as int. numpy scalars pass, so
     np.int64(2) is stored as 2; a bool, a fractional N, shot count or seed,
     a string where a number belongs and a bare string of readouts raise
     TypeError. Equal plans therefore stream, hash and print alike. A value
@@ -105,6 +107,8 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.noise, NoiseModel):
+            raise TypeError(f"noise must be a NoiseModel, got {self.noise!r}")
         for name, kind in (("initial_state", str), ("observable", str), ("readout", (str,)),
                            ("n_projections", int), ("tau_grid", (float,)), ("shots", int),
                            ("seed", int)):
@@ -170,7 +174,9 @@ def sample_detunings(seed: int, stream: int, points: Sequence[int], shots: int,
     """Quasi-static detuning vectors of every shot at the given tau points.
 
     Returns each point's (shots, k) block in turn, stacked to
-    (len(points) * shots, k); a single index counts as one point. Philox is
+    (len(points) * shots, k); a single index counts as one point. Points
+    are read as ints (model.checked, so 0.5 and True raise TypeError) in
+    [0, 2**64), else ValueError. Philox is
     keyed by (seed, stream), ExperimentPlan.stream for a plan, with the
     point index in the top counter word: each point's block is the same in
     any execution order and any selection of points, and more shots extend
@@ -179,12 +185,16 @@ def sample_detunings(seed: int, stream: int, points: Sequence[int], shots: int,
     counter [0, 0, 0, p] with an empty buffer, which is the state a new
     Philox keyed by (seed, stream) at that counter starts in.
     """
-    points = np.atleast_1d(np.asarray(points, dtype=np.uint64))
+    # numpy points as Python ints, so that a 0-d array is one point
+    points = getattr(points, "tolist", lambda: points)()
+    points = checked((int,), [points] if isinstance(points, Integral) else points, "points")
+    if points and not (0 <= min(points) and max(points) < 2**64):
+        raise ValueError(f"points must lie in [0, 2**64), got {min(points)} to {max(points)}")
     bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     gen = np.random.Generator(bg)
     state = dict(bg.state, buffer_pos=4, has_uint32=0)
     counter = state["state"]["counter"]
-    out = np.empty((points.size * shots, len(noise.t2_star)))
+    out = np.empty((len(points) * shots, len(noise.t2_star)))
     for i, p in enumerate(points):
         counter[3] = p
         bg.state = state
@@ -320,10 +330,10 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
     BLAS, along C-ordered rows; it takes one cos and one real power per
     angle, a sin only when the table has Q terms, D only when it has D
     terms, and exp(i(N+1) alpha_u) only when the table is complex. The
-    power is |c|**(N-1), with the sign of c restored when N-1 is odd. Each
-    readout then sums its angles one after another; an angle with zero
-    coefficients adds exactly 0, so a readout's values are bit-identical
-    whatever readouts share the plan.
+    power is |c|**(N-1), with the sign of c restored when N-1 is odd, and
+    is skipped at N = 1. Each readout then sums its angles one after
+    another; an angle with zero coefficients adds exactly 0, so a readout's
+    values are bit-identical whatever readouts share the plan.
     """
     n = plan.n_projections
     table = _plan_table(plan.initial_state, plan.observable, plan.readout)
@@ -343,10 +353,11 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
             v *= c
             if table.d is not None:
                 v += table.d[..., None]
-            # numpy's power is slow on a negative base: raise |c|, then
-            # restore the sign where the exponent is odd
-            power = np.abs(c) ** (n - 1)
-            v *= np.copysign(power, c, out=power) if n % 2 == 0 else power
+            # the power is 1 at N = 1; numpy's power is slow on a negative
+            # base: raise |c|, then restore the sign where the exponent is odd
+            if n > 1:
+                power = np.abs(c) ** (n - 1)
+                v *= np.copysign(power, c, out=power) if n % 2 == 0 else power
         if np.iscomplexobj(table.p):
             v *= np.exp((n + 1) * 1j * (table.unflipped[:, :, None] * step).sum(axis=1))
         out[:, lo:hi] = v.real.sum(axis=1)

@@ -87,6 +87,9 @@ class TestSampleDetunings:
         assert np.array_equal(a, b)
         # a longer block extends the same stream
         assert np.array_equal(sample_detunings(42, 5, [3], 20, noise)[:7], a)
+        # one index, as an int, a numpy scalar or a 0-d array, is one point
+        for point in (3, np.uint64(3), np.array(3)):
+            assert np.array_equal(sample_detunings(42, 5, point, 7, noise), a)
 
     def test_distinct_across_shots(self):
         noise = NoiseModel((12.4,))
@@ -105,6 +108,15 @@ class TestSampleDetunings:
         sigma = math.sqrt(2) / 12.4
         assert abs(x.std() - sigma) / sigma < 0.01
         assert abs(x.mean()) < 4 * sigma / math.sqrt(100_000)
+
+    @pytest.mark.parametrize("points,error", [
+        # 0.5 would draw point 0's block, a stream collision
+        (0.5, TypeError), ([0, 0.5], TypeError), (True, TypeError),
+        (-1, ValueError), ([2**64], ValueError),
+    ])
+    def test_points_are_nonnegative_ints(self, points, error):
+        with pytest.raises(error, match="points"):
+            sample_detunings(1, 5, points, 3, NoiseModel((12.4,)))
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.integers(1, 4),
@@ -621,20 +633,17 @@ class TestQDElision:
         check_table(state, word, readouts)
 
     @pytest.mark.parametrize("state,word,readouts,zero", [
+        # each sum cancels to a rounding residue of at most 3e-17 in some
+        # summation order; the table stores it as exactly 0
         ("X,-Y,-Y,X", "YXXI", ("F:X,1,Y,Y",), "q"),
         ("-X,0,-X,-Y", "XXXZ", ("F:-X,Y,-X,-X", "XYXX"), "q"),
         ("Y,-X,Y,Y", "XXIY", ("XZII", "F:0,Y,-Y,-X"), "d"),
+        # the observable flips no spin: theta_f = 0 on every entry, where
+        # sin alpha_f is 0
+        ("X,Y,0", "ZZI", ("XYZ", "F:X,Y,0"), "q"),
     ])
-    def test_rounding_residues_are_stored_as_zero(self, state, word, readouts, zero):
-        # each column's sum cancels to a rounding residue of at most 3e-17
-        # in some summation order; the table stores it as exactly 0
+    def test_zero_terms_are_none(self, state, word, readouts, zero):
         assert getattr(check_table(state, word, readouts), zero) is None
-
-    def test_observable_that_flips_no_spin_has_no_q(self):
-        # theta_f = 0 on every entry, where sin alpha_f is 0
-        table = check_table("X,Y,0", "ZZI", ("XYZ", "F:X,Y,0"))
-        assert table.q is None and table.d is not None
-        assert not table.flipped.any()
 
     def test_figure_and_benchmark_plans_have_neither(self):
         # each starts in a +1 eigenstate of its observable and reads an
@@ -724,6 +733,7 @@ class TestValidation:
     @pytest.mark.parametrize("field,bad", [
         ("seed", 3.7), ("n_projections", 2.5), ("n_projections", True), ("shots", 2.0),
         ("tau_grid", ("1", "5")), ("readout", "X"), ("readout", ()), ("initial_state", 5),
+        ("noise", (12.4,)), ("noise", None),
         # N + 1 must convert to a float in the kernel
         ("n_projections", 2**64),
         pytest.param("n_projections", 10**400, id="n_projections-10**400"),
