@@ -27,6 +27,9 @@ MAX_HALVINGS = 50
 # their products and squares in the normal equations stay far below the
 # float range.
 MAX_SCALE = 1e100
+# least_squares accepts a cost rise up to _SLACK_EPS * sum |r| (|w y| + |r|),
+# the cost's rounding error with a margin
+_SLACK_EPS = 8 * float(np.finfo(float).eps)
 
 
 class FitError(RuntimeError):
@@ -74,57 +77,99 @@ class ScalingFit:
                 "normalized_times": {str(n): t for n, t in self.normalized_times.items()}}
 
 
-def _solve_linear(columns, w, wy, theta):
-    """(dphi, A = w*phi, c, r, cost) at theta, or None where theta is rejected.
+def _gram_solve(g, rhs):
+    """x with g @ x = rhs for a 1x1 or 2x2 Gram matrix g, worked in Python floats.
 
-    c solves the normal equations (A^T A) c = A^T (w y) and r = A c - w y.
-    theta is rejected when columns raises ValueError, when the equations
-    are singular, when a float error is raised (under np.errstate) or when
-    the cost is not finite.
+    The 2x2 system is solved by elimination with partial pivoting: the rows
+    are swapped when |g10| > |g00|. Raises np.linalg.LinAlgError when a pivot
+    is 0 or not finite, or when x is not finite.
+    """
+    g, rhs = g.tolist(), rhs.tolist()
+    if len(rhs) == 1:
+        x = [rhs[0] / _pivot(g[0][0])]
+    else:
+        (g00, g01), (g10, g11) = g
+        r0, r1 = rhs
+        if abs(g10) > abs(g00):
+            g00, g01, r0, g10, g11, r1 = g10, g11, r1, g00, g01, r0
+        factor = g10 / _pivot(g00)
+        x1 = (r1 - factor * r0) / _pivot(g11 - factor * g01)
+        x = [(r0 - g01 * x1) / g00, x1]
+    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):
+        raise np.linalg.LinAlgError("normal equations have no finite solution")
+    return np.array(x)
+
+
+def _pivot(p):
+    """p, unless it is 0 or not finite (np.linalg.LinAlgError)."""
+    if p == 0 or not math.isfinite(p):
+        raise np.linalg.LinAlgError(f"normal equations have pivot {p!r}")
+    return p
+
+
+def _solve_linear(columns, w, wy, theta):
+    """(dphi, A = w*phi, G = A^T A, c, r, cost) at theta, or None where theta is rejected.
+
+    c solves the normal equations G c = A^T (w y) and r = A c - w y. theta
+    is rejected when columns raises ValueError, when the equations are
+    singular, when a float error is raised (under np.errstate) or when the
+    cost is not finite. More than 2 columns is a ValueError.
     """
     try:
         phi, dphi = columns(theta)
+    except (ValueError, FloatingPointError):
+        return None
+    if phi.shape[1] > 2:
+        raise ValueError(f"least_squares solves for at most 2 linear parameters, "
+                         f"not {phi.shape[1]}")
+    try:
         a = w[:, None] * phi
-        c = np.linalg.solve(a.T @ a, a.T @ wy)
-    except (ValueError, np.linalg.LinAlgError, FloatingPointError):
+        g = a.T @ a
+        c = _gram_solve(g, a.T @ wy)
+    except (np.linalg.LinAlgError, FloatingPointError):
         return None
     r = a @ c - wy
     cost = float(r @ r)
-    return (dphi, a, c, r, cost) if math.isfinite(cost) else None
+    return (dphi, a, g, c, r, cost) if math.isfinite(cost) else None
 
 
 def least_squares(columns: Callable[[float], tuple], y: Sequence[float],
                   weights: Sequence[float], theta0: float) -> tuple:
     """Variable-projection Gauss-Newton fit of y ~ phi(theta) @ c.
 
-    columns(theta) returns the model columns phi (points x q) and their
-    theta-derivatives dphi. For each trial theta the linear parameters c
-    are solved exactly from the weighted normal equations; theta then takes
-    the reduced (Kaufman) Gauss-Newton step, halved while the cost rises.
-    A rejected trial theta counts as a rise. Standard errors come from the
-    full analytic Jacobian at the optimum, scaled by cost/dof.
+    columns(theta) returns the model columns phi (points x q, q = 1 or 2)
+    and their theta-derivatives dphi; a third column is a ValueError. For
+    each trial theta the linear parameters c are solved exactly from the
+    weighted normal equations, by _gram_solve; theta then takes the reduced
+    (Kaufman) Gauss-Newton step, halved while the cost rises. A rejected
+    trial theta counts as a rise. Standard errors come from the full
+    analytic Jacobian at the optimum, scaled by cost/dof.
 
     Returns (p, std_errors, rss, converged, iterations) with p = (*c, theta),
     or p = (theta0,) and no finite error when theta0 itself is rejected.
     """
     w = np.asarray(weights, dtype=float)
     wy = w * np.asarray(y, dtype=float)
+    abs_wy = np.abs(wy)
     theta, converged, it = float(theta0), False, 0
     state = _solve_linear(columns, w, wy, theta)
     if state is None:
         return np.array([theta]), np.array([math.nan]), math.inf, False, 0
-    dphi, a, c, r, cost = state
+    dphi, a, g, c, r, cost = state
     for it in range(1, MAX_ITER + 1):
         # Only the part of d(A c)/d(theta) outside the span of A moves the cost.
         b = w * (dphi @ c)
-        jk = b - a @ np.linalg.solve(a.T @ a, a.T @ b)
+        try:
+            jk = b - a @ _gram_solve(g, a.T @ b)
+        except np.linalg.LinAlgError:
+            break
         curvature = float(jk @ jk)
         step = -float(b @ r) / curvature if curvature > 0 else math.nan
         if not math.isfinite(step):
             break
         # A rise within the rounding error of the cost (about 2 eps sum |r| |w y|,
         # here with a margin) cannot be told from a fall, so it is accepted.
-        slack = 8 * np.finfo(float).eps * float(np.abs(r) @ (np.abs(wy) + np.abs(r)))
+        slack = _SLACK_EPS * float(np.abs(r) @ (abs_wy + np.abs(r)))
         for _ in range(MAX_HALVINGS):
             state = _solve_linear(columns, w, wy, theta + step)
             if state is not None and state[-1] <= cost + slack:
@@ -133,7 +178,7 @@ def least_squares(columns: Callable[[float], tuple], y: Sequence[float],
         else:
             break
         theta += step
-        dphi, a, c, r, cost = state
+        dphi, a, g, c, r, cost = state
         if abs(step) <= REL_TOL * abs(theta):
             converged = True
             break
@@ -210,13 +255,15 @@ def _fit_decay(curve: DecayCurve, n_projections: int,
     t2_guess = max(float(t2_guess), 1e-6)
     # Below this T2eff, (tau/T)^2 could overflow; no decay is that fast.
     t_min = 1e-9 * float(np.max(np.abs(tau)))
-    ones, zeros = np.ones(tau.size), np.zeros(tau.size)
+    # columns (m, 1) and their slopes (dm, 0); each trial returns fresh
+    # copies, since the accepted trial's arrays are kept
+    phi, dphi = np.ones((tau.size, 2)), np.zeros((tau.size, 2))
 
     def columns(t):
         if not t > t_min:
             raise ValueError(f"T2eff {t!r} out of range")
-        m, dm = _decay_and_slope(n_projections, tau, t)
-        return np.column_stack([m, ones]), np.column_stack([dm, zeros])
+        phi[:, 0], dphi[:, 0] = _decay_and_slope(n_projections, tau, t)
+        return phi.copy(), dphi.copy()
 
     p, errs, rss, converged, it = least_squares(columns, y, w, t2_guess)
     _check(converged, errs, f"decay fit (N={n_projections})")

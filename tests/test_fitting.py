@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenosim import fitting, model
 from zenosim.ensemble import DecayCurve
@@ -172,6 +174,88 @@ class TestFitDecay:
             assert abs(grad) < 1e-6 * max(scale, c0 / max(abs(p[j]), 1e-3))
 
 
+@st.composite
+def _gram_systems(draw):
+    """(g, rhs) = (A^T A, A^T y) of random (points x q) columns A, q = 1 or 2.
+
+    Each column of A, and y, has its own scale between 1e-100 and 1e100.
+    """
+    q = draw(st.integers(1, 2))
+    points = draw(st.integers(q, 8))
+    scales = [10.0 ** draw(st.integers(-100, 100)) for _ in range(q + 1)]
+    unit = st.integers(-2**20, 2**20).map(lambda k: k / 2**20)
+    a = np.array([[draw(unit) * s for s in scales[:q]] for _ in range(points)])
+    y = np.array([draw(unit) * scales[q] for _ in range(points)])
+    return a.T @ a, a.T @ y
+
+
+class TestGramSolve:
+    """fitting._gram_solve, the fits' 1x1 and 2x2 normal equations in floats."""
+
+    def test_residual_within_rounding(self):
+        # |g x - rhs| <= 16 eps (|g| |x| + |rhs|) in the max norm; entry by
+        # entry it does not hold for partial pivoting, LAPACK's included.
+        # Only columns parallel to within rounding may raise.
+        eps = np.finfo(float).eps
+        orders = set()
+
+        @settings(derandomize=True, max_examples=400, deadline=None)
+        @given(_gram_systems())
+        def check(system):
+            g, rhs = system
+            q = rhs.size
+            g00, g01, g11 = float(g[0, 0]), float(g[0, -1]), float(g[-1, -1])
+            parallel = g00 == 0 or g11 == 0 or (
+                q == 2 and (g01 / g00) * (g01 / g11) >= 1 - 64 * eps)
+            try:
+                x = fitting._gram_solve(g, rhs)
+            except np.linalg.LinAlgError:
+                assert parallel
+                return
+            if parallel:
+                return
+            if q == 2:
+                orders.add(abs(g01) > g00)
+            residual = np.max(np.abs(g @ x - rhs))
+            assert residual <= 16 * eps * np.max(np.abs(g) @ np.abs(x) + np.abs(rhs))
+
+        check()
+        assert orders == {False, True}
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_parallel_columns_raise(self, q):
+        # every tau equal to 0 makes the Gaussian's column m equal the
+        # constant one; at q = 1 the one column is 0
+        m, _ = model._decay_and_slope(0, np.zeros(6), 6.0)
+        a = np.column_stack([m, np.ones(6)]) if q == 2 else np.zeros((6, 1))
+        with pytest.raises(np.linalg.LinAlgError):
+            fitting._gram_solve(a.T @ a, a.T @ np.linspace(0.2, 0.9, 6))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("q,part,index", [
+        (2, 0, (0, 0)), (2, 0, (0, 1)), (2, 0, (1, 0)), (2, 0, (1, 1)),
+        (2, 1, 0), (2, 1, 1), (1, 0, (0, 0)), (1, 1, 0)])
+    def test_non_finite_entries_raise(self, q, part, index, value):
+        # one entry of g (part 0) or of rhs (part 1) is not finite
+        system = ([np.array([[4.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0])] if q == 2
+                  else [np.array([[2.0]]), np.array([1.0])])
+        system[part][index] = value
+        with pytest.raises(np.linalg.LinAlgError):
+            fitting._gram_solve(*system)
+
+    @pytest.mark.parametrize("guess", [None, 6.0])
+    @pytest.mark.parametrize("tau,y", [
+        (np.zeros(8), np.linspace(0.2, 0.9, 8)),
+        (np.full(8, 5.0), np.linspace(0.2, 0.9, 8)),
+        (np.linspace(0, 20, 8), [1, 0.8, math.nan, 0.5, 0.3, 0.2, 0.1, 0.05]),
+        (np.linspace(0, 20, 8), [1, 0.8, math.inf, 0.5, 0.3, 0.2, 0.1, 0.05]),
+    ], ids=["every tau 0", "every tau 5", "nan mean", "inf mean"])
+    def test_degenerate_curve_is_a_fit_error(self, tau, y, guess):
+        # a numpy warning on the way fails the test (filterwarnings = error)
+        with pytest.raises(FitError):
+            fit_decay(curve_from(tau, y, np.full(8, 0.01), n=2), 2, t2_guess=guess)
+
+
 class TestVariableProjection:
     def _noisy(self, seed, n=2, noise=0.01):
         tau = np.linspace(0, 40, 25)
@@ -194,8 +278,10 @@ class TestVariableProjection:
             trials.append(t2eff)
             return model._decay_and_slope(n, taus, t2eff)
 
+        # and the normal equations never go through LAPACK's solve
         with mock.patch.object(fitting, "_decay_and_slope", side_effect=spy), \
-                mock.patch.object(model, "decay_curve", side_effect=AssertionError):
+                mock.patch.object(model, "decay_curve", side_effect=AssertionError), \
+                mock.patch.object(np.linalg, "solve", side_effect=AssertionError):
             res = fit_decay(curve, 4, t2_guess=6.0)
         assert res.converged
         assert len(trials) == res.iterations + 1
@@ -294,7 +380,8 @@ class TestFitScaling:
 
     def test_analytic_times_give_paper_exponents(self):
         times = {n: sqrt_e_time(n, 1.0) for n in range(0, 17, 2)}
-        fit = fit_scaling(times)
+        with mock.patch.object(np.linalg, "solve", side_effect=AssertionError):
+            fit = fit_scaling(times)
         assert fit.mu == pytest.approx(0.77, abs=0.02)
         assert fit.nu == pytest.approx(0.63, abs=0.02)
 
@@ -374,3 +461,15 @@ def test_least_squares_linear_problem():
     assert converged
     assert np.allclose(p, [1.0, 2.0, 3.0], atol=1e-8)
     assert rss < 1e-15
+
+
+def test_least_squares_takes_at_most_two_linear_parameters():
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+
+    def columns(theta):
+        power = x**theta
+        return (np.column_stack([np.ones_like(x), x, power]),
+                np.column_stack([np.zeros_like(x), np.zeros_like(x), power * np.log(x)]))
+
+    with pytest.raises(ValueError, match="at most 2 linear parameters"):
+        least_squares(columns, 1.0 + x**3, np.ones_like(x), 2.5)
