@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -512,6 +513,27 @@ class TestScalingCommand:
         res = json.loads(out.read_text())
         assert res["normalized_times"] == {"0": 1.0, "2": 2.0, big: 3.0}
         assert np.isfinite([res["mu"], res["nu"], res["mu_err"], res["nu_err"]]).all()
+
+
+def test_readme_pipeline(tmp_path):
+    # the README's steps in order: simulate its example config, reproduce
+    # fig2c, fit the curves and fit the scaling law; a numpy RuntimeWarning
+    # on the way fails the test (pytest's filterwarnings = error)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```json\n(.*?)^```$", readme, re.M | re.S)
+    plan = tmp_path / "plan.json"
+    plan.write_text(block)
+    fits, scaling = tmp_path / "fits.json", tmp_path / "scaling.json"
+    steps = [["simulate", "--config", str(plan), "--out", str(tmp_path / "results")],
+             ["reproduce", "fig2c", "--shots", "200", "--out", str(tmp_path / "repro")],
+             ["fit", "--in", str(tmp_path / "repro" / "fig2c_N*.csv"), "--out", str(fits)],
+             ["scaling", "--in", str(fits), "--out", str(scaling)]]
+    for argv in steps:
+        code, _, err = _main_quiet(argv)
+        assert code == 0, (argv, err)
+    rows = json.loads(fits.read_text())["fits"]
+    assert len(rows) == 5 and all(row["converged"] for row in rows)
+    assert math.isfinite(json.loads(scaling.read_text())["nu"])
 
 
 class TestReproduce:
