@@ -329,38 +329,52 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
     angle's phase over the spins with numpy, in a fixed order, rather than
     BLAS, along C-ordered rows; it takes one cos and one real power per
     angle, a sin only when the table has Q terms, D only when it has D
-    terms, and exp(i(N+1) alpha_u) only when the table is complex. The
-    power is |c|**(N-1), with the sign of c restored when N-1 is odd, and
-    is skipped at N = 1. Each readout then sums its angles one after
-    another; an angle with zero coefficients adds exactly 0, so a readout's
-    values are bit-identical whatever readouts share the plan.
+    terms, and exp(i(N+1) alpha_u) only when the table is complex. For a
+    table with neither Q nor D terms and N >= 4 a value is P c**(N+1), taken
+    as one power |c|**(N+1) with the sign of c restored when N+1 is odd;
+    otherwise the power is |c|**(N-1), with the sign restored when N-1 is
+    odd, skipped at N = 1. Each readout then sums its angles one after
+    another, straight into the output; an angle with zero coefficients adds
+    exactly 0, so a readout's values are bit-identical whatever readouts
+    share the plan.
     """
     n = plan.n_projections
     table = _plan_table(plan.initial_state, plan.observable, plan.readout)
+    flipped, unflipped = table.flipped[:, :, None], table.unflipped[:, :, None]
+    p, q, d = (None if a is None else a[..., None] for a in (table.p, table.q, table.d))
+    complex_table = table.p.dtype.kind == "c"
+    # without Q and D a value is P c**(N+1): one power, taken from N = 4 on,
+    # where the product form's exponent N-1 is past numpy's fast 1 and 2
+    one_power = q is None and d is None and n >= 4
     rows = len(seg)
     out = np.empty((len(table.p), rows))
     chunk = max(1, _CHUNK_ENTRIES // max(table.p.size, 1))
     for lo in range(0, rows, chunk):
-        hi = min(lo + chunk, rows)
+        hi = lo + chunk
         # C order, so the sum over spins below runs along contiguous rows
         step = np.multiply(deltas[lo:hi].T, seg[lo:hi], order="C")
-        alpha = (table.flipped[:, :, None] * step).sum(axis=1)
+        alpha = (flipped * step).sum(axis=1)
         c = np.cos(alpha)
-        v = table.p[..., None] * c
-        if table.q is not None:
-            v += table.q[..., None] * np.sin(alpha)
-        if n:
-            v *= c
-            if table.d is not None:
-                v += table.d[..., None]
-            # the power is 1 at N = 1; numpy's power is slow on a negative
-            # base: raise |c|, then restore the sign where the exponent is odd
-            if n > 1:
-                power = np.abs(c) ** (n - 1)
-                v *= np.copysign(power, c, out=power) if n % 2 == 0 else power
-        if np.iscomplexobj(table.p):
-            v *= np.exp((n + 1) * 1j * (table.unflipped[:, :, None] * step).sum(axis=1))
-        out[:, lo:hi] = v.real.sum(axis=1)
+        # numpy's power is slow on a negative base: raise |c|, then restore
+        # the sign where the exponent is odd
+        if one_power:
+            power = np.abs(c) ** (n + 1)
+            v = p * (np.copysign(power, c, out=power) if n % 2 == 0 else power)
+        else:
+            v = p * c
+            if q is not None:
+                v += q * np.sin(alpha)
+            if n:
+                v *= c
+                if d is not None:
+                    v += d
+                # the power is 1 at N = 1
+                if n > 1:
+                    power = np.abs(c) ** (n - 1)
+                    v *= np.copysign(power, c, out=power) if n % 2 == 0 else power
+        if complex_table:
+            v *= np.exp((n + 1) * 1j * (unflipped * step).sum(axis=1))
+        np.add.reduce(v.real, axis=1, out=out[:, lo:hi])
     return out
 
 

@@ -217,8 +217,9 @@ def fit_decay(curve: DecayCurve, n_projections: int,
     the quadrature combination of nominal per-spin values; without one a
     crossing-time heuristic on the data is used. A given guess is read as
     an effective dephasing time (a finite positive float, model._t2eff).
-    Raises FitError for any other N or guess and for data whose fit leaves
-    the float range (values or error bars near its ends), rather than
+    Raises FitError for any other N or guess, for constant means or a tau
+    grid whose points are all equal, and for data whose fit leaves the
+    float range (values or error bars near its ends), rather than
     warn: the fit runs with numpy's overflow, division and invalid-value
     errors raised.
     """
@@ -244,6 +245,8 @@ def _fit_decay(curve: DecayCurve, n_projections: int,
         raise FitError("need at least 4 points for a decay fit")
     if np.ptp(y) < 1e-12:
         raise FitError("degenerate data: curve is constant")
+    if (tau == tau[0]).all():
+        raise FitError("degenerate data: every tau is equal")
     w = _weights(curve)
     if t2_guess is None:
         # Heuristic: locate the 1/sqrt(e) crossing of the normalized data

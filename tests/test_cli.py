@@ -304,6 +304,16 @@ class TestFitCommand:
         row = json.loads(out)["fits"][0]
         assert row["converged"] is False and "overflow" in row["error"]
 
+    def test_constant_tau_grid_is_a_failed_fit(self, tmp_path):
+        lines = ["# zenosim curve v1", "# n_projections: 2", "tau_ms,mean,stderr"]
+        lines += [f"5,{v},0.01" for v in (0.9, 0.8, 0.7, 0.6, 0.5)]
+        (tmp_path / "c0.csv").write_text("\n".join(lines) + "\n")
+        code, out, err = _main_quiet(["fit", "--in", str(tmp_path / "*.csv")])
+        _assert_one_error_line(code, err)
+        row = json.loads(out)["fits"][0]
+        assert row["converged"] is False
+        assert row["error"] == "degenerate data: every tau is equal"
+
     def test_directory_matched_is_an_io_error(self, tmp_path, capsys):
         self._write_gaussian(tmp_path / "c0.csv")
         (tmp_path / "d.csv").mkdir()

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zenosim import cli, ensemble, logical
@@ -406,6 +406,43 @@ class TestKernelProperties:
                                table.p.size * data.draw(st.integers(1, 40))):
             got = ensemble._kernel(plan, deltas, seg)
         assert np.max(np.abs(got - loop_kernel(plan, deltas, seg).T)) < 1e-12
+
+    @settings(deadline=None, max_examples=60)
+    @given(PAULI_WORDS, st.data(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+    def test_one_power_matches_product_form(self, word, data, rows, seed):
+        # a table with neither Q nor D takes P c**(N+1) as one power from
+        # N = 4 on: within 8 eps sum|P| of the product P c c sign|c|**(N-1),
+        # and that product itself, to the bit, below N = 4
+        k = len(word)
+        state = data.draw(states_for(word))
+        readout = tuple(data.draw(st.just([word]) | readouts_for(k)))
+        table = ensemble._plan_table(state, word, readout)
+        assume(table.q is None and table.d is None)
+        n = data.draw(st.integers(0, 300) | st.sampled_from([1023, 10**6]))
+        plan = make_plan(noise=NoiseModel((10.0,) * k), initial_state=state,
+                         observable=word, readout=readout, n_projections=n)
+        rng = np.random.default_rng(seed)
+        deltas = rng.uniform(-0.5, 0.5, (rows, k))
+        # taus up to 40, and segments up to 40, whose cosines near -1 keep
+        # odd and even powers apart at any N
+        seg = rng.uniform(0.0, 40.0, rows) / rng.choice([1, n + 1], rows)
+        got = ensemble._kernel(plan, deltas, seg)
+        # the kernel's phase sum, so that both sides raise the same cosines
+        step = np.multiply(deltas.T, seg, order="C")
+        c = np.cos((table.flipped[:, :, None] * step).sum(axis=1))
+        v = table.p[..., None] * c
+        if n:
+            v *= c
+            power = np.abs(c) ** (n - 1)
+            v *= np.copysign(power, c) if n % 2 == 0 else power
+        if np.iscomplexobj(table.p):
+            v *= np.exp((n + 1) * 1j * (table.unflipped[:, :, None] * step).sum(axis=1))
+        want = v.real.sum(axis=1)
+        if n < 4:
+            assert np.array_equal(got, want)
+        else:
+            bound = 8 * np.finfo(float).eps * np.abs(table.p).sum(axis=1)
+            assert (np.abs(got - want) <= bound[:, None]).all()
 
     @settings(deadline=None, max_examples=40)
     @given(PAULI_WORDS.filter(lambda w: len(w) <= 3), st.integers(0, 6),
