@@ -299,6 +299,35 @@ def _plan_table(initial_state: str, observable: str, readouts: Tuple[str, ...]) 
     return table
 
 
+@lru_cache(maxsize=256)
+def _power_groups(initial_state: str, observable: str, readouts: Tuple[str, ...],
+                  deep: bool) -> Tuple[tuple, ...]:
+    """A plan's readouts for _kernel, as (index, one_power, p, q, d) groups.
+
+    Without Q and D a readout's value is P c**(N+1): one power, taken when
+    deep (N >= 4), where the product form's exponent N-1 is past numpy's
+    fast 1 and 2. A readout takes it when its own Q and D are 0, as it
+    would alone, whatever the other readouts of the plan hold. The index
+    is a slice when one group holds every readout; p, q and d are the
+    group's rows of the plan's table (_plan_table), with a trailing axis
+    for the rows of a chunk, and q or d is None where the table's is.
+    """
+    table = _plan_table(initial_state, observable, readouts)
+    free = np.ones(len(table.p), bool)
+    for terms in (table.q, table.d):
+        if terms is not None:
+            free &= ~terms.any(axis=1)
+    if not deep or not free.any():
+        split = [(slice(None), False)]
+    elif free.all():
+        split = [(slice(None), True)]
+    else:
+        split = [(np.flatnonzero(free), True), (np.flatnonzero(~free), False)]
+    return tuple((index, one_power, *(None if a is None else a[index, :, None]
+                                      for a in (table.p, table.q, table.d)))
+                 for index, one_power in split)
+
+
 def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.ndarray:
     """Readout values, shape (n_readouts, rows), for rows of (detunings, segment).
 
@@ -330,51 +359,55 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
     BLAS, along C-ordered rows; it takes one cos and one real power per
     angle, a sin only when the table has Q terms, D only when it has D
     terms, and exp(i(N+1) alpha_u) only when the table is complex. For a
-    table with neither Q nor D terms and N >= 4 a value is P c**(N+1), taken
-    as one power |c|**(N+1) with the sign of c restored when N+1 is odd;
-    otherwise the power is |c|**(N-1), with the sign restored when N-1 is
-    odd, skipped at N = 1. Each readout then sums its angles one after
-    another, straight into the output; an angle with zero coefficients adds
-    exactly 0, so a readout's values are bit-identical whatever readouts
-    share the plan.
+    readout with neither Q nor D terms and N >= 4 a value is P c**(N+1),
+    taken as one power |c|**(N+1) with the sign of c restored when N+1 is
+    odd; otherwise the power is |c|**(N-1), with the sign restored when N-1
+    is odd, skipped at N = 1. Each readout then sums its angles one after
+    another, straight into the output. The form is chosen per readout, by
+    its own coefficients, and an angle with zero coefficients adds exactly
+    0, so a readout's values are bit-identical whatever readouts share the
+    plan.
     """
     n = plan.n_projections
     table = _plan_table(plan.initial_state, plan.observable, plan.readout)
     flipped, unflipped = table.flipped[:, :, None], table.unflipped[:, :, None]
-    p, q, d = (None if a is None else a[..., None] for a in (table.p, table.q, table.d))
     complex_table = table.p.dtype.kind == "c"
-    # without Q and D a value is P c**(N+1): one power, taken from N = 4 on,
-    # where the product form's exponent N-1 is past numpy's fast 1 and 2
-    one_power = q is None and d is None and n >= 4
     rows = len(seg)
     out = np.empty((len(table.p), rows))
     chunk = max(1, _CHUNK_ENTRIES // max(table.p.size, 1))
+    groups = _power_groups(plan.initial_state, plan.observable, plan.readout, n >= 4)
     for lo in range(0, rows, chunk):
         hi = lo + chunk
         # C order, so the sum over spins below runs along contiguous rows
         step = np.multiply(deltas[lo:hi].T, seg[lo:hi], order="C")
         alpha = (flipped * step).sum(axis=1)
         c = np.cos(alpha)
-        # numpy's power is slow on a negative base: raise |c|, then restore
-        # the sign where the exponent is odd
-        if one_power:
-            power = np.abs(c) ** (n + 1)
-            v = p * (np.copysign(power, c, out=power) if n % 2 == 0 else power)
-        else:
-            v = p * c
-            if q is not None:
-                v += q * np.sin(alpha)
-            if n:
-                v *= c
-                if d is not None:
-                    v += d
-                # the power is 1 at N = 1
-                if n > 1:
-                    power = np.abs(c) ** (n - 1)
-                    v *= np.copysign(power, c, out=power) if n % 2 == 0 else power
         if complex_table:
-            v *= np.exp((n + 1) * 1j * (unflipped * step).sum(axis=1))
-        np.add.reduce(v.real, axis=1, out=out[:, lo:hi])
+            phase = np.exp((n + 1) * 1j * (unflipped * step).sum(axis=1))
+        for readouts, one_power, p, q, d in groups:
+            # numpy's power is slow on a negative base: raise |c|, then
+            # restore the sign where the exponent is odd
+            if one_power:
+                power = np.abs(c) ** (n + 1)
+                v = p * (np.copysign(power, c, out=power) if n % 2 == 0 else power)
+            else:
+                v = p * c
+                if q is not None:
+                    v += q * np.sin(alpha)
+                if n:
+                    v *= c
+                    if d is not None:
+                        v += d
+                    # the power is 1 at N = 1
+                    if n > 1:
+                        power = np.abs(c) ** (n - 1)
+                        v *= np.copysign(power, c, out=power) if n % 2 == 0 else power
+            if complex_table:
+                v *= phase
+            if isinstance(readouts, slice):
+                np.add.reduce(v.real, axis=1, out=out[readouts, lo:hi])
+            else:
+                out[readouts, lo:hi] = np.add.reduce(v.real, axis=1)
     return out
 
 

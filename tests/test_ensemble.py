@@ -595,6 +595,27 @@ class TestPlanTables:
             assert np.array_equal(ensemble._kernel(plan((readout,)), deltas, seg)[0],
                                   values[r])
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 64])
+    def test_readouts_with_and_without_d_terms_together(self, n):
+        # IIX commutes with the start and IYX, so it has no Q or D terms and
+        # takes the one power from N = 4 on; IXI has D terms and keeps the
+        # product form; beside each other, each keeps its own form's bits
+        state, word, readouts = "0,X,X", "IYX", ("IIX", "IXI")
+        table = ensemble._plan_table(state, word, readouts)
+        assert table.q is None and not table.d[0].any() and table.d[1].any()
+
+        def plan(ro):
+            return make_plan(noise=NoiseModel((10.0,) * 3), initial_state=state,
+                             observable=word, readout=ro, n_projections=n)
+
+        deltas = np.zeros((3, 3))
+        deltas[2, 2] = 0.3125
+        seg = np.array([0.5, 2.0, 7.0])
+        values = ensemble._kernel(plan(readouts), deltas, seg)
+        for r, readout in enumerate(readouts):
+            assert np.array_equal(ensemble._kernel(plan((readout,)), deltas, seg)[0],
+                                  values[r])
+
 
 def entry_coefficients(state, word, readouts):
     """{sigma theta: (readouts, 3) P, Q, D} summed entry by entry, as _kernel defines them.
