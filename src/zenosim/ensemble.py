@@ -19,8 +19,10 @@ whose terms need it. The terms of an entry read only rho0 and its
 projection channel.project(O, rho0).
 :func:`run_ensemble` runs every point and shot of a plan through
 it; :func:`run_shot` runs one row for given detunings. The kernel reads
-one table per (initial state, observable, readouts), built once, and each
-readout operator is built once.
+one table per (initial state, observable, readouts), built once, through
+one cached spec per table and whether N >= 4 (_kernel_spec), so a call
+makes one cache lookup; the rows per chunk are computed on every call.
+Each readout operator is built once.
 """
 
 from __future__ import annotations
@@ -299,18 +301,37 @@ def _plan_table(initial_state: str, observable: str, readouts: Tuple[str, ...]) 
     return table
 
 
+class _KernelSpec(NamedTuple):
+    """What _kernel reads of a plan's table, derived once per table and whether N >= 4.
+
+    flipped and unflipped are the table's theta_f and theta_u as (angles,
+    k, 1) views, with an axis for the rows of a chunk. entries is the
+    table's readouts x angles, at least 1, which sets the rows per chunk.
+    Each group is (index, one_power, p, q, d): the index of its readouts,
+    None when the group holds every readout; whether it takes the one power
+    P c**(N+1); and its rows of the table's p, q and d as (readouts,
+    angles, 1) arrays, q or d None where the table's is.
+    """
+
+    flipped: np.ndarray
+    unflipped: np.ndarray
+    complex_table: bool
+    readouts: int
+    entries: int
+    groups: Tuple[tuple, ...]
+
+
 @lru_cache(maxsize=256)
-def _power_groups(initial_state: str, observable: str, readouts: Tuple[str, ...],
-                  deep: bool) -> Tuple[tuple, ...]:
-    """A plan's readouts for _kernel, as (index, one_power, p, q, d) groups.
+def _kernel_spec(initial_state: str, observable: str, readouts: Tuple[str, ...],
+                 deep: bool) -> _KernelSpec:
+    """A plan's _KernelSpec, built once per (initial state, observable, readouts, deep).
 
     Without Q and D a readout's value is P c**(N+1): one power, taken when
     deep (N >= 4), where the product form's exponent N-1 is past numpy's
     fast 1 and 2. A readout takes it when its own Q and D are 0, as it
-    would alone, whatever the other readouts of the plan hold. The index
-    is a slice when one group holds every readout; p, q and d are the
-    group's rows of the plan's table (_plan_table), with a trailing axis
-    for the rows of a chunk, and q or d is None where the table's is.
+    would alone, whatever the other readouts of the plan hold. Every array
+    is read-only: a view of the plan's table (_plan_table), or a copy of its
+    rows for a group that does not hold every readout.
     """
     table = _plan_table(initial_state, observable, readouts)
     free = np.ones(len(table.p), bool)
@@ -323,9 +344,16 @@ def _power_groups(initial_state: str, observable: str, readouts: Tuple[str, ...]
         split = [(slice(None), True)]
     else:
         split = [(np.flatnonzero(free), True), (np.flatnonzero(~free), False)]
-    return tuple((index, one_power, *(None if a is None else a[index, :, None]
-                                      for a in (table.p, table.q, table.d)))
-                 for index, one_power in split)
+    groups = []
+    for index, one_power in split:
+        arrays = [None if a is None else a[index, :, None] for a in (table.p, table.q, table.d)]
+        for arr in arrays:
+            if arr is not None:
+                arr.flags.writeable = False
+        groups.append((None if isinstance(index, slice) else index, one_power, *arrays))
+    return _KernelSpec(table.flipped[:, :, None], table.unflipped[:, :, None],
+                       table.p.dtype.kind == "c", len(table.p), max(table.p.size, 1),
+                       tuple(groups))
 
 
 def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.ndarray:
@@ -353,8 +381,12 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
     D depend only on the readout and the entry, and c is even in theta_f
     and s odd, so the plan's table (_Table) sums them per column
     sigma theta_f + theta_u, with Q times sigma, and a readout value is a
-    short sum over columns: the paper's cos-power form. Rows run in chunks
-    of _CHUNK_ENTRIES // (readouts x angles) rows. A chunk sums each
+    short sum over columns: the paper's cos-power form. What the kernel
+    reads of the plan, its table's views and power groups, is one cached
+    _KernelSpec, found by one lookup per call. Rows run in chunks of
+    _CHUNK_ENTRIES // (readouts x angles) rows, computed on every call; one
+    chunk that holds every row, as in every run_shot call, takes the
+    arrays whole, with no slices. A chunk sums each
     angle's phase over the spins with numpy, in a fixed order, rather than
     BLAS, along C-ordered rows; it takes one cos and one real power per
     angle, a sin only when the table has Q terms, D only when it has D
@@ -363,28 +395,32 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
     taken as one power |c|**(N+1) with the sign of c restored when N+1 is
     odd; otherwise the power is |c|**(N-1), with the sign restored when N-1
     is odd, skipped at N = 1. Each readout then sums its angles one after
-    another, straight into the output. The form is chosen per readout, by
+    another, straight into the output, reading the real part only of a
+    complex table. The form is chosen per readout, by
     its own coefficients, and an angle with zero coefficients adds exactly
     0, so a readout's values are bit-identical whatever readouts share the
     plan.
     """
     n = plan.n_projections
-    table = _plan_table(plan.initial_state, plan.observable, plan.readout)
-    flipped, unflipped = table.flipped[:, :, None], table.unflipped[:, :, None]
-    complex_table = table.p.dtype.kind == "c"
+    spec = _kernel_spec(plan.initial_state, plan.observable, plan.readout, n >= 4)
     rows = len(seg)
-    out = np.empty((len(table.p), rows))
-    chunk = max(1, _CHUNK_ENTRIES // max(table.p.size, 1))
-    groups = _power_groups(plan.initial_state, plan.observable, plan.readout, n >= 4)
+    out = np.empty((spec.readouts, rows))
+    # read on every call, so that a changed _CHUNK_ENTRIES takes effect
+    chunk = max(1, _CHUNK_ENTRIES // spec.entries)
     for lo in range(0, rows, chunk):
-        hi = lo + chunk
+        # one chunk holding every row takes the arrays whole, unsliced
+        if rows <= chunk:
+            chunk_deltas, chunk_seg, chunk_out = deltas.T, seg, out
+        else:
+            hi = lo + chunk
+            chunk_deltas, chunk_seg, chunk_out = deltas[lo:hi].T, seg[lo:hi], out[:, lo:hi]
         # C order, so the sum over spins below runs along contiguous rows
-        step = np.multiply(deltas[lo:hi].T, seg[lo:hi], order="C")
-        alpha = (flipped * step).sum(axis=1)
+        step = np.multiply(chunk_deltas, chunk_seg, order="C")
+        alpha = np.add.reduce(spec.flipped * step, axis=1)
         c = np.cos(alpha)
-        if complex_table:
-            phase = np.exp((n + 1) * 1j * (unflipped * step).sum(axis=1))
-        for readouts, one_power, p, q, d in groups:
+        if spec.complex_table:
+            phase = np.exp((n + 1) * 1j * np.add.reduce(spec.unflipped * step, axis=1))
+        for readouts, one_power, p, q, d in spec.groups:
             # numpy's power is slow on a negative base: raise |c|, then
             # restore the sign where the exponent is odd
             if one_power:
@@ -402,12 +438,13 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
                     if n > 1:
                         power = np.abs(c) ** (n - 1)
                         v *= np.copysign(power, c, out=power) if n % 2 == 0 else power
-            if complex_table:
+            if spec.complex_table:
                 v *= phase
-            if isinstance(readouts, slice):
-                np.add.reduce(v.real, axis=1, out=out[readouts, lo:hi])
+                v = v.real
+            if readouts is None:
+                np.add.reduce(v, axis=1, out=chunk_out)
             else:
-                out[readouts, lo:hi] = np.add.reduce(v.real, axis=1)
+                chunk_out[readouts] = np.add.reduce(v, axis=1)
     return out
 
 

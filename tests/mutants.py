@@ -1,0 +1,115 @@
+"""Wrong programs that the tests must reject: a list of mutants, and its runner.
+
+    python tests/mutants.py
+
+Run from the root of a zenosim checkout. Each row of MUTANTS is (file,
+old text, new text, reason); the old text must occur exactly once in its
+file. The script copies src/, tests/, pyproject.toml and README.md (whose
+pipeline a test runs) to a temporary directory and runs `pytest -x -q` on
+TESTS there, once on the unchanged copy, which must pass, and once per
+mutant, with that row's old text replaced. A mutant is killed when pytest
+fails. Hypothesis runs with a fixed seed, so every run draws the same
+examples. Prints one line per mutant and exits 1 if any mutant survives
+(2 if the unchanged copy fails).
+
+A new mutant that survives needs a new test; a row is removed only with
+its reason in CHANGES.md.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ENSEMBLE = "src/zenosim/ensemble.py"
+CLI = "src/zenosim/cli.py"
+
+# the fastest killers first: pytest stops at the first failure
+TESTS = ("tests/test_pinned_outputs.py", "tests/test_work_counts.py", "tests/test_ensemble.py",
+         "tests/test_cli.py")
+
+MUTANTS = (
+    (ENSEMBLE, "v += q * np.sin(alpha)", "v -= q * np.sin(alpha)", "the Q term negated"),
+    (ENSEMBLE, "                        v += d\n", "                        v -= d\n",
+     "the D term negated"),
+    (ENSEMBLE, "np.exp((n + 1) * 1j *", "np.exp(n * 1j *",
+     "exp(i N alpha_u) in place of exp(i (N+1) alpha_u)"),
+    (ENSEMBLE, "v = p * (np.copysign(power, c, out=power) if n % 2 == 0 else power)",
+     "v = p * (np.copysign(power, c, out=power) if n % 2 == 1 else power)",
+     "the copysign parity of the one power P c**(N+1) flipped"),
+    (ENSEMBLE, "v *= np.copysign(power, c, out=power) if n % 2 == 0 else power",
+     "v *= np.copysign(power, c, out=power) if n % 2 == 1 else power",
+     "the copysign parity of the product form's |c|**(N-1) flipped"),
+    (ENSEMBLE, "v *= np.copysign(power, c, out=power) if n % 2 == 0 else power",
+     "v *= power", "the sign of c dropped from the product form's power"),
+    (ENSEMBLE, "v = p * (np.copysign(power, c, out=power) if n % 2 == 0 else power)",
+     "v = p * power", "the sign of c dropped from the one power"),
+    (ENSEMBLE, "plan.readout, n >= 4)", "plan.readout, n >= 2)",
+     "the one-power form from N = 2, where the product form's exponents are numpy's fast ones"),
+    (ENSEMBLE, "                    if n > 1:\n", "                    if n > 2:\n",
+     "the power skipped at N = 2 as well as at N = 1"),
+    (ENSEMBLE, "    coef[abs(coef) <= dim * dim * np.finfo(float).eps * scale.real] = 0\n", "",
+     "the residue rule dropped: column sums that are rounding residues are kept"),
+    (ENSEMBLE, "1j * sigma * p", "1j * p", "Q without the column's sign sigma"),
+    (ENSEMBLE, "                v = v.real\n", "",
+     "a complex table's values reduced without taking their real part, in one chunk "
+     "or many"),
+    (ENSEMBLE, "    chunk = max(1, _CHUNK_ENTRIES // spec.entries)\n",
+     "    chunk = _kernel.__dict__.setdefault(id(spec), max(1, _CHUNK_ENTRIES // spec.entries))\n",
+     "the rows per chunk cached per spec, so a changed _CHUNK_ENTRIES does not reach a warm plan"),
+    (ENSEMBLE, "vals.std(axis=2, ddof=1)", "vals.std(axis=2, ddof=0)",
+     "standard errors from the biased variance"),
+    (ENSEMBLE, "                        self.n_projections)).encode()",
+     "                        )).encode()", "a plan stream that does not depend on N"),
+    (ENSEMBLE, "not all(b > a for a, b in zip(taus, taus[1:]))",
+     "any(b <= a for a, b in zip(taus, taus[1:]))",
+     "a tau grid check that lets a NaN through"),
+    (CLI, "round(-math.log10(REL_TOL))}g", "round(-math.log10(REL_TOL)) + 3}g",
+     "fit rows printed to more digits than the fit resolves"),
+)
+
+
+def _pytest(tree: Path) -> bool:
+    """True if pytest passes on TESTS in the tree."""
+    run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                          "--hypothesis-seed=0", *TESTS],
+                         cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return run.returncode == 0
+
+
+def main() -> int:
+    for file, old, _, reason in MUTANTS:
+        count = (ROOT / file).read_text().count(old)
+        assert count == 1, f"{file}: old text of {reason!r} occurs {count} times"
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=ignore)
+        for part in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / part, tree)
+        if not _pytest(tree):
+            print("the unchanged tree fails its tests; no mutant was run")
+            return 2
+        survivors = 0
+        for file, old, new, reason in MUTANTS:
+            path = tree / file
+            text = path.read_text()
+            path.write_text(text.replace(old, new))
+            start = time.perf_counter()
+            killed = not _pytest(tree)
+            path.write_text(text)
+            survivors += not killed
+            print(f"{'killed' if killed else 'SURVIVED':8} {time.perf_counter() - start:5.1f} s"
+                  f"  {file}: {reason}")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -736,6 +736,76 @@ class TestPhaseTable:
                     arr[0] = 0
 
 
+# (table arguments, N): a real table in one one-power group (kernel_deep's
+# plan), the complex YIZ table with Q and D terms, and a real table whose
+# readouts split into a one-power and a product-form group
+SPEC_PLANS = [
+    (("X,Y,0,X", "XYZX", ("XYZX", "ZIZZ")), 6),
+    ((SIMULATE["initial_state"], SIMULATE["observable"], tuple(SIMULATE["readout"])), 3),
+    (("0,X,X", "IYX", ("IIX", "IXI")), 6),
+]
+
+
+def spec_plan(args, n):
+    state, word, readout = args
+    return make_plan(noise=NoiseModel((10.0,) * len(word)), initial_state=state,
+                     observable=word, readout=readout, n_projections=n)
+
+
+class TestKernelSpec:
+    def test_warm_run_shot_reads_no_table(self):
+        plan = spec_plan(*SPEC_PLANS[1])
+        first = run_shot(plan, [0.1, -0.2, 0.3], 4.0)
+        with mock.patch.object(ensemble, "_plan_table",
+                               wraps=ensemble._plan_table) as tables:
+            second = run_shot(plan, [0.1, -0.2, 0.3], 4.0)
+            assert tables.call_count == 0
+            # the spy sees the call a cold spec makes
+            ensemble._kernel_spec.__wrapped__(plan.initial_state, plan.observable,
+                                              plan.readout, False)
+            assert tables.call_count == 1
+        assert np.array_equal(first, second)
+
+    @pytest.mark.parametrize("args,n", SPEC_PLANS)
+    def test_spec_is_read_only_and_shares_the_table(self, args, n):
+        table = ensemble._plan_table(*args)
+        spec = ensemble._kernel_spec(*args, n >= 4)
+        assert ensemble._kernel_spec(*args, n >= 4) is spec
+        assert spec.complex_table == np.iscomplexobj(table.p)
+        assert (spec.readouts, spec.entries) == (len(args[2]), table.p.size)
+        assert np.array_equal(spec.flipped[..., 0], table.flipped)
+        assert np.array_equal(spec.unflipped[..., 0], table.unflipped)
+        arrays = [spec.flipped, spec.unflipped]
+        assert np.shares_memory(spec.flipped, table.flipped)
+        assert np.shares_memory(spec.unflipped, table.unflipped)
+        for index, _, *terms in spec.groups:
+            for got, full in zip(terms, (table.p, table.q, table.d)):
+                assert (got is None) == (full is None)
+                if got is None:
+                    continue
+                arrays.append(got)
+                # a group of every readout reads the table itself
+                if index is None:
+                    assert np.shares_memory(got, full)
+                assert np.array_equal(got[..., 0], full if index is None else full[index])
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    @pytest.mark.parametrize("args,n", SPEC_PLANS)
+    def test_chunk_boundaries_match_rows_one_at_a_time(self, args, n):
+        # one row, exactly one chunk, and one and two chunks plus a row
+        plan = spec_plan(args, n)
+        chunk = ensemble._CHUNK_ENTRIES // ensemble._plan_table(*args).p.size
+        rng = np.random.default_rng(n)
+        for rows in (1, chunk, chunk + 1, 2 * chunk + 1):
+            deltas = rng.uniform(-0.5, 0.5, (rows, plan.k))
+            seg = rng.uniform(0.0, 40.0, rows) / (n + 1)
+            one_at_a_time = np.stack([ensemble._kernel(plan, deltas[i:i + 1], seg[i:i + 1])[:, 0]
+                                      for i in range(rows)], axis=1)
+            assert np.array_equal(ensemble._kernel(plan, deltas, seg), one_at_a_time)
+
+
 class TestValidation:
     def test_monte_carlo_size_limit(self):
         three_points = (1.0, 2.0, 3.0)

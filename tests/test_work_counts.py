@@ -12,13 +12,21 @@ way pinned_outputs.json works.
 - columns, dtype and Q/D presence of the kernel table of every figure plan,
   every plan shape of the benchmark's kernel_deep workload and the pinned
   simulate plan, so that a table cannot grow unseen.
+- _kernel calls, entries (rows x readouts x columns) and chunks per curve
+  figure at 40 shots, counted by wrapping _kernel around a zeno reproduce
+  run, and their totals at the default shots, computed from the figure
+  table and the kernel tables without the Monte Carlo. The chunks of a
+  call follow from _CHUNK_ENTRIES, which the ufunc count of a chunked call
+  checks, also after the plan has run once.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from pinned_outputs import SIMULATE
-from zenosim import cli
+from zenosim import cli, ensemble
 from zenosim.ensemble import ExperimentPlan, NoiseModel, _kernel, _plan_table
 
 
@@ -39,14 +47,14 @@ class _Tally(np.ndarray):
         return result.view(_Tally) if isinstance(result, np.ndarray) else result
 
 
-def _row_calls(plan):
-    """ufunc calls of one _kernel row of the plan."""
-    deltas = np.array([[0.31, -0.22, 0.17]]).view(_Tally)
-    seg = np.array([0.9]).view(_Tally)
+def _row_calls(plan, rows=1):
+    """ufunc calls of one _kernel call on `rows` rows of the plan."""
+    deltas = np.tile([0.31, -0.22, 0.17], (rows, 1)).view(_Tally)
+    seg = np.full(rows, 0.9).view(_Tally)
     _Tally.calls = 0
     values = _kernel(plan, deltas, seg)
     calls = _Tally.calls
-    assert values.shape == (len(plan.readout), 1) and np.isfinite(values).all()
+    assert values.shape == (len(plan.readout), rows) and np.isfinite(values).all()
     return calls
 
 
@@ -112,3 +120,64 @@ def test_figure_tables():
 @pytest.mark.parametrize("plan,shape", OTHER_TABLES, ids=[p[1] for p, _ in OTHER_TABLES])
 def test_other_tables(plan, shape):
     assert _shape(_plan_table(*plan)) == shape
+
+
+@pytest.mark.parametrize("rows_per_chunk", [5, 3, 2, 1])
+def test_patched_chunk_size_takes_effect_on_a_warm_plan(rows_per_chunk):
+    # the plan has run, so its kernel spec is cached; the rows per chunk
+    # still follow _CHUNK_ENTRIES, and each chunk makes the one-row calls
+    plan = _plan("X,Y,0", "XYZ", ("XYZ",), 6)
+    per_chunk = _row_calls(plan)
+    width = _plan_table(plan.initial_state, plan.observable, plan.readout).p.size
+    with mock.patch.object(ensemble, "_CHUNK_ENTRIES", rows_per_chunk * width):
+        assert _row_calls(plan, rows=5) == -(-5 // rows_per_chunk) * per_chunk
+
+
+def _work(table_args, rows):
+    """(calls, entries, chunks) of one _kernel call on `rows` rows of a plan's table."""
+    width = _plan_table(*table_args).p.size
+    chunk = max(1, ensemble._CHUNK_ENTRIES // max(width, 1))
+    return np.array([1, rows * width, -(-rows // chunk)])
+
+
+def _figure_work(fig, shots):
+    """(calls, entries, chunks) of a curve figure, from its tables alone."""
+    t2_star, groups, prefix, _, n_set, taus, _ = cli._CURVE_FIGURES[fig]
+    return sum(_work((state, "X" * len(t2_star), (prefix + state,)), len(taus) * shots)
+               for group in groups for _ in n_set for state in group)
+
+
+# (calls, entries, chunks) per curve figure; at 40 shots every call is one chunk
+FIGURE_WORK_40 = {
+    "fig2c": (5, 4800, 5),
+    "fig3b": (30, 64000, 30),
+    "fig3c": (16, 56000, 16),
+    "fig4b": (9, 26400, 9),
+}
+
+
+@pytest.mark.parametrize("fig", FIGURE_WORK_40)
+def test_kernel_work_per_figure_at_40_shots(fig, tmp_path):
+    work = []
+
+    def counted(plan, deltas, seg):
+        work.append(_work((plan.initial_state, plan.observable, plan.readout), len(seg)))
+        return _kernel(plan, deltas, seg)
+
+    with mock.patch.object(ensemble, "_kernel", counted):
+        cli._reproduce_curves(fig, tmp_path, 40, 7)
+    assert tuple(sum(work)) == FIGURE_WORK_40[fig]
+    assert tuple(_figure_work(fig, 40)) == FIGURE_WORK_40[fig]
+
+
+def test_kernel_work_at_the_default_shots():
+    shots = cli.build_parser().parse_args(["reproduce", "fig2c", "--out", "."]).shots
+    assert shots == 2000
+    work = {fig: tuple(_figure_work(fig, shots)) for fig in cli._CURVE_FIGURES}
+    assert work == {
+        "fig2c": (5, 240000, 30),
+        "fig3b": (30, 3200000, 400),
+        "fig3c": (16, 2800000, 352),
+        "fig4b": (9, 1320000, 165),
+    }
+    assert tuple(map(sum, zip(*work.values()))) == (60, 7560000, 947)
