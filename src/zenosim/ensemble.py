@@ -12,17 +12,16 @@ One kernel simulates a flat batch of (point, shot) rows in cache-sized
 chunks, with no loop over projections. It uses the paper's cos-power
 form: once projected, each density-matrix entry is multiplied by
 exp(i alpha_u) cos alpha_f per segment and projection, so each read-out
-value is a short sum over the plan's distinct entry angles, each taken
+value is a short sum over its own distinct entry angles, each taken
 once for theta_f and -theta_f, of real terms with one cos and one real
-power |cos|**(N-1) per angle, plus one sin per angle for the few plans
+power |cos|**(N-1) per angle, plus one sin per angle for the few readouts
 whose terms need it. The terms of an entry read only rho0 and its
 projection channel.project(O, rho0).
 :func:`run_ensemble` runs every point and shot of a plan through
 it; :func:`run_shot` runs one row for given detunings. The kernel reads
-one table per (initial state, observable, readouts), built once, through
-one cached spec per table and whether N >= 4 (_kernel_spec), so a call
-makes one cache lookup; the rows per chunk are computed on every call.
-Each readout operator is built once.
+one cached table per (initial state, observable, readout), built once,
+and runs the readouts one after another, each in chunks whose rows are
+computed on every call. Each readout operator is built once.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ from .spins import basis_signs, pauli_matrix, validate_word
 FIDELITY_PREFIX = "F:"
 LOGICAL_PREFIX = "L:"
 
-# Entries of a kernel chunk's largest array, rows x readouts x angles of
-# the plan's table: 2**13 float64 is 64 KiB per working array (128 KiB when
+# Entries of a kernel chunk's largest array, rows x columns of one
+# readout's table: 2**13 float64 is 64 KiB per working array (128 KiB when
 # the table is complex), small enough for malloc to reuse rather than map
 # afresh, and the chunk's temporaries stay in L2.
 _CHUNK_ENTRIES = 2**13
@@ -139,7 +138,8 @@ class ExperimentPlan:
                              f"the limit of {MAX_ROWS} Monte-Carlo rows per plan")
         if not self.readout:
             raise ValueError("need at least one readout")
-        _plan_table(self.initial_state, self.observable, self.readout)
+        for readout in self.readout:
+            _plan_table(self.initial_state, self.observable, readout)
 
     @property
     def k(self) -> int:
@@ -224,50 +224,53 @@ def readout_operator(readout: str) -> np.ndarray:
 
 
 class _Table(NamedTuple):
-    """Kernel table of a plan: each readout's cos-form coefficients per angle.
+    """Kernel table of one readout: its cos-form coefficients per column.
 
     Entry e = (a, b) of rho has angle theta = (z_b - z_a)/2, split into
     theta_f on the spins the observable flips (X and Y letters) and theta_u
     on the others, and sigma, the sign of the first nonzero component of
     theta_f (0 when theta_f = 0). Its column is sigma theta_f + theta_u, so
     theta_f and -theta_f share one: each stored theta_f is 0 or has a
-    positive first nonzero component. Row r of p, q and d holds readout r's
-    P = w_e rho0[e], sigma Q with Q = iP, and D = w_e (project(O, rho0) -
-    rho0)[e] (see _kernel), summed over the column's entries in flat order;
-    a sum within its rounding bound dim**2 eps sum|t| of 0 is stored as 0.
-    A column is kept where some coefficient is nonzero. They are stored
-    real unless some theta_u is nonzero, since then only their real parts
-    reach a readout value. q or d is None when all of its coefficients are 0, as
-    for a plan that starts in an eigenstate of its observable and reads
-    operators that commute with it (every figure plan), or whose
-    observable flips no spin (no Q). The kernel then skips that term.
+    positive first nonzero component. Column j of p, q and d holds the
+    readout's P = w_e rho0[e], sigma Q with Q = iP, and D = w_e
+    (project(O, rho0) - rho0)[e] (see _kernel), summed over the column's
+    entries in flat order; a sum within its rounding bound dim**2 eps sum|t|
+    of 0 is stored as 0. A column is kept where some coefficient is
+    nonzero; a readout whose coefficients all vanish keeps the column of
+    theta = 0 with zeros, so the table is never empty and reads exactly 0.
+    The coefficients are stored real, and unflipped is None, unless some
+    kept theta_u is nonzero, since then only their real parts reach the
+    readout value. q or d is None when all of its coefficients are 0, as
+    for a plan that starts in an eigenstate of its observable and reads an
+    operator that commutes with it (every figure plan), or whose
+    observable flips no spin (no Q). The kernel then skips that term. The
+    arrays have the shapes _kernel broadcasts against a chunk's rows.
     """
 
-    flipped: np.ndarray            # (angles, k) theta_f
-    unflipped: np.ndarray          # (angles, k) theta_u
-    p: np.ndarray                  # (readouts, angles)
-    q: Optional[np.ndarray]        # (readouts, angles), None if all 0
-    d: Optional[np.ndarray]        # (readouts, angles), None if all 0
+    flipped: np.ndarray            # (columns, k, 1) theta_f
+    unflipped: Optional[np.ndarray]  # (columns, k, 1) theta_u, None for a real table
+    p: np.ndarray                  # (columns, 1)
+    q: Optional[np.ndarray]        # (columns, 1), None if all 0
+    d: Optional[np.ndarray]        # (columns, 1), None if all 0
 
 
 @lru_cache(maxsize=256)
-def _plan_table(initial_state: str, observable: str, readouts: Tuple[str, ...]) -> _Table:
-    """Kernel table of a plan, built once per (initial state, observable, readouts).
+def _plan_table(initial_state: str, observable: str, readout: str) -> _Table:
+    """Kernel table of one readout, built once per (initial state, observable, readout).
 
     The register size k is len(observable). rho0 is the initial state's
     F: readout operator, and the observable acts through channel.project,
-    the one definition of the projection. Raises ValueError if the initial state or a
-    readout operator does not fit the k-spin register. A readout's
-    coefficients are the same alone or beside others. The arrays are
-    shared by every caller, so they are read-only.
+    the one definition of the projection. Raises ValueError if the initial
+    state or the readout operator does not fit the k-spin register. The
+    arrays are shared by every caller, so they are read-only.
     """
     k = len(observable)
     dim = 2**k
-    for i, spec in enumerate((FIDELITY_PREFIX + initial_state, *readouts)):
+    for i, spec in enumerate((FIDELITY_PREFIX + initial_state, readout)):
         if readout_operator(spec).shape != (dim, dim):
             what = f"readout {spec!r}" if i else f"initial state {initial_state!r}"
             raise ValueError(f"{what} does not match the {k}-spin register")
-    weights = np.stack([readout_operator(r).T.ravel() for r in readouts])
+    weights = readout_operator(readout).T.ravel()
     rho0 = readout_operator(FIDELITY_PREFIX + initial_state)
     # entry e = (a, b) at flat index a dim + b has angle theta = (z_b - z_a)/2,
     # and joins the column of theta with its flipped part theta_f times sigma
@@ -282,78 +285,22 @@ def _plan_table(initial_state: str, observable: str, readouts: Tuple[str, ...]) 
     terms = np.stack([p, 1j * sigma * p, weights * (project(observable, rho0) - rho0).ravel()])
     # each column's sums and the sums of their magnitudes, which bound the
     # rounding of a sum: a sum within that bound of 0 is stored as 0
-    sums = np.zeros((2, *terms.shape[:2], len(angles)), complex)
+    sums = np.zeros((2, len(terms), len(angles)), complex)
     np.add.at(sums, (Ellipsis, index.ravel()), np.stack([terms, abs(terms)]))
     coef, scale = sums
     coef[abs(coef) <= dim * dim * np.finfo(float).eps * scale.real] = 0
-    unflipped = np.where(flips, 0.0, angles)
-    if not unflipped[coef.any(axis=(0, 1))].any():
-        coef = coef.real
-    # an angle is kept where some stored coefficient is nonzero, and Q and D
-    # are kept where some of theirs is
-    keep = coef.any(axis=(0, 1))
-    p, q, d = coef[..., keep]
-    table = _Table(np.where(flips, angles, 0.0)[keep], unflipped[keep], p,
+    # a column is kept where some coefficient is nonzero, else theta = 0's
+    keep = coef.any(axis=0) if coef.any() else ~angles.any(axis=1)
+    unflipped = np.where(flips, 0.0, angles)[keep, :, None]
+    if not unflipped.any():
+        coef, unflipped = coef.real, None
+    p, q, d = coef[:, keep, None]
+    table = _Table(np.where(flips, angles, 0.0)[keep, :, None], unflipped, p,
                    q if q.any() else None, d if d.any() else None)
     for arr in table:
         if arr is not None:
             arr.flags.writeable = False
     return table
-
-
-class _KernelSpec(NamedTuple):
-    """What _kernel reads of a plan's table, derived once per table and whether N >= 4.
-
-    flipped and unflipped are the table's theta_f and theta_u as (angles,
-    k, 1) views, with an axis for the rows of a chunk. entries is the
-    table's readouts x angles, at least 1, which sets the rows per chunk.
-    Each group is (index, one_power, p, q, d): the index of its readouts,
-    None when the group holds every readout; whether it takes the one power
-    P c**(N+1); and its rows of the table's p, q and d as (readouts,
-    angles, 1) arrays, q or d None where the table's is.
-    """
-
-    flipped: np.ndarray
-    unflipped: np.ndarray
-    complex_table: bool
-    readouts: int
-    entries: int
-    groups: Tuple[tuple, ...]
-
-
-@lru_cache(maxsize=256)
-def _kernel_spec(initial_state: str, observable: str, readouts: Tuple[str, ...],
-                 deep: bool) -> _KernelSpec:
-    """A plan's _KernelSpec, built once per (initial state, observable, readouts, deep).
-
-    Without Q and D a readout's value is P c**(N+1): one power, taken when
-    deep (N >= 4), where the product form's exponent N-1 is past numpy's
-    fast 1 and 2. A readout takes it when its own Q and D are 0, as it
-    would alone, whatever the other readouts of the plan hold. Every array
-    is read-only: a view of the plan's table (_plan_table), or a copy of its
-    rows for a group that does not hold every readout.
-    """
-    table = _plan_table(initial_state, observable, readouts)
-    free = np.ones(len(table.p), bool)
-    for terms in (table.q, table.d):
-        if terms is not None:
-            free &= ~terms.any(axis=1)
-    if not deep or not free.any():
-        split = [(slice(None), False)]
-    elif free.all():
-        split = [(slice(None), True)]
-    else:
-        split = [(np.flatnonzero(free), True), (np.flatnonzero(~free), False)]
-    groups = []
-    for index, one_power in split:
-        arrays = [None if a is None else a[index, :, None] for a in (table.p, table.q, table.d)]
-        for arr in arrays:
-            if arr is not None:
-                arr.flags.writeable = False
-        groups.append((None if isinstance(index, slice) else index, one_power, *arrays))
-    return _KernelSpec(table.flipped[:, :, None], table.unflipped[:, :, None],
-                       table.p.dtype.kind == "c", len(table.p), max(table.p.size, 1),
-                       tuple(groups))
 
 
 def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.ndarray:
@@ -379,48 +326,47 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
     D = w_e (project(O, rho0) - rho0)[e]. At N = 0 it adds
     Re[exp(i alpha) w_e rho0[e]] = Re[exp(i alpha_u) (P c + Q s)]. P, Q and
     D depend only on the readout and the entry, and c is even in theta_f
-    and s odd, so the plan's table (_Table) sums them per column
+    and s odd, so each readout's table (_Table) sums them per column
     sigma theta_f + theta_u, with Q times sigma, and a readout value is a
-    short sum over columns: the paper's cos-power form. What the kernel
-    reads of the plan, its table's views and power groups, is one cached
-    _KernelSpec, found by one lookup per call. Rows run in chunks of
-    _CHUNK_ENTRIES // (readouts x angles) rows, computed on every call; one
-    chunk that holds every row, as in every run_shot call, takes the
-    arrays whole, with no slices. A chunk sums each
-    angle's phase over the spins with numpy, in a fixed order, rather than
+    short sum over its columns: the paper's cos-power form.
+
+    The readouts run one after another, each on its own table, so a
+    readout's values are the same bits whatever readouts share the plan.
+    A readout's rows run in chunks of _CHUNK_ENTRIES // columns rows,
+    computed on every call; one chunk that holds every row, as in every
+    run_shot call, takes the arrays whole, with no slices. A chunk sums each
+    column's phase over the spins with numpy, in a fixed order, rather than
     BLAS, along C-ordered rows; it takes one cos and one real power per
-    angle, a sin only when the table has Q terms, D only when it has D
+    column, a sin only when the table has Q terms, D only when it has D
     terms, and exp(i(N+1) alpha_u) only when the table is complex. For a
-    readout with neither Q nor D terms and N >= 4 a value is P c**(N+1),
+    table with neither Q nor D terms and N >= 4 a value is P c**(N+1),
     taken as one power |c|**(N+1) with the sign of c restored when N+1 is
     odd; otherwise the power is |c|**(N-1), with the sign restored when N-1
-    is odd, skipped at N = 1. Each readout then sums its angles one after
-    another, straight into the output, reading the real part only of a
-    complex table. The form is chosen per readout, by
-    its own coefficients, and an angle with zero coefficients adds exactly
-    0, so a readout's values are bit-identical whatever readouts share the
-    plan.
+    is odd, skipped at N = 1. The columns are then summed one after another,
+    straight into the readout's row of the output, reading the real part
+    only of a complex table; the 8 or more columns of a lone row, which
+    numpy would reduce pairwise, are summed as a running sum, so a row's
+    values are the same bits alone, as in run_shot, or in any chunk.
     """
     n = plan.n_projections
-    spec = _kernel_spec(plan.initial_state, plan.observable, plan.readout, n >= 4)
     rows = len(seg)
-    out = np.empty((spec.readouts, rows))
-    # read on every call, so that a changed _CHUNK_ENTRIES takes effect
-    chunk = max(1, _CHUNK_ENTRIES // spec.entries)
-    for lo in range(0, rows, chunk):
-        # one chunk holding every row takes the arrays whole, unsliced
-        if rows <= chunk:
-            chunk_deltas, chunk_seg, chunk_out = deltas.T, seg, out
-        else:
-            hi = lo + chunk
-            chunk_deltas, chunk_seg, chunk_out = deltas[lo:hi].T, seg[lo:hi], out[:, lo:hi]
-        # C order, so the sum over spins below runs along contiguous rows
-        step = np.multiply(chunk_deltas, chunk_seg, order="C")
-        alpha = np.add.reduce(spec.flipped * step, axis=1)
-        c = np.cos(alpha)
-        if spec.complex_table:
-            phase = np.exp((n + 1) * 1j * np.add.reduce(spec.unflipped * step, axis=1))
-        for readouts, one_power, p, q, d in spec.groups:
+    out = np.empty((len(plan.readout), rows))
+    for readout, row in zip(plan.readout, out):
+        flipped, unflipped, p, q, d = _plan_table(plan.initial_state, plan.observable, readout)
+        one_power = n >= 4 and q is None and d is None
+        # read on every call, so that a changed _CHUNK_ENTRIES takes effect
+        chunk = _CHUNK_ENTRIES // len(p) or 1
+        for lo in range(0, rows, chunk):
+            # one chunk holding every row takes the arrays whole, unsliced
+            if rows <= chunk:
+                chunk_deltas, chunk_seg, chunk_out = deltas.T, seg, row
+            else:
+                hi = lo + chunk
+                chunk_deltas, chunk_seg, chunk_out = deltas[lo:hi].T, seg[lo:hi], row[lo:hi]
+            # C order, so the sum over spins below runs along contiguous rows
+            step = np.multiply(chunk_deltas, chunk_seg, order="C")
+            alpha = np.add.reduce(flipped * step, axis=1)
+            c = np.cos(alpha)
             # numpy's power is slow on a negative base: raise |c|, then
             # restore the sign where the exponent is odd
             if one_power:
@@ -438,13 +384,16 @@ def _kernel(plan: ExperimentPlan, deltas: np.ndarray, seg: np.ndarray) -> np.nda
                     if n > 1:
                         power = np.abs(c) ** (n - 1)
                         v *= np.copysign(power, c, out=power) if n % 2 == 0 else power
-            if spec.complex_table:
-                v *= phase
+            if unflipped is not None:
+                v *= np.exp((n + 1) * 1j * np.add.reduce(unflipped * step, axis=1))
                 v = v.real
-            if readouts is None:
-                np.add.reduce(v, axis=1, out=chunk_out)
+            # numpy's reduce sums 8 or more columns of a lone row pairwise,
+            # and the columns of more rows one after another, as accumulate
+            # does for any row: a row has the same bits alone and in any chunk
+            if len(chunk_out) == 1 and len(v) >= 8:
+                chunk_out[:] = np.add.accumulate(v, axis=0)[-1]
             else:
-                chunk_out[readouts] = np.add.reduce(v, axis=1)
+                np.add.reduce(v, axis=0, out=chunk_out)
     return out
 
 

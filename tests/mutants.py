@@ -27,10 +27,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ENSEMBLE = "src/zenosim/ensemble.py"
 CLI = "src/zenosim/cli.py"
+MODEL = "src/zenosim/model.py"
+FITTING = "src/zenosim/fitting.py"
 
 # the fastest killers first: pytest stops at the first failure
 TESTS = ("tests/test_pinned_outputs.py", "tests/test_work_counts.py", "tests/test_ensemble.py",
-         "tests/test_cli.py")
+         "tests/test_cli.py", "tests/test_model.py", "tests/test_fitting.py")
 
 MUTANTS = (
     (ENSEMBLE, "v += q * np.sin(alpha)", "v -= q * np.sin(alpha)", "the Q term negated"),
@@ -48,7 +50,7 @@ MUTANTS = (
      "v *= power", "the sign of c dropped from the product form's power"),
     (ENSEMBLE, "v = p * (np.copysign(power, c, out=power) if n % 2 == 0 else power)",
      "v = p * power", "the sign of c dropped from the one power"),
-    (ENSEMBLE, "plan.readout, n >= 4)", "plan.readout, n >= 2)",
+    (ENSEMBLE, "one_power = n >= 4 and", "one_power = n >= 2 and",
      "the one-power form from N = 2, where the product form's exponents are numpy's fast ones"),
     (ENSEMBLE, "                    if n > 1:\n", "                    if n > 2:\n",
      "the power skipped at N = 2 as well as at N = 1"),
@@ -58,9 +60,9 @@ MUTANTS = (
     (ENSEMBLE, "                v = v.real\n", "",
      "a complex table's values reduced without taking their real part, in one chunk "
      "or many"),
-    (ENSEMBLE, "    chunk = max(1, _CHUNK_ENTRIES // spec.entries)\n",
-     "    chunk = _kernel.__dict__.setdefault(id(spec), max(1, _CHUNK_ENTRIES // spec.entries))\n",
-     "the rows per chunk cached per spec, so a changed _CHUNK_ENTRIES does not reach a warm plan"),
+    (ENSEMBLE, "        chunk = _CHUNK_ENTRIES // len(p) or 1\n",
+     "        chunk = _kernel.__dict__.setdefault(id(p), _CHUNK_ENTRIES // len(p) or 1)\n",
+     "the rows per chunk cached per table, so a changed _CHUNK_ENTRIES does not reach a warm plan"),
     (ENSEMBLE, "vals.std(axis=2, ddof=1)", "vals.std(axis=2, ddof=0)",
      "standard errors from the biased variance"),
     (ENSEMBLE, "                        self.n_projections)).encode()",
@@ -70,6 +72,19 @@ MUTANTS = (
      "a tau grid check that lets a NaN through"),
     (CLI, "round(-math.log10(REL_TOL))}g", "round(-math.log10(REL_TOL)) + 3}g",
      "fit rows printed to more digits than the fit resolves"),
+    (ENSEMBLE, "if len(chunk_out) == 1 and len(v) >= 8:", "if len(chunk_out) == 0:",
+     "a lone row's columns summed in numpy's pairwise order, so its bits depend on its chunk"),
+    (ENSEMBLE, "keep = coef.any(axis=0) if coef.any() else ~angles.any(axis=1)",
+     "keep = coef.any(axis=0)", "a readout whose coefficients all vanish keeps no column"),
+    (MODEL, "    logw -= math.log(np.exp(logw).sum())\n", "",
+     "binomial log weights not normalized to sum to 1"),
+    (MODEL, "return value, slope * (2.0 / t2eff)", "return value, slope",
+     "the factor 2/T dropped from dm/dT"),
+    (FITTING, "if abs(g10) > abs(g00):", "if abs(g10) < abs(g00):",
+     "the rows of a 2x2 Gram matrix swapped when |g10| is the smaller pivot"),
+    (MODEL, "return _t2eff(t2eff) * _unit_sqrt_e_time(n)",
+     "return _t2eff(t2eff) ** 0 * _unit_sqrt_e_time(n)",
+     "sqrt_e_time without its T2eff factor"),
 )
 
 

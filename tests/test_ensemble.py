@@ -311,7 +311,7 @@ class TestRunEnsemble:
         # kernel's terms carry the phase exp(i(N+1) alpha_u)
         for state, word, readout in (("X,X", "XZ", "XX"), ("X,Y,X", "XIZ", "F:X,Y,X"),
                                      ("X,Y,X", "YIZ", "XYX")):
-            assert np.iscomplexobj(ensemble._plan_table(state, word, (readout,)).p)
+            assert np.iscomplexobj(ensemble._plan_table(state, word, readout).p)
             plans += [make_plan(noise=NoiseModel((12.4, 8.2, 21.0)[:len(word)]),
                                 initial_state=state, observable=word, readout=(readout,),
                                 n_projections=n, tau_grid=(2.5, 6.0), shots=40)
@@ -401,23 +401,25 @@ class TestKernelProperties:
         rng = np.random.default_rng(seed)
         deltas = rng.uniform(-0.5, 0.5, (rows, k))
         seg = rng.uniform(0.0, 40.0, rows) / (n + 1)
-        table = ensemble._plan_table(state, word, readout)
+        # every readout's chunks hold at least the drawn number of rows
+        columns = max(len(ensemble._plan_table(state, word, r).p) for r in readout)
         with mock.patch.object(ensemble, "_CHUNK_ENTRIES",
-                               table.p.size * data.draw(st.integers(1, 40))):
+                               columns * data.draw(st.integers(1, 40))):
             got = ensemble._kernel(plan, deltas, seg)
         assert np.max(np.abs(got - loop_kernel(plan, deltas, seg).T)) < 1e-12
 
     @settings(deadline=None, max_examples=60)
     @given(PAULI_WORDS, st.data(), st.integers(1, 60), st.integers(0, 2**32 - 1))
     def test_one_power_matches_product_form(self, word, data, rows, seed):
-        # a table with neither Q nor D takes P c**(N+1) as one power from
-        # N = 4 on: within 8 eps sum|P| of the product P c c sign|c|**(N-1),
-        # and that product itself, to the bit, below N = 4
+        # a readout whose table has neither Q nor D takes P c**(N+1) as one
+        # power from N = 4 on: within 8 eps sum|P| of the product
+        # P c c sign|c|**(N-1), summed one column after another, and that
+        # product itself, to the bit, below N = 4
         k = len(word)
         state = data.draw(states_for(word))
         readout = tuple(data.draw(st.just([word]) | readouts_for(k)))
-        table = ensemble._plan_table(state, word, readout)
-        assume(table.q is None and table.d is None)
+        tables = [ensemble._plan_table(state, word, r) for r in readout]
+        assume(any(t.q is None and t.d is None for t in tables))
         n = data.draw(st.integers(0, 300) | st.sampled_from([1023, 10**6]))
         plan = make_plan(noise=NoiseModel((10.0,) * k), initial_state=state,
                          observable=word, readout=readout, n_projections=n)
@@ -429,20 +431,25 @@ class TestKernelProperties:
         got = ensemble._kernel(plan, deltas, seg)
         # the kernel's phase sum, so that both sides raise the same cosines
         step = np.multiply(deltas.T, seg, order="C")
-        c = np.cos((table.flipped[:, :, None] * step).sum(axis=1))
-        v = table.p[..., None] * c
-        if n:
-            v *= c
-            power = np.abs(c) ** (n - 1)
-            v *= np.copysign(power, c) if n % 2 == 0 else power
-        if np.iscomplexobj(table.p):
-            v *= np.exp((n + 1) * 1j * (table.unflipped[:, :, None] * step).sum(axis=1))
-        want = v.real.sum(axis=1)
-        if n < 4:
-            assert np.array_equal(got, want)
-        else:
-            bound = 8 * np.finfo(float).eps * np.abs(table.p).sum(axis=1)
-            assert (np.abs(got - want) <= bound[:, None]).all()
+        for table, values in zip(tables, got):
+            if table.q is not None or table.d is not None:
+                continue
+            c = np.cos((table.flipped * step).sum(axis=1))
+            v = table.p * c
+            if n:
+                v *= c
+                power = np.abs(c) ** (n - 1)
+                v *= np.copysign(power, c) if n % 2 == 0 else power
+            if table.unflipped is not None:
+                v *= np.exp((n + 1) * 1j * (table.unflipped * step).sum(axis=1))
+            want = v.real[0].copy()
+            for column in v.real[1:]:
+                want += column
+            if n < 4:
+                assert np.array_equal(values, want)
+            else:
+                bound = 8 * np.finfo(float).eps * np.abs(table.p).sum()
+                assert (np.abs(values - want) <= bound).all()
 
     @settings(deadline=None, max_examples=40)
     @given(PAULI_WORDS.filter(lambda w: len(w) <= 3), st.integers(0, 6),
@@ -472,13 +479,12 @@ class TestKernelProperties:
                          readout=(word, "Z" * k), n_projections=n,
                          tau_grid=tuple(3.0 * (p + 1) for p in range(points)),
                          shots=shots)
-        width = ensemble._plan_table(plan.initial_state, plan.observable,
-                                     plan.readout).p.size
         whole = run_ensemble(plan)
-        # each chunk holds exactly `rows` rows
-        with mock.patch.object(ensemble, "_CHUNK_ENTRIES", rows * width):
-            chunked = run_ensemble(plan)
-        for a, b in zip(whole, chunked):
+        for r, readout in enumerate(plan.readout):
+            columns = len(ensemble._plan_table(plan.initial_state, plan.observable, readout).p)
+            # each of the readout's chunks holds exactly `rows` rows
+            with mock.patch.object(ensemble, "_CHUNK_ENTRIES", rows * columns):
+                a, b = whole[r], run_ensemble(plan)[r]
             assert np.max(np.abs(a.mean - b.mean)) < 1e-14
             assert np.max(np.abs(a.stderr - b.stderr)) < 1e-14
 
@@ -546,25 +552,26 @@ class TestPlanTables:
         assert pauli_matrix("X").flags.writeable
 
     def test_tables_are_read_only(self):
-        # the second plan reads a spin the observable does not flip, so its
-        # table is complex
+        # the second plan's readouts read a spin the observable does not
+        # flip, so their tables are complex
         plan = make_plan(n_projections=2)
-        for args in ((plan.initial_state, plan.observable, plan.readout),
-                     ("X,X", "XZ", ("XX", "F:X,X"))):
-            table = ensemble._plan_table(*args)
-            assert ensemble._plan_table(*args) is table
-            assert np.iscomplexobj(table.p) == (args[1] == "XZ")
-            for arr in table:
-                if arr is not None:
-                    with pytest.raises(ValueError):
-                        arr[0] = 0
+        for state, word, readouts in ((plan.initial_state, plan.observable, plan.readout),
+                                      ("X,X", "XZ", ("XX", "F:X,X"))):
+            for readout in readouts:
+                table = ensemble._plan_table(state, word, readout)
+                assert ensemble._plan_table(state, word, readout) is table
+                assert np.iscomplexobj(table.p) == (word == "XZ")
+                assert (table.unflipped is not None) == (word == "XZ")
+                for arr in table:
+                    if arr is not None:
+                        with pytest.raises(ValueError):
+                            arr[0] = 0
 
     @settings(deadline=None, max_examples=80)
     @given(PAULI_WORDS, st.data())
     def test_readout_terms_alone_or_together(self, word, data):
-        # a readout's coefficients do not depend on the readouts beside it,
-        # every other angle of the plan adds exactly 0 to it, and so its
-        # kernel values are the same bits
+        # each readout runs on its own table, so its kernel values are the
+        # same bits alone or beside other readouts
         k = len(word)
         state = ",".join(data.draw(st.lists(st.sampled_from(LABELS), min_size=k,
                                             max_size=k)))
@@ -578,20 +585,8 @@ class TestPlanTables:
             return make_plan(noise=NoiseModel((10.0,) * k), initial_state=state,
                              observable=word, readout=ro, n_projections=n)
 
-        both = ensemble._plan_table(state, word, readouts)
         values = ensemble._kernel(plan(readouts), deltas, seg)
         for r, readout in enumerate(readouts):
-            alone = ensemble._plan_table(state, word, (readout,))
-            # the column of each of the readout's own angles in the plan's table
-            cols = [np.flatnonzero((both.flipped == f).all(axis=1)
-                                   & (both.unflipped == u).all(axis=1))[0]
-                    for f, u in zip(alone.flipped, alone.unflipped)]
-            for name in ("p", "q", "d"):
-                got, want = (coefficients(getattr(t, name), t.p.shape)
-                             for t in (both, alone))
-                got, want = got[r, cols], want[0]
-                # a real table holds the real parts, all that a theta_u = 0 term reads
-                assert np.array_equal(got if want.dtype == complex else got.real, want)
             assert np.array_equal(ensemble._kernel(plan((readout,)), deltas, seg)[0],
                                   values[r])
 
@@ -601,8 +596,8 @@ class TestPlanTables:
         # takes the one power from N = 4 on; IXI has D terms and keeps the
         # product form; beside each other, each keeps its own form's bits
         state, word, readouts = "0,X,X", "IYX", ("IIX", "IXI")
-        table = ensemble._plan_table(state, word, readouts)
-        assert table.q is None and not table.d[0].any() and table.d[1].any()
+        free, with_d = (ensemble._plan_table(state, word, r) for r in readouts)
+        assert free.q is free.d is with_d.q is None and with_d.d is not None
 
         def plan(ro):
             return make_plan(noise=NoiseModel((10.0,) * 3), initial_state=state,
@@ -648,14 +643,25 @@ def entry_coefficients(state, word, readouts):
     return terms
 
 
-def check_table(state, word, readouts):
-    """Assert that a plan's table holds the entry sums, with None for an all-zero Q or D."""
-    table = ensemble._plan_table(state, word, readouts)
+def check_table(state, word, readout):
+    """Assert that a readout's table holds the entry sums, with None for an all-zero Q or D.
+
+    Also its shapes: theta_f and theta_u as (columns, k, 1), theta_u None for
+    a real table, and P, Q and D as (columns, 1), with at least one column.
+    """
+    table = ensemble._plan_table(state, word, readout)
+    columns = len(table.p)
+    assert columns >= 1 and table.flipped.shape == (columns, len(word), 1)
+    assert table.unflipped is None or table.unflipped.shape == table.flipped.shape
+    for arr in (table.p, table.q, table.d):
+        assert arr is None or arr.shape == (columns, 1)
     # a real table holds the real parts, all that a theta_u = 0 term reads
-    real = not np.iscomplexobj(table.p)
-    want = {theta: coef.real if real else coef
-            for theta, coef in entry_coefficients(state, word, readouts).items()}
-    angles = [tuple(f + u) for f, u in zip(table.flipped, table.unflipped)]
+    real = table.unflipped is None
+    assert real == (not np.iscomplexobj(table.p))
+    want = {theta: coef[0].real if real else coef[0]
+            for theta, coef in entry_coefficients(state, word, (readout,)).items()}
+    unflipped = np.zeros_like(table.flipped) if real else table.unflipped
+    angles = [tuple(f + u) for f, u in zip(table.flipped[..., 0], unflipped[..., 0])]
     assert set(angles) <= set(want)
     for theta, coef in want.items():
         if theta not in angles:
@@ -663,14 +669,15 @@ def check_table(state, word, readouts):
             continue
         for i, name in enumerate("pqd"):
             got = coefficients(getattr(table, name), table.p.shape)
-            assert np.max(np.abs(got[:, angles.index(theta)] - coef[:, i])) < 1e-12
+            assert abs(got[angles.index(theta), 0] - coef[i]) < 1e-12
     for name, i in (("q", 1), ("d", 2)):
         stored = getattr(table, name)
-        assert (stored is None) == all(np.max(np.abs(coef[:, i])) < 1e-12
-                                       for coef in want.values())
+        assert (stored is None) == all(abs(coef[i]) < 1e-12 for coef in want.values())
         assert stored is None or stored.any()
+    # a complex table keeps some nonzero theta_u
+    assert real or unflipped.any()
     # each stored theta_f is 0 or has a positive first nonzero component
-    for flipped in table.flipped:
+    for flipped in table.flipped[..., 0]:
         assert not flipped.any() or flipped[flipped != 0][0] > 0
     return table
 
@@ -688,7 +695,8 @@ class TestQDElision:
     def test_q_and_d_are_none_exactly_when_zero(self, word, data):
         state = data.draw(states_for(word))
         readouts = tuple(data.draw(st.just([word]) | readouts_for(len(word))))
-        check_table(state, word, readouts)
+        for readout in readouts:
+            check_table(state, word, readout)
 
     @pytest.mark.parametrize("state,word,readouts,zero", [
         # each sum cancels to a rounding residue of at most 3e-17 in some
@@ -701,7 +709,8 @@ class TestQDElision:
         ("X,Y,0", "ZZI", ("XYZ", "F:X,Y,0"), "q"),
     ])
     def test_zero_terms_are_none(self, state, word, readouts, zero):
-        assert getattr(check_table(state, word, readouts), zero) is None
+        for readout in readouts:
+            assert getattr(check_table(state, word, readout), zero) is None
 
     def test_figure_and_benchmark_plans_have_neither(self):
         # each starts in a +1 eigenstate of its observable and reads an
@@ -711,99 +720,116 @@ class TestQDElision:
             tables += [(state, "X" * len(t2_star), (prefix + state,))
                        for group in groups for state in group]
         assert len(tables) == 5 + 1 + 6 + 4 + 3
-        for args in tables:
-            table = ensemble._plan_table(*args)
-            assert table.q is None and table.d is None, args
+        for state, word, readouts in tables:
+            for readout in readouts:
+                table = ensemble._plan_table(state, word, readout)
+                assert table.q is None and table.d is None, (state, word, readout)
 
     def test_pinned_simulate_plan_has_both(self):
-        table = ensemble._plan_table(SIMULATE["initial_state"], SIMULATE["observable"],
-                                     tuple(SIMULATE["readout"]))
-        assert np.iscomplexobj(table.p)
-        assert table.q is not None and table.d is not None
+        # XYX has Q terms and F:Y,X,X has D terms, each in a complex table
+        xyx, fidelity = (ensemble._plan_table(SIMULATE["initial_state"],
+                                              SIMULATE["observable"], readout)
+                         for readout in SIMULATE["readout"])
+        assert np.iscomplexobj(xyx.p) and np.iscomplexobj(fidelity.p)
+        assert xyx.q is not None and xyx.d is None
+        assert fidelity.q is None and fidelity.d is not None
 
 
 class TestPhaseTable:
     def test_table_is_cached_and_read_only(self):
         # kernel_deep's plan: its pair angles and their coefficients are one
         # cached table, shared by every shot of the plan
-        args = ("X,Y,0,X", "XYZX", ("XYZX", "ZIZZ"))
-        table = ensemble._plan_table(*args)
-        assert ensemble._plan_table(*args) is table
-        assert not np.iscomplexobj(table.p)
-        for arr in table:
-            if arr is not None:
-                with pytest.raises(ValueError):
-                    arr[0] = 0
+        for readout in ("XYZX", "ZIZZ"):
+            table = ensemble._plan_table("X,Y,0,X", "XYZX", readout)
+            assert ensemble._plan_table("X,Y,0,X", "XYZX", readout) is table
+            assert not np.iscomplexobj(table.p) and table.unflipped is None
+            for arr in table:
+                if arr is not None:
+                    with pytest.raises(ValueError):
+                        arr[0] = 0
 
 
-# (table arguments, N): a real table in one one-power group (kernel_deep's
-# plan), the complex YIZ table with Q and D terms, and a real table whose
-# readouts split into a one-power and a product-form group
-SPEC_PLANS = [
+# (plan arguments, N): kernel_deep's real plan, the complex YIZ plan with Q
+# terms in one readout and D terms in the other, and a real plan with a
+# readout that takes the one power beside one that has D terms
+KERNEL_PLANS = [
     (("X,Y,0,X", "XYZX", ("XYZX", "ZIZZ")), 6),
     ((SIMULATE["initial_state"], SIMULATE["observable"], tuple(SIMULATE["readout"])), 3),
     (("0,X,X", "IYX", ("IIX", "IXI")), 6),
 ]
 
 
-def spec_plan(args, n):
+def kernel_plan(args, n):
     state, word, readout = args
     return make_plan(noise=NoiseModel((10.0,) * len(word)), initial_state=state,
                      observable=word, readout=readout, n_projections=n)
 
 
 class TestKernelSpec:
+    """What _kernel reads of a plan: one cached, read-only table per readout."""
+
     def test_warm_run_shot_reads_no_table(self):
-        plan = spec_plan(*SPEC_PLANS[1])
+        # no table is read anew: each readout's is found in the cache
+        plan = kernel_plan(*KERNEL_PLANS[1])
         first = run_shot(plan, [0.1, -0.2, 0.3], 4.0)
-        with mock.patch.object(ensemble, "_plan_table",
-                               wraps=ensemble._plan_table) as tables:
-            second = run_shot(plan, [0.1, -0.2, 0.3], 4.0)
-            assert tables.call_count == 0
-            # the spy sees the call a cold spec makes
-            ensemble._kernel_spec.__wrapped__(plan.initial_state, plan.observable,
-                                              plan.readout, False)
-            assert tables.call_count == 1
+        before = ensemble._plan_table.cache_info()
+        second = run_shot(plan, [0.1, -0.2, 0.3], 4.0)
+        after = ensemble._plan_table.cache_info()
+        # one cached lookup per readout, and no table built
+        assert after.hits - before.hits == len(plan.readout)
+        assert after.misses == before.misses
         assert np.array_equal(first, second)
 
-    @pytest.mark.parametrize("args,n", SPEC_PLANS)
-    def test_spec_is_read_only_and_shares_the_table(self, args, n):
-        table = ensemble._plan_table(*args)
-        spec = ensemble._kernel_spec(*args, n >= 4)
-        assert ensemble._kernel_spec(*args, n >= 4) is spec
-        assert spec.complex_table == np.iscomplexobj(table.p)
-        assert (spec.readouts, spec.entries) == (len(args[2]), table.p.size)
-        assert np.array_equal(spec.flipped[..., 0], table.flipped)
-        assert np.array_equal(spec.unflipped[..., 0], table.unflipped)
-        arrays = [spec.flipped, spec.unflipped]
-        assert np.shares_memory(spec.flipped, table.flipped)
-        assert np.shares_memory(spec.unflipped, table.unflipped)
-        for index, _, *terms in spec.groups:
-            for got, full in zip(terms, (table.p, table.q, table.d)):
-                assert (got is None) == (full is None)
-                if got is None:
-                    continue
-                arrays.append(got)
-                # a group of every readout reads the table itself
-                if index is None:
-                    assert np.shares_memory(got, full)
-                assert np.array_equal(got[..., 0], full if index is None else full[index])
-        for arr in arrays:
-            with pytest.raises(ValueError):
-                arr[0] = 0
+    @pytest.mark.parametrize("args,n", KERNEL_PLANS)
+    def test_tables_have_the_kernel_shapes_and_are_read_only(self, args, n):
+        state, word, readouts = args
+        for readout in readouts:
+            for arr in check_table(state, word, readout):
+                if arr is not None:
+                    with pytest.raises(ValueError):
+                        arr[0] = 0
 
-    @pytest.mark.parametrize("args,n", SPEC_PLANS)
+    @pytest.mark.parametrize("args,n", KERNEL_PLANS)
     def test_chunk_boundaries_match_rows_one_at_a_time(self, args, n):
-        # one row, exactly one chunk, and one and two chunks plus a row
-        plan = spec_plan(args, n)
-        chunk = ensemble._CHUNK_ENTRIES // ensemble._plan_table(*args).p.size
-        rng = np.random.default_rng(n)
-        for rows in (1, chunk, chunk + 1, 2 * chunk + 1):
-            deltas = rng.uniform(-0.5, 0.5, (rows, plan.k))
-            seg = rng.uniform(0.0, 40.0, rows) / (n + 1)
+        # for each readout's chunk: one row, exactly one chunk, and one and
+        # two chunks plus a row, under a small _CHUNK_ENTRIES. Among them are
+        # lone rows and chunks of 18 columns, which numpy would sum in
+        # another order were a lone row not summed beside a copy of itself
+        plan = kernel_plan(args, n)
+        state, word, readouts = args
+        with mock.patch.object(ensemble, "_CHUNK_ENTRIES", 2**9):
+            chunks = [ensemble._CHUNK_ENTRIES // len(ensemble._plan_table(state, word, r).p)
+                      for r in readouts]
+            counts = sorted({1, *(c + extra for c in chunks for extra in (0, 1, c + 1))})
+            rng = np.random.default_rng(n)
+            deltas = rng.uniform(-0.5, 0.5, (counts[-1], plan.k))
+            seg = rng.uniform(0.0, 40.0, counts[-1]) / (n + 1)
             one_at_a_time = np.stack([ensemble._kernel(plan, deltas[i:i + 1], seg[i:i + 1])[:, 0]
-                                      for i in range(rows)], axis=1)
-            assert np.array_equal(ensemble._kernel(plan, deltas, seg), one_at_a_time)
+                                      for i in range(counts[-1])], axis=1)
+            for rows in counts:
+                assert np.array_equal(ensemble._kernel(plan, deltas[:rows], seg[:rows]),
+                                      one_at_a_time[:, :rows]), rows
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_readout_without_coefficients_reads_zero(self, n):
+        # ZI on X,X under XX: every coefficient vanishes, so the table keeps
+        # one zero column, that of theta = 0, and the readout reads exactly
+        # +0 alone and beside XX, in one chunk or in many
+        table = check_table("X,X", "XX", "ZI")
+        assert table.p.shape == (1, 1) and not table.p.any() and not table.flipped.any()
+        assert table.unflipped is None and table.q is None and table.d is None
+        for readouts in (("ZI",), ("ZI", "XX"), ("XX", "ZI")):
+            r = readouts.index("ZI")
+            plan = make_plan(noise=NoiseModel((12.4, 8.2)), initial_state="X,X",
+                             observable="XX", readout=readouts, n_projections=n,
+                             tau_grid=(0.0, 2.0, 5.0, 9.0), shots=50)
+            value = run_shot(plan, [0.3, -0.2], 7.0)[r]
+            assert value == 0 and not np.signbit(value)
+            for entries in (ensemble._CHUNK_ENTRIES, 3):
+                with mock.patch.object(ensemble, "_CHUNK_ENTRIES", entries):
+                    curves = run_ensemble(plan)
+                for values in (curves[r].mean, curves[r].stderr):
+                    assert not values.any() and not np.signbit(values).any()
 
 
 class TestValidation:

@@ -9,15 +9,17 @@ way pinned_outputs.json works.
   with Q and D terms). They are tallied by an ndarray subclass passed as
   the row's detunings and segment; every array computed from them is one
   too, so every ufunc call on the row's values is counted.
-- columns, dtype and Q/D presence of the kernel table of every figure plan,
-  every plan shape of the benchmark's kernel_deep workload and the pinned
-  simulate plan, so that a table cannot grow unseen.
-- _kernel calls, entries (rows x readouts x columns) and chunks per curve
-  figure at 40 shots, counted by wrapping _kernel around a zeno reproduce
-  run, and their totals at the default shots, computed from the figure
-  table and the kernel tables without the Monte Carlo. The chunks of a
-  call follow from _CHUNK_ENTRIES, which the ufunc count of a chunked call
-  checks, also after the plan has run once.
+- columns, dtype and Q/D presence of the kernel table of each readout of
+  every figure plan, every plan shape of the benchmark's kernel_deep
+  workload and the pinned simulate plan, so that a table cannot grow
+  unseen.
+- _kernel calls, entries (rows x the sum of the readouts' columns) and
+  chunks per curve figure at 40 shots, counted by wrapping _kernel around
+  a zeno reproduce run, and their totals at the default shots, computed
+  from the figure table and the kernel tables without the Monte Carlo.
+  The chunks of a readout follow from _CHUNK_ENTRIES and its columns,
+  which the ufunc count of a chunked call checks, also after the plan has
+  run once.
 """
 
 from unittest import mock
@@ -74,35 +76,39 @@ def test_row_calls_of_a_qd_free_plan(n, calls):
     assert _row_calls(_plan("X,Y,0", "XYZ", ("XYZ",), n)) == calls
 
 
-@pytest.mark.parametrize("n,calls", zip(N_SET, (14, 16, 20, 19, 20, 19, 20, 20)))
+@pytest.mark.parametrize("n,calls", zip(N_SET, (25, 28, 36, 34, 36, 34, 36, 36)))
 def test_row_calls_of_the_pinned_simulate_plan(n, calls):
+    # each readout sums its own phases: XYX with Q terms, F:Y,X,X with D
     plan = _plan(SIMULATE["initial_state"], SIMULATE["observable"],
                  tuple(SIMULATE["readout"]), n, tuple(SIMULATE["t2_star"]))
     assert _row_calls(plan) == calls
 
 
-# (initial state, observable, readouts): columns, complex, has Q, has D
+# columns of each figure state's table, read on its F: or L: readout; no
+# figure table is complex or has Q or D terms
 FIGURE_TABLES = {
     "fig2c": {"X": 1},
     "fig3b": {"0L": 2, "1L": 2, "+L": 1, "-L": 1, "+iL": 2, "-iL": 2},
     "fig3c": {"+L": 2, "-L": 2, "+iL": 5, "-iL": 5},
     "fig4b": {"00L": 7, "X0L": 2, "PhiPlusL": 2},
 }
+# (initial state, observable, readouts): per readout, its table's columns,
+# whether it is complex, has Q and has D
 OTHER_TABLES = [
     # kernel_deep: each word's +1 eigenstate, read on the word and, where
     # the word has Z or I letters, on Z over those spins
-    (("X,Y,0,X", "XYZX", ("XYZX", "IIZI")), (5, False, False, False)),
-    (("X,0,Y", "XIY", ("XIY", "IZI")), (3, False, False, False)),
-    (("X,Y,0", "XYZ", ("XYZ",)), (2, False, False, False)),
-    (("Y,0,X", "YIX", ("YIX",)), (2, False, False, False)),
-    (("X,X,Y", "XXY", ("XXY",)), (4, False, False, False)),
+    (("X,Y,0,X", "XYZX", ("XYZX", "IIZI")), [(4, False, False, False), (1, False, False, False)]),
+    (("X,0,Y", "XIY", ("XIY", "IZI")), [(2, False, False, False), (1, False, False, False)]),
+    (("X,Y,0", "XYZ", ("XYZ",)), [(2, False, False, False)]),
+    (("Y,0,X", "YIX", ("YIX",)), [(2, False, False, False)]),
+    (("X,X,Y", "XXY", ("XXY",)), [(4, False, False, False)]),
     ((SIMULATE["initial_state"], SIMULATE["observable"], tuple(SIMULATE["readout"])),
-     (18, True, True, True)),
+     [(4, True, True, False), (18, True, False, True)]),
 ]
 
 
 def _shape(table):
-    return (table.p.shape[1], table.p.dtype.kind == "c", table.q is not None,
+    return (len(table.p), table.p.dtype.kind == "c", table.q is not None,
             table.d is not None)
 
 
@@ -112,38 +118,41 @@ def test_figure_tables():
         states = [state for group in groups for state in group]
         assert sorted(states) == sorted(FIGURE_TABLES[fig]), fig
         for state in states:
-            table = _plan_table(state, "X" * len(t2_star), (prefix + state,))
+            table = _plan_table(state, "X" * len(t2_star), prefix + state)
             assert _shape(table) == (FIGURE_TABLES[fig][state], False, False, False), \
                 (fig, state)
 
 
-@pytest.mark.parametrize("plan,shape", OTHER_TABLES, ids=[p[1] for p, _ in OTHER_TABLES])
-def test_other_tables(plan, shape):
-    assert _shape(_plan_table(*plan)) == shape
+@pytest.mark.parametrize("plan,shapes", OTHER_TABLES, ids=[p[1] for p, _ in OTHER_TABLES])
+def test_other_tables(plan, shapes):
+    state, word, readouts = plan
+    assert [_shape(_plan_table(state, word, r)) for r in readouts] == shapes
 
 
 @pytest.mark.parametrize("rows_per_chunk", [5, 3, 2, 1])
 def test_patched_chunk_size_takes_effect_on_a_warm_plan(rows_per_chunk):
-    # the plan has run, so its kernel spec is cached; the rows per chunk
-    # still follow _CHUNK_ENTRIES, and each chunk makes the one-row calls
+    # the plan has run, so its table is cached; the rows per chunk still
+    # follow _CHUNK_ENTRIES, and each chunk makes the one-row calls
     plan = _plan("X,Y,0", "XYZ", ("XYZ",), 6)
     per_chunk = _row_calls(plan)
-    width = _plan_table(plan.initial_state, plan.observable, plan.readout).p.size
-    with mock.patch.object(ensemble, "_CHUNK_ENTRIES", rows_per_chunk * width):
+    columns = len(_plan_table(plan.initial_state, plan.observable, "XYZ").p)
+    with mock.patch.object(ensemble, "_CHUNK_ENTRIES", rows_per_chunk * columns):
         assert _row_calls(plan, rows=5) == -(-5 // rows_per_chunk) * per_chunk
 
 
-def _work(table_args, rows):
-    """(calls, entries, chunks) of one _kernel call on `rows` rows of a plan's table."""
-    width = _plan_table(*table_args).p.size
-    chunk = max(1, ensemble._CHUNK_ENTRIES // max(width, 1))
-    return np.array([1, rows * width, -(-rows // chunk)])
+def _work(state, observable, readouts, rows):
+    """(calls, entries, chunks) of one _kernel call on `rows` rows of a plan."""
+    work = np.array([1, 0, 0])
+    for readout in readouts:
+        columns = len(_plan_table(state, observable, readout).p)
+        work += [0, rows * columns, -(-rows // (ensemble._CHUNK_ENTRIES // columns or 1))]
+    return work
 
 
 def _figure_work(fig, shots):
     """(calls, entries, chunks) of a curve figure, from its tables alone."""
     t2_star, groups, prefix, _, n_set, taus, _ = cli._CURVE_FIGURES[fig]
-    return sum(_work((state, "X" * len(t2_star), (prefix + state,)), len(taus) * shots)
+    return sum(_work(state, "X" * len(t2_star), (prefix + state,), len(taus) * shots)
                for group in groups for _ in n_set for state in group)
 
 
@@ -161,7 +170,7 @@ def test_kernel_work_per_figure_at_40_shots(fig, tmp_path):
     work = []
 
     def counted(plan, deltas, seg):
-        work.append(_work((plan.initial_state, plan.observable, plan.readout), len(seg)))
+        work.append(_work(plan.initial_state, plan.observable, plan.readout, len(seg)))
         return _kernel(plan, deltas, seg)
 
     with mock.patch.object(ensemble, "_kernel", counted):
