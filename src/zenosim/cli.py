@@ -116,36 +116,48 @@ def curve_to_csv(curve: DecayCurve) -> str:
                 "tau_ms,mean,stderr", zip(curve.tau, curve.mean, curve.stderr))
 
 
+def _plain(text: str) -> bool:
+    """True unless text holds a non-ASCII character or '_', which float() and int() accept."""
+    return text.isascii() and "_" not in text
+
+
 def parse_curve_csv(text: str) -> DecayCurve:
-    """Parse a curve CSV produced by curve_to_csv; N is None without its header line."""
+    """Parse a curve CSV produced by curve_to_csv; N is None without its header line.
+
+    One pass reads the '# ' header lines (the last of each key counts) and
+    collects the data rows, which may stand anywhere beside the column line;
+    a row needs three cells, and a row or an N holding a non-ASCII character
+    or '_' is malformed. Then every cell is converted at once. Each fault is
+    a ValueError.
+    """
     meta: Dict[str, object] = {}
     n_projections = None
     readout = ""
-    rows: List[List[float]] = []
+    data: List[str] = []
     saw_header = False
     for line in text.splitlines():
         line = line.strip()
-        if not line:
-            continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("config:"):
-                meta = json.loads(body[len("config:"):].strip())
-            elif body.startswith("n_projections:"):
-                n_projections = int(body.split(":", 1)[1])
-            elif body.startswith("readout:"):
-                readout = body.split(":", 1)[1].strip()
-            continue
-        if line == "tau_ms,mean,stderr":
+            key, sep, value = line[1:].strip().partition(":")
+            if not sep:
+                continue
+            if key == "config":
+                meta = json.loads(value.strip())
+            elif key == "n_projections":
+                if not _plain(value):
+                    raise ValueError(f"malformed n_projections: {value.strip()!r}")
+                n_projections = int(value)
+            elif key == "readout":
+                readout = value.strip()
+        elif line == "tau_ms,mean,stderr":
             saw_header = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"malformed curve row: {line!r}")
-        rows.append([float(p) for p in parts])
-    if not saw_header or not rows:
+        elif line:
+            if line.count(",") != 2 or not _plain(line):
+                raise ValueError(f"malformed curve row: {line!r}")
+            data.append(line)
+    arr = np.array([float(cell) for row in data for cell in row.split(",")]).reshape(-1, 3)
+    if not saw_header or not data:
         raise ValueError("not a curve CSV: missing header or data rows")
-    arr = np.asarray(rows)
     if not np.isfinite(arr).all():
         raise ValueError("non-finite tau, mean or stderr in curve rows")
     return DecayCurve(arr[:, 0], arr[:, 1], arr[:, 2], n_projections, readout, meta)

@@ -7,6 +7,12 @@ each trial value of the one nonlinear parameter the linear ones are
 solved exactly, and the nonlinear one takes Gauss-Newton steps on the
 exact derivatives of the model. Parameter standard errors come from the
 analytic Jacobian at the optimum, scaled by the reduced chi-square.
+
+least_squares reads a model through one callback per trial, which returns
+the model and its derivative in the nonlinear parameter as 1-D arrays. The
+weighted columns live in two buffers made once per fit, so a trial
+allocates only what its step needs; a decay fit also builds the tau part
+of its model table once (model._decay_table) for all its trial T2eff.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from typing import Callable, Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from .ensemble import DecayCurve
-from .model import _decay_and_slope, _t2eff, checked, projection_count, sqrt_e_time
+from .model import (_decay_and_slope, _decay_table, _t2eff, checked, projection_count,
+                    sqrt_e_time)
 
 MAX_ITER = 200
 REL_TOL = 1e-9
@@ -107,43 +114,43 @@ def _pivot(p):
     return p
 
 
-def _solve_linear(columns, w, wy, theta):
-    """(dphi, A = w*phi, G = A^T A, c, r, cost) at theta, or None where theta is rejected.
+def _solve_linear(model, w, wy, theta, a):
+    """(dm, a, G = a^T a, c, r, cost) at theta, or None where theta is rejected.
 
-    c solves the normal equations G c = A^T (w y) and r = A c - w y. theta
-    is rejected when columns raises ValueError, when the equations are
-    singular, when a float error is raised (under np.errstate) or when the
-    cost is not finite. More than 2 columns is a ValueError.
+    model(theta) returns m and dm/dtheta; w*m is written into column 0 of
+    the buffer a, whose other column, if any, holds w. c solves the normal
+    equations G c = a^T (w y) and r = a c - w y. theta is rejected when
+    model raises ValueError, when the equations are singular, when a float
+    error is raised (under np.errstate) or when the cost is not finite.
     """
     try:
-        phi, dphi = columns(theta)
+        m, dm = model(theta)
     except (ValueError, FloatingPointError):
         return None
-    if phi.shape[1] > 2:
-        raise ValueError(f"least_squares solves for at most 2 linear parameters, "
-                         f"not {phi.shape[1]}")
     try:
-        a = w[:, None] * phi
+        np.multiply(w, m, out=a[:, 0])
         g = a.T @ a
         c = _gram_solve(g, a.T @ wy)
     except (np.linalg.LinAlgError, FloatingPointError):
         return None
     r = a @ c - wy
     cost = float(r @ r)
-    return (dphi, a, g, c, r, cost) if math.isfinite(cost) else None
+    return (dm, a, g, c, r, cost) if math.isfinite(cost) else None
 
 
-def least_squares(columns: Callable[[float], tuple], y: Sequence[float],
-                  weights: Sequence[float], theta0: float) -> tuple:
-    """Variable-projection Gauss-Newton fit of y ~ phi(theta) @ c.
+def least_squares(model: Callable[[float], tuple], y: Sequence[float],
+                  weights: Sequence[float], theta0: float, offset: bool) -> tuple:
+    """Variable-projection Gauss-Newton fit of y ~ c0 m(theta) (+ c1 with offset).
 
-    columns(theta) returns the model columns phi (points x q, q = 1 or 2)
-    and their theta-derivatives dphi; a third column is a ValueError. For
-    each trial theta the linear parameters c are solved exactly from the
-    weighted normal equations, by _gram_solve; theta then takes the reduced
-    (Kaufman) Gauss-Newton step, halved while the cost rises. A rejected
-    trial theta counts as a rise. Standard errors come from the full
-    analytic Jacobian at the optimum, scaled by cost/dof.
+    model(theta) returns the model m and its theta-derivative dm as 1-D
+    arrays over the points. For each trial theta the linear parameters c
+    are solved exactly from the weighted normal equations, by _gram_solve;
+    theta then takes the reduced (Kaufman) Gauss-Newton step, halved while
+    the cost rises. A rejected trial theta counts as a rise. The weighted
+    columns (w m, and w with offset) live in two (points x q) buffers made
+    once: a trial is written into the one the accepted theta does not hold,
+    and the two swap roles when it is accepted. Standard errors come from
+    the full analytic Jacobian at the optimum, scaled by cost/dof.
 
     Returns (p, std_errors, rss, converged, iterations) with p = (*c, theta),
     or p = (theta0,) and no finite error when theta0 itself is rejected.
@@ -151,14 +158,16 @@ def least_squares(columns: Callable[[float], tuple], y: Sequence[float],
     w = np.asarray(weights, dtype=float)
     wy = w * np.asarray(y, dtype=float)
     abs_wy = np.abs(wy)
+    a, spare = np.empty((2, w.size, 1 + offset))
+    a[:, 1:] = spare[:, 1:] = w[:, None]
     theta, converged, it = float(theta0), False, 0
-    state = _solve_linear(columns, w, wy, theta)
+    state = _solve_linear(model, w, wy, theta, a)
     if state is None:
         return np.array([theta]), np.array([math.nan]), math.inf, False, 0
-    dphi, a, g, c, r, cost = state
+    dm, a, g, c, r, cost = state
     for it in range(1, MAX_ITER + 1):
         # Only the part of d(A c)/d(theta) outside the span of A moves the cost.
-        b = w * (dphi @ c)
+        b = w * (dm * c[0])
         try:
             jk = b - a @ _gram_solve(g, a.T @ b)
         except np.linalg.LinAlgError:
@@ -169,21 +178,23 @@ def least_squares(columns: Callable[[float], tuple], y: Sequence[float],
             break
         # A rise within the rounding error of the cost (about 2 eps sum |r| |w y|,
         # here with a margin) cannot be told from a fall, so it is accepted.
-        slack = _SLACK_EPS * float(np.abs(r) @ (abs_wy + np.abs(r)))
+        abs_r = np.abs(r)
+        slack = _SLACK_EPS * float(abs_r @ (abs_wy + abs_r))
         for _ in range(MAX_HALVINGS):
-            state = _solve_linear(columns, w, wy, theta + step)
+            state = _solve_linear(model, w, wy, theta + step, spare)
             if state is not None and state[-1] <= cost + slack:
                 break
             step /= 2
         else:
             break
         theta += step
-        dphi, a, g, c, r, cost = state
+        spare = a
+        dm, a, g, c, r, cost = state
         if abs(step) <= REL_TOL * abs(theta):
             converged = True
             break
 
-    jac = np.column_stack([a, w * (dphi @ c)])
+    jac = np.column_stack([a, w * (dm * c[0])])
     dof = max(r.size - jac.shape[1], 1)
     try:
         cov = np.linalg.inv(jac.T @ jac) * (cost / dof)
@@ -258,17 +269,14 @@ def _fit_decay(curve: DecayCurve, n_projections: int,
     t2_guess = max(float(t2_guess), 1e-6)
     # Below this T2eff, (tau/T)^2 could overflow; no decay is that fast.
     t_min = 1e-9 * float(np.max(np.abs(tau)))
-    # columns (m, 1) and their slopes (dm, 0); each trial returns fresh
-    # copies, since the accepted trial's arrays are kept
-    phi, dphi = np.ones((tau.size, 2)), np.zeros((tau.size, 2))
+    table = _decay_table(n_projections, tau)
 
-    def columns(t):
+    def decay(t):
         if not t > t_min:
             raise ValueError(f"T2eff {t!r} out of range")
-        phi[:, 0], dphi[:, 0] = _decay_and_slope(n_projections, tau, t)
-        return phi.copy(), dphi.copy()
+        return _decay_and_slope(table, t)
 
-    p, errs, rss, converged, it = least_squares(columns, y, w, t2_guess)
+    p, errs, rss, converged, it = least_squares(decay, y, w, t2_guess, offset=True)
     _check(converged, errs, f"decay fit (N={n_projections})")
     a, off, t = p
     return FitResult(a, t, off,
@@ -318,12 +326,13 @@ def fit_scaling(times: Mapping[int, float]) -> ScalingFit:
     log_ns = np.log(ns)
     nu_max = math.log(MAX_SCALE) / float(log_ns.max())
 
-    def columns(nu):
+    def power_law(nu):
         if not abs(nu) <= nu_max:
             raise ValueError(f"nu {nu!r} out of range")
         power = ns**nu
-        return power[:, None], (power * log_ns)[:, None]
+        return power, power * log_ns
 
-    p, errs, _, converged, _ = least_squares(columns, ys - 1.0, np.ones(ns.size), 0.6)
+    p, errs, _, converged, _ = least_squares(power_law, ys - 1.0, np.ones(ns.size), 0.6,
+                                             offset=False)
     _check(converged, errs, "scaling fit")
     return ScalingFit(p[0], p[1], errs[0], errs[1], norm)

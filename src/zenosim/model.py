@@ -7,7 +7,9 @@ dephasing time. :func:`decay_curve` evaluates it for a whole tau grid at
 once, in log space: each binomial weight is formed as exp(log weight -
 exponent) with normalized log weights, so the sum stays finite for every
 N, and only the O(sqrt(N)) weights that do not underflow are kept. The
-fits also need the derivative in T2eff, which comes from the same blocks.
+fits also need the derivative in T2eff, which comes from the same terms;
+a fit builds the tau f_l part of its table once and reuses it for every
+trial T2eff.
 Intermediate fixed-detuning expressions are kept as deterministic oracles
 for the matrix-level simulator. The type rule of every value a module is
 given is :func:`checked`. Each input of the physics has one gate that every
@@ -190,37 +192,56 @@ def decay_curve(n_projections: int, taus: Sequence[float], t2eff: float,
         raise ValueError("evolution times must be finite")
     if float(np.abs(taus).max(initial=0.0)) >= MAX_TIME_RATIO * t2eff:
         raise ValueError(f"largest |tau|/T2eff must stay below {MAX_TIME_RATIO:g}")
-    total = np.empty(taus.size)
-    for rows, _, terms in _decay_blocks(n, taus, t2eff):
-        total[rows] = terms.sum(axis=1)
+    total, _ = _decay_sums(_decay_table(n, taus), t2eff, moment=False)
     return offset + amplitude * total
 
 
-def _decay_blocks(n_projections: int, taus: np.ndarray, t2eff: float):
-    """Yield (row slice, x^2, exp(log w - x^2)) per (tau, l) block, x = tau f_l / T.
+def _decay_table(n_projections: int, taus: np.ndarray) -> tuple:
+    """(tau f, log w, taus, f): the part of x = tau f_l / T that does not depend on T.
 
-    Blocks hold at most _CURVE_ENTRIES entries.
+    tau f = taus[:, None] * f_l is built here once when the grid fits in one
+    block of _CURVE_ENTRIES (tau, l) entries, so that a fit forms it once
+    for all its trial T2eff; for a larger grid it is None, and _decay_sums
+    forms it one block at a time. N must have passed projection_count.
     """
     frac, logw = _binomial_terms(n_projections)
-    rows = max(1, _CURVE_ENTRIES // frac.size)
-    for lo in range(0, taus.size, rows):
-        x = taus[lo:lo + rows, None] * frac / t2eff
-        x2 = x * x
-        yield slice(lo, lo + rows), x2, np.exp(logw - x2)
+    one_block = taus.size <= max(1, _CURVE_ENTRIES // frac.size)
+    return (taus[:, None] * frac if one_block else None), logw, taus, frac
 
 
-def _decay_and_slope(n_projections: int, taus: np.ndarray,
-                     t2eff: float) -> Tuple[np.ndarray, np.ndarray]:
+def _decay_sums(table, t2eff: float, moment: bool):
+    """Per tau, sum_l w_l e^{-x_l^2} and, if moment, sum_l w_l e^{-x_l^2} x_l^2 (else None).
+
+    table is _decay_table's; x = tau f_l / T. A grid of more than one block
+    is summed in blocks of at most _CURVE_ENTRIES entries.
+    """
+    tau_frac, logw, taus, frac = table
+    if tau_frac is None:
+        rows = max(1, _CURVE_ENTRIES // frac.size)
+        blocks = [_decay_sums((taus[lo:lo + rows, None] * frac, logw, None, None), t2eff, moment)
+                  for lo in range(0, taus.size, rows)]
+        value = np.concatenate([v for v, _ in blocks])
+        return value, (np.concatenate([s for _, s in blocks]) if moment else None)
+    x2 = tau_frac / t2eff
+    x2 *= x2
+    terms = np.subtract(logw, x2)
+    np.exp(terms, out=terms)
+    value = np.add.reduce(terms, axis=1)
+    if not moment:
+        return value, None
+    terms *= x2
+    return value, np.add.reduce(terms, axis=1)
+
+
+def _decay_and_slope(table, t2eff: float) -> Tuple[np.ndarray, np.ndarray]:
     """Unit decay m(tau) and its derivative dm/dT for the fits; inputs unchecked.
 
-    m is decay_curve(N, taus, T) to the bit, and dm/dT = sum_l w_l e^{-x_l^2}
-    2 x_l^2 / T comes from the same (tau, l) blocks.
+    table is _decay_table(N, taus), built once per fit. m is
+    decay_curve(N, taus, T) to the bit, and dm/dT = sum_l w_l e^{-x_l^2}
+    2 x_l^2 / T comes from the same (tau, l) terms.
     """
-    value, slope = np.empty(taus.size), np.empty(taus.size)
-    for rows, x2, terms in _decay_blocks(n_projections, taus, t2eff):
-        value[rows] = terms.sum(axis=1)
-        slope[rows] = (terms * x2).sum(axis=1)
-    return value, slope * (2.0 / t2eff)
+    value, second = _decay_sums(table, t2eff, moment=True)
+    return value, second * (2.0 / t2eff)
 
 
 def single_shot_expectation(deltas: Sequence[float], t: float, n_projections: int) -> float:

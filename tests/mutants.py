@@ -78,13 +78,19 @@ MUTANTS = (
      "keep = coef.any(axis=0)", "a readout whose coefficients all vanish keeps no column"),
     (MODEL, "    logw -= math.log(np.exp(logw).sum())\n", "",
      "binomial log weights not normalized to sum to 1"),
-    (MODEL, "return value, slope * (2.0 / t2eff)", "return value, slope",
+    (MODEL, "return value, second * (2.0 / t2eff)", "return value, second",
      "the factor 2/T dropped from dm/dT"),
     (FITTING, "if abs(g10) > abs(g00):", "if abs(g10) < abs(g00):",
      "the rows of a 2x2 Gram matrix swapped when |g10| is the smaller pivot"),
     (MODEL, "return _t2eff(t2eff) * _unit_sqrt_e_time(n)",
      "return _t2eff(t2eff) ** 0 * _unit_sqrt_e_time(n)",
      "sqrt_e_time without its T2eff factor"),
+    (FITTING, "        spare = a\n", "",
+     "the buffer swap dropped: trials are written into the accepted state's columns"),
+    (CLI, 'if line.count(",") != 2 or', 'if line.count(",") < 2 or',
+     "a curve row of 4 or more fields accepted"),
+    (CLI, 'return text.isascii() and "_" not in text', "return text.isascii()",
+     "'_' accepted in a curve number, which float() and int() read as a digit separator"),
 )
 
 

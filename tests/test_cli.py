@@ -413,6 +413,108 @@ class TestFitCommand:
         assert build_parser() is build_parser()
 
 
+_PARSE_HEADERS = ["# zenosim curve v1", '# config: {"shots": 5}', "# seed: 0",
+                  "# n_projections: 2", "# readout: XX"]
+_PARSE_ROWS = ["0,0.95,0", "2.5,0.8,0.01", "5,0.5,0.02", "7.5,0.25,0.01"]
+
+
+def _parse_text(*lines, end="\n"):
+    return end.join(lines) + end
+
+
+class TestParseCurveCsv:
+    """What parse_curve_csv accepts and the fault it names in what it refuses."""
+
+    CANONICAL = _parse_text(*_PARSE_HEADERS, "tau_ms,mean,stderr", *_PARSE_ROWS)
+
+    def _assert_canonical(self, curve):
+        want = np.array([[float(v) for v in row.split(",")] for row in _PARSE_ROWS])
+        for j, field in enumerate(("tau", "mean", "stderr")):
+            assert np.array_equal(getattr(curve, field), want[:, j])
+        assert (curve.n_projections, curve.readout, curve.metadata) == (2, "XX", {"shots": 5})
+
+    @pytest.mark.parametrize("text", [
+        # data rows above the column line, and the column line twice
+        _parse_text(*_PARSE_HEADERS, *_PARSE_ROWS[:2], "tau_ms,mean,stderr", *_PARSE_ROWS[2:]),
+        _parse_text(*_PARSE_HEADERS, *_PARSE_ROWS, "tau_ms,mean,stderr"),
+        _parse_text(*_PARSE_HEADERS, "tau_ms,mean,stderr", *_PARSE_ROWS[:1],
+                    "tau_ms,mean,stderr", *_PARSE_ROWS[1:]),
+        # blank and whitespace-only lines, indented lines, comment lines
+        # between rows and a header line below them, and CRLF endings
+        _parse_text(*_PARSE_HEADERS[:2], "", "   ", "\t", *_PARSE_HEADERS[2:],
+                    " tau_ms,mean,stderr ", "", *_PARSE_ROWS[:2], "# a comment", "  ",
+                    *_PARSE_ROWS[2:], "\t# another", ""),
+        _parse_text(*_PARSE_HEADERS[:3], "tau_ms,mean,stderr", *_PARSE_ROWS, _PARSE_HEADERS[3],
+                    _PARSE_HEADERS[4], end="\r\n"),
+        # a header line repeated: the last one counts
+        _parse_text(*_PARSE_HEADERS, "# n_projections: 6", "# readout: Z", "tau_ms,mean,stderr",
+                    *_PARSE_ROWS, "# n_projections: 2", "# readout: XX"),
+    ], ids=["rows above the column line", "column line last", "column line twice",
+            "blank, indented and comment lines", "CRLF endings", "last header wins"])
+    def test_accepted_layouts(self, text):
+        self._assert_canonical(parse_curve_csv(text))
+        assert self.CANONICAL.count("\n") == 10
+        self._assert_canonical(parse_curve_csv(self.CANONICAL))
+
+    def test_without_n_projections(self):
+        curve = parse_curve_csv(_parse_text("tau_ms,mean,stderr", *_PARSE_ROWS))
+        assert (curve.n_projections, curve.readout, curve.metadata) == (None, "", {})
+
+    @pytest.mark.parametrize("lines,fault", [
+        (["tau_ms,mean,stderr", "1,0.5"], r"malformed curve row: '1,0\.5'"),
+        (["tau_ms,mean,stderr", "1,0.5,0.01,3"], r"malformed curve row: '1,0\.5,0\.01,3'"),
+        (["tau_ms,mean,stderr", "1,x,0.01"], "could not convert string to float: 'x'"),
+        (["tau_ms,mean,stderr", "1,,0.01"], "could not convert string to float: ''"),
+        (["tau_ms,mean,stderr"], "missing header or data rows"),
+        (["1,0.5,0.01"], "missing header or data rows"),
+        (["tau,mean,stderr", "1,0.5,0.01"], "could not convert string to float: 'tau'"),
+        (["# tau_ms,mean,stderr", "1,0.5,0.01"], "missing header or data rows"),
+        (["tau_ms,mean,stderr", "1,0.5,inf"], "non-finite tau, mean or stderr"),
+        (["tau_ms,mean,stderr", "nan,0.5,0.01"], "non-finite tau, mean or stderr"),
+        (["tau_ms,mean,stderr", "1,0.5,-0.01"], "standard errors must be nonnegative"),
+        (["# config: {bad", "tau_ms,mean,stderr", "1,0.5,0.01"], "Expecting property name"),
+        (["# n_projections: two", "tau_ms,mean,stderr", "1,0.5,0.01"],
+         "invalid literal for int"),
+        (["# n_projections: 2.0", "tau_ms,mean,stderr", "1,0.5,0.01"],
+         "invalid literal for int"),
+        # of two faults, the one above is named
+        (["# n_projections: x", "tau_ms,mean,stderr", "1,0.5"], "invalid literal for int"),
+        (["tau_ms,mean,stderr", "1,0.5", "# n_projections: x"], "malformed curve row"),
+        # the header lines and the cells of each row are read before any cell
+        # is converted
+        (["tau_ms,mean,stderr", "1,x,0.01", "1,0.5,0.01,3"], "malformed curve row"),
+        (["tau_ms,mean,stderr", "1,x,0.01", "# n_projections: y"], "invalid literal for int"),
+    ])
+    def test_faults_named(self, tmp_path, lines, fault):
+        text = _parse_text(*lines)
+        with pytest.raises(ValueError, match=fault):
+            parse_curve_csv(text)
+        (tmp_path / "c.csv").write_text(text)
+        code, _, err = _main_quiet(["fit", "--in", str(tmp_path / "*.csv"), "--n", "2"])
+        _assert_one_error_line(code, err)
+        assert err.startswith("error: cannot parse")
+
+    @pytest.mark.parametrize("lines", [
+        # float() reads 0_9 as 9.0 and the Arabic-Indic 16 as 16.0
+        ["tau_ms,mean,stderr", "0,0.95,0", "2.5,0_9,0.01", "5,0.5,0.01", "7.5,0.25,0.01"],
+        ["tau_ms,mean,stderr", "0,0.95,0", "2.5,0.8,0.01", "١٦,0.5,0.01",
+         "7.5,0.25,0.01"],
+        ["tau_ms,mean,stderr", "0,0.95,0", "2.5,0.8,0.01", "5,0.5, 0.01", "7.5,0.25,0.01"],
+        # int() reads 1_6 and the Arabic-Indic 16 as N = 16
+        ["# n_projections: ١٦", "tau_ms,mean,stderr", *_PARSE_ROWS],
+        ["# n_projections: 1_6", "tau_ms,mean,stderr", *_PARSE_ROWS],
+    ], ids=["underscore cell", "arabic-indic cell", "no-break space in a cell",
+            "arabic-indic N", "underscore N"])
+    def test_numbers_are_plain_ascii(self, tmp_path, lines):
+        text = _parse_text(*lines)
+        with pytest.raises(ValueError, match="malformed"):
+            parse_curve_csv(text)
+        (tmp_path / "c.csv").write_text(text)
+        code, out, err = _main_quiet(["fit", "--in", str(tmp_path / "*.csv")])
+        _assert_one_error_line(code, err)
+        assert err.startswith("error: cannot parse") and "malformed" in err and out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["analytic", "--n", "x", "--t2eff", "1", "--tau", "1"],
     ["analytic", "--t2eff", "1", "--tau", "1"],

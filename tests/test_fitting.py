@@ -226,7 +226,7 @@ class TestGramSolve:
     def test_parallel_columns_raise(self, q):
         # every tau equal to 0 makes the Gaussian's column m equal the
         # constant one; at q = 1 the one column is 0
-        m, _ = model._decay_and_slope(0, np.zeros(6), 6.0)
+        m, _ = model._decay_and_slope(model._decay_table(0, np.zeros(6)), 6.0)
         a = np.column_stack([m, np.ones(6)]) if q == 2 else np.zeros((6, 1))
         with pytest.raises(np.linalg.LinAlgError):
             fitting._gram_solve(a.T @ a, a.T @ np.linspace(0.2, 0.9, 6))
@@ -276,9 +276,9 @@ class TestVariableProjection:
             curve = self._noisy(seed, n=4)
         trials = []
 
-        def spy(n, taus, t2eff):
+        def spy(table, t2eff):
             trials.append(t2eff)
-            return model._decay_and_slope(n, taus, t2eff)
+            return model._decay_and_slope(table, t2eff)
 
         # and the normal equations never go through LAPACK's solve
         with mock.patch.object(fitting, "_decay_and_slope", side_effect=spy), \
@@ -339,14 +339,14 @@ class TestVariableProjection:
         x = np.linspace(0.0, 2.0, 6)
         trials = []
 
-        def columns(theta):
+        def decay(theta):
             trials.append(theta)
             if theta != 0.5:
                 raise ValueError("refused")
-            return np.exp(-theta * x)[:, None], (-x * np.exp(-theta * x))[:, None]
+            return np.exp(-theta * x), -x * np.exp(-theta * x)
 
-        p, _, _, converged, it = least_squares(columns, 2.0 * np.exp(-x), np.ones(x.size),
-                                               0.5)
+        p, _, _, converged, it = least_squares(decay, 2.0 * np.exp(-x), np.ones(x.size),
+                                               0.5, offset=False)
         assert not converged and it == 1 and p[-1] == 0.5
         assert len(trials) == 1 + fitting.MAX_HALVINGS
 
@@ -355,18 +355,87 @@ class TestVariableProjection:
         # a fit that did not converge
         real = fitting.least_squares
 
-        def only_start(columns, y, weights, theta0):
+        def only_start(fit_model, y, weights, theta0, offset):
             def refuse(theta):
                 if theta != theta0:
                     raise ValueError("refused")
-                return columns(theta)
-            return real(refuse, y, weights, theta0)
+                return fit_model(theta)
+            return real(refuse, y, weights, theta0, offset)
 
         with mock.patch.object(fitting, "least_squares", only_start):
             with pytest.raises(FitError, match=r"decay fit \(N=2\) did not converge"):
                 fit_decay(self._noisy(1), 2, t2_guess=6.0)
             with pytest.raises(FitError, match="scaling fit did not converge"):
                 fit_scaling({0: 1.0, 2: 2.0, 4: 2.7})
+
+    def _fit_with_trials(self, curve, guess, refuse=()):
+        """fit_decay(curve, 2) from guess and its trial T2eff; the trials at the
+        indices in refuse are refused by the model."""
+        trials = []
+
+        def model_call(table, t2eff):
+            trials.append(t2eff)
+            if len(trials) - 1 in refuse:
+                raise ValueError("refused")
+            return model._decay_and_slope(table, t2eff)
+
+        with mock.patch.object(fitting, "_decay_and_slope", side_effect=model_call):
+            res = fit_decay(curve, 2, t2_guess=guess)
+        assert res.converged
+        return res, trials
+
+    @staticmethod
+    def _assert_same_optimum(res, ref):
+        for got, want in ((res.amplitude, ref.amplitude), (res.t2eff, ref.t2eff),
+                          (res.offset, ref.offset)):
+            assert got == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_far_start_halves_steps(self):
+        # from 30x the true T2eff the model is flat over the grid: the first
+        # steps overshoot and are halved, yet the fit ends where a start at
+        # 1.01x ends (on this seed's curve one trial is rejected and halved)
+        curve = self._noisy(6)
+        ref, ref_trials = self._fit_with_trials(curve, 1.01 * 6.84)
+        res, trials = self._fit_with_trials(curve, 30 * 6.84)
+        assert len(ref_trials) == ref.iterations + 1
+        assert len(trials) == res.iterations + 2
+        self._assert_same_optimum(res, ref)
+
+    def test_refused_first_step_is_halved(self):
+        curve = self._noisy(3)
+        ref, _ = self._fit_with_trials(curve, 1.01 * 6.84)
+        res, trials = self._fit_with_trials(curve, 6.0, refuse=(1,))
+        assert len(trials) == res.iterations + 2
+        assert trials[2] - trials[0] == pytest.approx((trials[1] - trials[0]) / 2, rel=1e-12)
+        self._assert_same_optimum(res, ref)
+
+    def test_given_up_fit_keeps_the_accepted_columns(self):
+        # After one accepted step every trial is rejected, either by a cost
+        # rise (the trial's columns are written, here of a reversed decay) or
+        # by the model refusing it (nothing is written). Both runs give up at
+        # the accepted T2eff with its standard errors: no trial may be written
+        # into the columns of the accepted state.
+        curve = self._noisy(3)
+        table = model._decay_table(2, curve.tau)
+        runs = []
+        for refused in (False, True):
+            trials = []
+
+            def decay(t2eff):
+                trials.append(t2eff)
+                m, dm = model._decay_and_slope(table, t2eff)
+                if len(trials) <= 2:
+                    return m, dm
+                if refused:
+                    raise ValueError("refused")
+                return m[::-1], dm[::-1]
+
+            runs.append(least_squares(decay, curve.mean, 1 / curve.stderr, 6.0, offset=True))
+            assert len(trials) == 2 + fitting.MAX_HALVINGS
+        (p, errs, rss, converged, it), want = runs
+        assert not converged and it == 2
+        assert np.array_equal(p, want[0]) and rss == want[2]
+        assert np.array_equal(errs, want[1]) and np.isfinite(errs).all()
 
     def test_flat_times_are_a_fit_error(self):
         with pytest.raises(FitError):
@@ -435,9 +504,9 @@ class TestFitScaling:
         seen = []
         real = fitting.least_squares
 
-        def spy(columns, *args):
-            seen.append(columns)
-            return real(columns, *args)
+        def spy(power_law, *args, **kwargs):
+            seen.append(power_law)
+            return real(power_law, *args, **kwargs)
 
         with mock.patch.object(fitting, "least_squares", spy):
             fit_scaling({0: 1.0, 2: 2.0, 16: 5.0})
@@ -449,32 +518,21 @@ class TestFitScaling:
 
 
 def test_least_squares_linear_problem():
-    # exactly solvable and separable: y = 1 + 2 x^3 on x = 1..4, with the
-    # intercept and slope linear and the exponent 3 the nonlinear parameter
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    y = 1.0 + 2.0 * x**3
-
-    def columns(theta):
-        power = x**theta
-        return (np.column_stack([np.ones_like(x), power]),
-                np.column_stack([np.zeros_like(x), power * np.log(x)]))
-
-    p, errs, rss, converged, _ = least_squares(columns, y, np.ones_like(x), 2.5)
-    assert converged
-    assert np.allclose(p, [1.0, 2.0, 3.0], atol=1e-8)
-    assert rss < 1e-15
-
-
-def test_least_squares_takes_at_most_two_linear_parameters():
+    # exactly solvable and separable: y = 2 x^3, and 2 x^3 + 1 with an
+    # offset, on x = 1..4, with the factor and offset linear and the
+    # exponent 3 the nonlinear parameter
     x = np.array([1.0, 2.0, 3.0, 4.0])
 
-    def columns(theta):
+    def power_law(theta):
         power = x**theta
-        return (np.column_stack([np.ones_like(x), x, power]),
-                np.column_stack([np.zeros_like(x), np.zeros_like(x), power * np.log(x)]))
+        return power, power * np.log(x)
 
-    with pytest.raises(ValueError, match="at most 2 linear parameters"):
-        least_squares(columns, 1.0 + x**3, np.ones_like(x), 2.5)
+    for offset, want in ((True, [2.0, 1.0, 3.0]), (False, [2.0, 3.0])):
+        p, errs, rss, converged, _ = least_squares(power_law, 2.0 * x**3 + offset,
+                                                   np.ones_like(x), 2.5, offset=offset)
+        assert converged
+        assert np.allclose(p, want, atol=1e-8)
+        assert rss < 1e-15 and errs.shape == p.shape
 
 
 def test_gauss_newton_iterations_are_pinned():

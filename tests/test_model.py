@@ -252,18 +252,26 @@ class TestDecaySlope:
     def test_matches_decay_curve_and_central_difference(self, n, scaled, t2eff):
         # taus span the decay, which stretches as sqrt(N + 1)
         taus = np.asarray(scaled) * t2eff * math.sqrt(n + 1)
-        value, slope = model._decay_and_slope(n, taus, t2eff)
+        value, slope = model._decay_and_slope(model._decay_table(n, taus), t2eff)
         assert np.array_equal(value, decay_curve(n, taus, t2eff))
         h = 1e-5 * t2eff
         central = (decay_curve(n, taus, t2eff + h) - decay_curve(n, taus, t2eff - h)) / (2 * h)
         assert np.max(np.abs(slope - central)) * t2eff <= 1e-8
 
     def test_chunking_does_not_change_values(self, monkeypatch):
+        # one table serves every T2eff, whether it holds tau f (one block) or
+        # leaves it to each call (8 blocks of 5 rows)
         taus = np.linspace(0.0, 40.0, 37)
-        whole = model._decay_and_slope(300, taus, 2.0)
+        whole = model._decay_table(300, taus)
         monkeypatch.setattr(model, "_CURVE_ENTRIES", 5 * 302)
-        for got, want in zip(model._decay_and_slope(300, taus, 2.0), whole):
-            assert np.array_equal(got, want)
+        blocks = model._decay_table(300, taus)
+        assert whole[0].shape == (37, 302) and blocks[0] is None
+        for t2eff in (2.0, 0.5, 7.0):
+            want = model._decay_and_slope(whole, t2eff)
+            for got in (model._decay_and_slope(blocks, t2eff),
+                        model._decay_and_slope(model._decay_table(300, taus), t2eff)):
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert np.array_equal(want[0], decay_curve(300, taus, t2eff))
 
 
 class TestSingleShotExpectation:
