@@ -10,9 +10,11 @@ Commands:
 Curves are CSV with '#'-prefixed provenance headers then tau_ms,mean,stderr
 rows; fit and scaling summaries are JSON. The environment variable
 ZENO_SEED overrides any configured seed (for reproduce, the seed of every
-plan of every curve). Exit codes: 0 success, 2 config or parse error (an
-argument argparse rejects included, and a zeno fit in which no curve
-fits), 3 I/O error. Every failure prints one 'error:' line on stderr.
+plan of every curve). A number in argv, in ZENO_SEED or in a curve CSV
+must be plain ASCII with no '_', both of which int() and float() would
+accept. Exit codes: 0 success, 2 config or parse error (an argument
+argparse rejects included, and a zeno fit in which no curve fits), 3 I/O
+error. Every failure prints one 'error:' line on stderr.
 """
 
 from __future__ import annotations
@@ -58,14 +60,42 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _plain(text: str) -> bool:
+    """True unless text holds a non-ASCII character or '_', which float() and int() accept."""
+    return text.isascii() and "_" not in text
+
+
+def _plain_number(kind):
+    """kind (int or float) read from _plain text only: the one reader of argv and env numbers.
+
+    Any other text, and text kind cannot read, is a ValueError "invalid int
+    value: '...'" (or float). The reader is named after kind, so argparse
+    reports a rejected option in the same words: "argument --n: invalid int
+    value: '...'".
+    """
+    def read(text: str):
+        try:
+            if _plain(text):
+                return kind(text)
+        except ValueError:
+            pass
+        raise ValueError(f"invalid {kind.__name__} value: {text!r}")
+
+    read.__name__ = kind.__name__
+    return read
+
+
+_int, _float = _plain_number(int), _plain_number(float)
+
+
 def _effective_seed(seed):
     """ZENO_SEED as an int if set, else the given seed; neither is range-checked."""
     env = os.environ.get("ZENO_SEED")
     if env is not None:
         try:
-            seed = int(env)
+            seed = _int(env)
         except ValueError as e:
-            raise ConfigError(f"ZENO_SEED is not an integer: {env!r}") from e
+            raise ConfigError(f"ZENO_SEED: {e}") from e
     return seed
 
 
@@ -114,11 +144,6 @@ def curve_to_csv(curve: DecayCurve) -> str:
                  f"n_projections: {curve.n_projections}",
                  f"readout: {curve.readout}"],
                 "tau_ms,mean,stderr", zip(curve.tau, curve.mean, curve.stderr))
-
-
-def _plain(text: str) -> bool:
-    """True unless text holds a non-ASCII character or '_', which float() and int() accept."""
-    return text.isascii() and "_" not in text
 
 
 def parse_curve_csv(text: str) -> DecayCurve:
@@ -227,7 +252,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_analytic(args) -> int:
     try:
-        taus = [float(t) for t in args.tau.split(",")]
+        taus = [_float(t) for t in args.tau.split(",")]
+    except ValueError as e:
+        raise ConfigError(f"--tau: {e}") from e
+    try:
         values = model.decay_curve(args.n, taus, args.t2eff, args.amplitude,
                                    args.offset)
     except ValueError as e:
@@ -466,19 +494,19 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_simulate)
 
     s = sub.add_parser("analytic", help="evaluate the closed-form decay curve")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--t2eff", type=float, required=True)
+    s.add_argument("--n", type=_int, required=True)
+    s.add_argument("--t2eff", type=_float, required=True)
     s.add_argument("--tau", required=True, help="comma-separated times in ms")
-    s.add_argument("--amplitude", type=float, default=1.0)
-    s.add_argument("--offset", type=float, default=0.0)
+    s.add_argument("--amplitude", type=_float, default=1.0)
+    s.add_argument("--offset", type=_float, default=0.0)
     s.add_argument("--out")
     s.set_defaults(func=cmd_analytic)
 
     s = sub.add_parser("fit", help="fit curve CSVs, emit a JSON fit table")
     s.add_argument("--in", dest="input", required=True, help="glob of curve CSVs")
-    s.add_argument("--n", type=int, default=None,
+    s.add_argument("--n", type=_int, default=None,
                    help="override the projection count from the file headers")
-    s.add_argument("--t2-guess", dest="t2_guess", type=float, default=None)
+    s.add_argument("--t2-guess", dest="t2_guess", type=_float, default=None)
     s.add_argument("--out")
     s.set_defaults(func=cmd_fit)
 
@@ -490,8 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("reproduce", help="rerun a published-figure pipeline")
     s.add_argument("figure", choices=sorted(_FIGURES))
     s.add_argument("--out", required=True)
-    s.add_argument("--shots", type=int, default=2000)
-    s.add_argument("--seed", type=int, default=20160901)
+    s.add_argument("--shots", type=_int, default=2000)
+    s.add_argument("--seed", type=_int, default=20160901)
     s.set_defaults(func=cmd_reproduce)
     return p
 

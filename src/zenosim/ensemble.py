@@ -6,7 +6,8 @@ observable, and evaluates the requested read-outs on the final density
 matrix. Detunings are drawn as one block per tau point from Philox keyed
 by (seed, plan stream), a digest of T2*, initial state, observable and N,
 with the point index in the counter: reproducible in any execution order.
-A plan draws from one generator, whose counter is reset before each point.
+Each thread keeps one generator, whose whole state is written from plain
+ints before each point.
 
 One kernel simulates a flat batch of (point, shot) rows in cache-sized
 chunks, with no loop over projections. It uses the paper's cos-power
@@ -27,6 +28,7 @@ computed on every call. Each readout operator is built once.
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from numbers import Integral
@@ -51,6 +53,10 @@ _CHUNK_ENTRIES = 2**13
 # Largest Monte-Carlo size of one plan, rows = tau points x shots. The
 # detunings of a plan are drawn at once, so this bounds its memory too.
 MAX_ROWS = 2**24
+
+# Each thread's detuning generator (see sample_detunings), made on its first
+# draw. A generator is never shared between threads.
+_THREAD = threading.local()
 
 
 @dataclass(frozen=True)
@@ -176,33 +182,45 @@ def sample_detunings(seed: int, stream: int, points: Sequence[int], shots: int,
     """Quasi-static detuning vectors of every shot at the given tau points.
 
     Returns each point's (shots, k) block in turn, stacked to
-    (len(points) * shots, k); a single index counts as one point. Points
-    are read as ints (model.checked, so 0.5 and True raise TypeError) in
-    [0, 2**64), else ValueError. Philox is
+    (len(points) * shots, k); a single index counts as one point. The seed,
+    the stream and the points are read as ints (model.checked, so 0.5, True
+    and "3" raise TypeError) in [0, 2**64), else ValueError. Philox is
     keyed by (seed, stream), ExperimentPlan.stream for a plan, with the
     point index in the top counter word: each point's block is the same in
     any execution order and any selection of points, and more shots extend
-    it. Draws are zero-mean Gaussians of width sqrt(2)/T2* per spin. One
-    generator serves every point: before each point p its state is reset to
-    counter [0, 0, 0, p] with an empty buffer, which is the state a new
-    Philox keyed by (seed, stream) at that counter starts in.
+    it. Draws are zero-mean Gaussians of width sqrt(2)/T2* per spin. Each
+    thread draws from its own generator, made on its first call and reused
+    by every later one. Before each point p every field of its state is
+    written from plain ints: key (seed, stream), counter [0, 0, 0, p] and an
+    empty buffer, the state a new Philox keyed by (seed, stream) at that
+    counter starts in.
     """
+    key = [checked(int, seed, "seed"), checked(int, stream, "stream")]
+    for name, word in zip(("seed", "stream"), key):
+        if not 0 <= word < 2**64:
+            raise ValueError(f"{name} must lie in [0, 2**64), got {word}")
     # numpy points as Python ints, so that a 0-d array is one point
     points = getattr(points, "tolist", lambda: points)()
     points = checked((int,), [points] if isinstance(points, Integral) else points, "points")
     if points and not (0 <= min(points) and max(points) < 2**64):
         raise ValueError(f"points must lie in [0, 2**64), got {min(points)} to {max(points)}")
-    bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
-    gen = np.random.Generator(bg)
-    state = dict(bg.state, buffer_pos=4, has_uint32=0)
-    counter = state["state"]["counter"]
-    out = np.empty((len(points) * shots, len(noise.t2_star)))
-    for i, p in enumerate(points):
+    try:
+        gen = _THREAD.generator
+    except AttributeError:
+        gen = _THREAD.generator = np.random.Generator(np.random.Philox(0))
+    bg = gen.bit_generator
+    # numpy's state setter indexes every word: plain ints read faster than numpy's
+    counter = [0, 0, 0, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    k = len(noise.t2_star)
+    out = np.empty((len(points), shots, k))
+    for block, p in zip(out, points):
         counter[3] = p
         bg.state = state
-        gen.standard_normal(out=out[i * shots:(i + 1) * shots])
+        gen.standard_normal(out=block)
     out *= noise.sigma
-    return out
+    return out.reshape(-1, k)
 
 
 @lru_cache(maxsize=256)

@@ -91,6 +91,21 @@ MUTANTS = (
      "a curve row of 4 or more fields accepted"),
     (CLI, 'return text.isascii() and "_" not in text', "return text.isascii()",
      "'_' accepted in a curve number, which float() and int() read as a digit separator"),
+    (ENSEMBLE,
+     "    for block, p in zip(out, points):\n        counter[3] = p\n        bg.state = state\n",
+     "    counter[3] = points[0] if points else 0\n    bg.state = state\n"
+     "    for block, p in zip(out, points):\n",
+     "the generator reset once per call, not before each point"),
+    (ENSEMBLE, '"key": key}', '"key": bg.state["state"]["key"]}',
+     "the key left out of the reset: a warm generator keeps the key it last drew with"),
+    (ENSEMBLE, '"buffer_pos": 4,', '"buffer_pos": 0,',
+     "the reset leaves a full buffer of zeros, not an empty one"),
+    (ENSEMBLE, 'key = [checked(int, seed, "seed"), checked(int, stream, "stream")]',
+     "key = [seed, stream]", "a fractional, bool or string seed or stream let through"),
+    (CLI, "            if _plain(text):\n", "            if True:\n",
+     "'_' and non-ASCII digits accepted in argv numbers and ZENO_SEED"),
+    (CLI, '"--seed", type=_int,', '"--seed", type=int,',
+     "zeno reproduce --seed read by int(), which accepts '_' and non-ASCII digits"),
 )
 
 

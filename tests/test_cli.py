@@ -1082,3 +1082,81 @@ class TestCommandProperties:
                     if line and not line.startswith(("#", "tau_ms"))]
             assert err == "" and rows
             assert all(math.isfinite(float(v)) for row in rows for v in row), out
+
+
+# Number texts that int() or float() would read: a plain ASCII number with
+# '_', an Arabic-Indic, fullwidth or superscript digit or a no-break space
+# put in, or with every digit written as an Arabic-Indic or fullwidth one.
+_UNPLAIN_CHARS = st.sampled_from(["_", "\u0661", "\u0666", "\uff11", "\uff16", "\u00b2",
+                                  "\u00b9", "\u00a0"])
+_FOREIGN_DIGITS = st.sampled_from([str.maketrans("0123456789", "".join(map(chr, range(
+    start, start + 10)))) for start in (0x0660, 0xff10)])
+
+
+@st.composite
+def _unplain_texts(draw):
+    text = draw(st.integers(1, 10**6).map(str) | st.floats(0.5, 100.0).map(str))
+    if draw(st.booleans()):
+        return text.translate(draw(_FOREIGN_DIGITS))
+    i = draw(st.integers(0, len(text)))
+    return text[:i] + draw(_UNPLAIN_CHARS) + text[i:]
+
+
+# Each number read from argv, as (argv with "{}" for the text, the name an
+# error must give)
+_NUMBER_ARGV = [
+    (["analytic", "--n", "{}", "--t2eff", "5", "--tau", "1"], "--n"),
+    (["analytic", "--n", "2", "--t2eff", "{}", "--tau", "1"], "--t2eff"),
+    (["analytic", "--n", "2", "--t2eff", "5", "--tau", "0,{},9"], "--tau"),
+    (["analytic", "--n", "2", "--t2eff", "5", "--tau", "1", "--amplitude", "{}"],
+     "--amplitude"),
+    (["analytic", "--n", "2", "--t2eff", "5", "--tau", "1", "--offset", "{}"], "--offset"),
+    (["fit", "--in", "none.csv", "--n", "{}"], "--n"),
+    (["fit", "--in", "none.csv", "--t2-guess", "{}"], "--t2-guess"),
+    (["reproduce", "fig5", "--out", "{out}", "--shots", "{}"], "--shots"),
+    (["reproduce", "fig5", "--out", "{out}", "--seed", "{}"], "--seed"),
+]
+
+
+class TestPlainNumbers:
+    """Every number in argv and ZENO_SEED follows _plain's rule: ASCII, no '_'."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_unplain_texts())
+    def test_unplain_numbers_exit_2_naming_the_input(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = str(Path(tmp) / "out")
+            for argv, name in _NUMBER_ARGV:
+                code, stdout, err = _main_quiet(
+                    [a.format(text, out=out) for a in argv])
+                _assert_one_error_line(code, err)
+                assert name in err and stdout == "", (argv, text, err)
+            with mock.patch.dict("os.environ", {"ZENO_SEED": text}):
+                code, stdout, err = _main_quiet(["reproduce", "fig5", "--out", out])
+            _assert_one_error_line(code, err)
+            assert "ZENO_SEED" in err and stdout == "", (text, err)
+            assert not Path(out).exists()
+
+    @pytest.mark.parametrize("argv,env,name", [
+        (["analytic", "--n", "١٦", "--t2eff", "1_0", "--tau", "١,2"], None,
+         "--n"),
+        (["reproduce", "fig5"], "1_0", "ZENO_SEED"),
+        (["reproduce", "fig5", "--seed", "١٠", "--shots", "1_0"], None, "--seed"),
+    ], ids=["analytic N=16", "ZENO_SEED=10", "reproduce seed=10 shots=10"])
+    def test_commands_that_read_unplain_numbers_as_others(self, tmp_path, monkeypatch,
+                                                          argv, env, name):
+        if env is not None:
+            monkeypatch.setenv("ZENO_SEED", env)
+        if argv[0] == "reproduce":
+            argv = argv + ["--out", str(tmp_path / "out")]
+        code, stdout, err = _main_quiet(argv)
+        _assert_one_error_line(code, err)
+        assert name in err and stdout == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,kind,value", [
+        ("16", int, 16), (" 4", int, 4), ("-0", int, 0), ("1e-3", float, 1e-3),
+        ("inf", float, math.inf), ("2.5", float, 2.5),
+    ])
+    def test_plain_numbers_read_as_before(self, text, kind, value):
+        reader = {int: cli._int, float: cli._float}[kind]
+        assert reader(text) == kind(text) == value

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -78,6 +79,28 @@ def loop_kernel(plan, deltas, seg):
     return (rho @ weights).real
 
 
+def fresh_blocks(seed, stream, points, shots, noise):
+    """Detunings drawn by a new Philox per point: the oracle of sample_detunings."""
+    key, k = np.array([seed, stream], dtype=np.uint64), len(noise.t2_star)
+    blocks = [np.random.Generator(np.random.Philox(
+        key=key, counter=np.array([0, 0, 0, p], dtype=np.uint64))).standard_normal((shots, k))
+        for p in points]
+    return np.concatenate([np.empty((0, k)), *blocks]) * noise.sigma
+
+
+# Calls that differ in every argument: seed, stream, points, shots and spins
+_CALLS = [(seed, stream, points, shots, NoiseModel((12.4, 8.2, 21.0)[:k]))
+          for seed, stream, points, shots, k in (
+              (0, 0, [0], 1, 1), (2**64 - 1, 5, [3, 1, 4], 7, 2),
+              (7, 2**64 - 1, range(5), 2, 3), (7, 6, [2**40, 0], 33, 1),
+              (99, 6, [1], 2000, 2), (0, 1, [], 4, 3), (1, 0, [9, 9], 3, 2))]
+
+
+def _draw_calls(order):
+    """(i, sample_detunings of _CALLS[i]) for each i in order."""
+    return [(i, sample_detunings(*_CALLS[i])) for i in order]
+
+
 class TestSampleDetunings:
     def test_deterministic(self):
         noise = NoiseModel((12.4, 8.2))
@@ -118,6 +141,23 @@ class TestSampleDetunings:
         with pytest.raises(error, match="points"):
             sample_detunings(1, 5, points, 3, NoiseModel((12.4,)))
 
+    @pytest.mark.parametrize("seed,stream,error,name", [
+        # 1.5 and True would draw seed 1's stream, and "3" seed 3's
+        (1.5, 5, TypeError, "seed"), (True, 5, TypeError, "seed"), ("3", 5, TypeError, "seed"),
+        (-1, 5, ValueError, "seed"), (2**64, 5, ValueError, "seed"),
+        (1, 0.5, TypeError, "stream"), (1, False, TypeError, "stream"),
+        (1, "5", TypeError, "stream"), (1, -1, ValueError, "stream"),
+        (1, 2**64, ValueError, "stream"),
+    ])
+    def test_seed_and_stream_are_64_bit_ints(self, seed, stream, error, name):
+        with pytest.raises(error, match=name):
+            sample_detunings(seed, stream, [0], 3, NoiseModel((12.4,)))
+
+    def test_seed_and_stream_accept_numpy_ints(self):
+        noise = NoiseModel((12.4,))
+        assert np.array_equal(sample_detunings(np.uint64(2**64 - 1), np.int64(5), [2], 3, noise),
+                              sample_detunings(2**64 - 1, 5, [2], 3, noise))
+
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.integers(1, 4),
            st.just(1) | st.integers(1, 50).map(lambda s: 2 * s + 1) | st.integers(2000, 2100),
@@ -135,6 +175,84 @@ class TestSampleDetunings:
             want = np.random.Generator(bg).standard_normal((shots, k)) * noise.sigma
             assert np.array_equal(stacked[i * shots:(i + 1) * shots], want)
             assert np.array_equal(sample_detunings(seed, stream, [p], shots, noise), want)
+
+
+class TestReusedGenerator:
+    """Each thread reuses one generator; every call still draws the fresh-Philox blocks."""
+
+    def test_interleaved_calls_match_fresh_generators(self):
+        order = [0, 1, 2, 3, 4, 5, 6, 1, 0, 4, 2, 6, 3, 3, 1]
+        for i, got in _draw_calls(order):
+            assert np.array_equal(got, fresh_blocks(*_CALLS[i])), _CALLS[i]
+
+    def test_a_second_thread_matches_fresh_generators(self):
+        results = []
+        worker = threading.Thread(target=lambda: results.extend(
+            _draw_calls(range(len(_CALLS)))))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert [i for i, _ in results] == list(range(len(_CALLS)))
+        for i, got in results:
+            assert np.array_equal(got, fresh_blocks(*_CALLS[i])), _CALLS[i]
+
+    def test_concurrent_threads_match_fresh_generators(self):
+        # the main thread and three workers draw at once in different
+        # orders, switching often; a generator shared between them would
+        # mix their streams
+        orders = [list(range(len(_CALLS))) * 10]
+        orders += [orders[0][::-1], orders[0][::2] + orders[0][1::2], orders[0][3:] + orders[0][:3]]
+        start = threading.Barrier(len(orders))
+        results = [[] for _ in orders]
+
+        def work(j):
+            start.wait(timeout=60)
+            results[j].extend(_draw_calls(orders[j]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(j,)) for j in range(1, len(orders))]
+            for worker in workers:
+                worker.start()
+            work(0)
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        want = [fresh_blocks(*call) for call in _CALLS]
+        for order, result in zip(orders, results):
+            assert [i for i, _ in result] == order
+            for i, got in result:
+                assert np.array_equal(got, want[i]), _CALLS[i]
+
+    def test_a_warm_call_builds_no_philox(self):
+        # on a new thread: a rejected call builds nothing, the first draw
+        # builds the thread's one generator, later draws reuse it
+        built, counts, results = [], [], []
+        real = np.random.Philox
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        def work():
+            try:
+                sample_detunings(-1, 5, [0], 3, _CALLS[0][4])
+            except ValueError:
+                counts.append(len(built))
+            for i in (1, 2, 1):
+                results.append((i, sample_detunings(*_CALLS[i])))
+                counts.append(len(built))
+
+        with mock.patch.object(np.random, "Philox", spy):
+            worker = threading.Thread(target=work)
+            worker.start()
+            worker.join(timeout=60)
+        assert not worker.is_alive() and counts == [0, 1, 1, 1]
+        for i, got in results:
+            assert np.array_equal(got, fresh_blocks(*_CALLS[i]))
 
 
 class TestPlanStream:
