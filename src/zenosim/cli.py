@@ -205,9 +205,9 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-# Format of a fit row's floats: a fit stops once its step is below REL_TOL of
-# T2eff, so digits past -log10(REL_TOL) significant ones are noise that a
-# 1e-16 change in the curve moves.
+# Format of a fit row's floats, decay or scaling: a fit stops once its step is
+# below REL_TOL of T2eff or nu, so digits past -log10(REL_TOL) significant ones
+# are noise that a 1e-16 change in the data moves.
 _RESOLVED = f".{round(-math.log10(REL_TOL))}g"
 
 
@@ -342,7 +342,7 @@ def cmd_scaling(args) -> int:
         fit = fit_scaling(_scaling_times(_read_json(args.input)))
     except FitError as e:
         raise ConfigError(str(e)) from e
-    _emit(args.out, _json_dumps(fit.as_dict()))
+    _emit(args.out, _json_dumps(_resolved(fit.as_dict())))
     return 0
 
 
@@ -459,7 +459,7 @@ def _reproduce_fig5(out: Path, shots: int, seed: int) -> Dict:
     _write(out / "fig5_normalized_times.csv",
            _csv([], "n_projections,normalized_sqrt_e_time",
                 fit.normalized_times.items()))
-    return {"figure": "fig5", **fit.as_dict()}
+    return {"figure": "fig5", **_resolved(fit.as_dict())}
 
 
 _FIGURES = {"fig5": _reproduce_fig5,

@@ -184,7 +184,8 @@ def sample_detunings(seed: int, stream: int, points: Sequence[int], shots: int,
     Returns each point's (shots, k) block in turn, stacked to
     (len(points) * shots, k); a single index counts as one point. The seed,
     the stream and the points are read as ints (model.checked, so 0.5, True
-    and "3" raise TypeError) in [0, 2**64), else ValueError. Philox is
+    and "3" raise TypeError) in [0, 2**64), else ValueError, and shots as
+    an int >= 1, as ExperimentPlan reads it. Philox is
     keyed by (seed, stream), ExperimentPlan.stream for a plan, with the
     point index in the top counter word: each point's block is the same in
     any execution order and any selection of points, and more shots extend
@@ -199,6 +200,9 @@ def sample_detunings(seed: int, stream: int, points: Sequence[int], shots: int,
     for name, word in zip(("seed", "stream"), key):
         if not 0 <= word < 2**64:
             raise ValueError(f"{name} must lie in [0, 2**64), got {word}")
+    shots = checked(int, shots, "shots")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     # numpy points as Python ints, so that a 0-d array is one point
     points = getattr(points, "tolist", lambda: points)()
     points = checked((int,), [points] if isinstance(points, Integral) else points, "points")

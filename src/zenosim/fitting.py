@@ -6,13 +6,16 @@ offset + A*m(tau; T2eff) is linear in A and offset, and the scaling law
 each trial value of the one nonlinear parameter the linear ones are
 solved exactly, and the nonlinear one takes Gauss-Newton steps on the
 exact derivatives of the model. Parameter standard errors come from the
-analytic Jacobian at the optimum, scaled by the reduced chi-square.
+same solve as the last step, by the block inverse of the analytic J^T J,
+scaled by the reduced chi-square.
 
 least_squares reads a model through one callback per trial, which returns
-the model and its derivative in the nonlinear parameter as 1-D arrays. The
-weighted columns live in two buffers made once per fit, so a trial
-allocates only what its step needs; a decay fit also builds the tau part
-of its model table once (model._decay_table) for all its trial T2eff.
+the model and its derivative in the nonlinear parameter as 1-D arrays. A
+trial is a tuple of values that shares no array with any other trial. A
+fit holds no column buffer and makes no LAPACK call: its 1x1 and 2x2
+normal equations, steps and errors are all solved by _gram_solve in Python
+floats. A decay fit builds the tau part of its model table once
+(model._decay_table) for all its trial T2eff.
 """
 
 from __future__ import annotations
@@ -114,28 +117,56 @@ def _pivot(p):
     return p
 
 
-def _solve_linear(model, w, wy, theta, a):
-    """(dm, a, G = a^T a, c, r, cost) at theta, or None where theta is rejected.
+def _solve_linear(model, w, wy, theta, template):
+    """The values of the trial theta, (c, r, cost, b, x, s, g), or None where it is rejected.
 
-    model(theta) returns m and dm/dtheta; w*m is written into column 0 of
-    the buffer a, whose other column, if any, holds w. c solves the normal
-    equations G c = a^T (w y) and r = a c - w y. theta is rejected when
-    model raises ValueError, when the equations are singular, when a float
-    error is raised (under np.errstate) or when the cost is not finite.
+    model(theta) returns m and dm/dtheta. The weighted columns A are a fresh
+    copy of template, whose column 0 is set to w*m (its other column, if
+    any, holds w). c solves the normal equations g c = A^T (w y) with
+    g = A^T A, and r = A c - w y. b = w dm c0 is d(A c)/d(theta); x solves
+    g x = A^T b, and s = |b - A x|^2 is the part of |b|^2 outside the span
+    of A. Both solves are _gram_solve's. theta is rejected when model
+    raises ValueError or a float error, when either solve is singular, when
+    forming A, g or b raises a float error (under np.errstate) or when the
+    cost is not finite.
     """
     try:
         m, dm = model(theta)
     except (ValueError, FloatingPointError):
         return None
+    a = template.copy()
     try:
         np.multiply(w, m, out=a[:, 0])
         g = a.T @ a
         c = _gram_solve(g, a.T @ wy)
+        b = w * (dm * c[0])
+        x = _gram_solve(g, a.T @ b)
     except (np.linalg.LinAlgError, FloatingPointError):
         return None
     r = a @ c - wy
     cost = float(r @ r)
-    return (dm, a, g, c, r, cost) if math.isfinite(cost) else None
+    # Only the part of d(A c)/d(theta) outside the span of A moves the cost.
+    jk = b - a @ x
+    return (c, r, cost, b, x, float(jk @ jk), g) if math.isfinite(cost) else None
+
+
+def _std_errors(c, r, cost, _, x, s, g):
+    """Standard errors of (*c, theta) from the values of the last accepted trial.
+
+    With J = [A, b], the block inverse of J^T J gives var theta = s2/s and
+    var c_i = s2 ((g^-1)_ii + x_i^2/s), with s2 = cost/dof; the diagonal of
+    g^-1 is _gram_solve's on the unit vectors. NaN where s <= 0 or g^-1 is
+    not finite.
+    """
+    try:
+        g_inv = [_gram_solve(g, e)[i] for i, e in enumerate(np.eye(c.size))]
+    except np.linalg.LinAlgError:
+        s = math.nan  # an inverse past the float range: no error is defined
+    if not s > 0:
+        return np.full(c.size + 1, math.nan)
+    s2 = cost / max(r.size - c.size - 1, 1)
+    var = [s2 * (gi + xi * xi / s) for gi, xi in zip(g_inv, x.tolist())] + [s2 / s]
+    return np.sqrt(np.maximum(var, 0.0))
 
 
 def least_squares(model: Callable[[float], tuple], y: Sequence[float],
@@ -143,14 +174,14 @@ def least_squares(model: Callable[[float], tuple], y: Sequence[float],
     """Variable-projection Gauss-Newton fit of y ~ c0 m(theta) (+ c1 with offset).
 
     model(theta) returns the model m and its theta-derivative dm as 1-D
-    arrays over the points. For each trial theta the linear parameters c
-    are solved exactly from the weighted normal equations, by _gram_solve;
-    theta then takes the reduced (Kaufman) Gauss-Newton step, halved while
-    the cost rises. A rejected trial theta counts as a rise. The weighted
-    columns (w m, and w with offset) live in two (points x q) buffers made
-    once: a trial is written into the one the accepted theta does not hold,
-    and the two swap roles when it is accepted. Standard errors come from
-    the full analytic Jacobian at the optimum, scaled by cost/dof.
+    arrays over the points. For each trial theta, _solve_linear solves the
+    linear parameters c exactly from the weighted normal equations and the
+    reduced (Kaufman) curvature s of the cost in theta, both by _gram_solve.
+    theta then takes the Gauss-Newton step -(b.r)/s of the accepted trial,
+    halved while the cost rises; a rejected trial counts as a rise. A trial
+    is a tuple of fresh values: it shares no array with the accepted one,
+    which it replaces only when accepted. Standard errors come from the
+    last accepted trial's own values (_std_errors), scaled by cost/dof.
 
     Returns (p, std_errors, rss, converged, iterations) with p = (*c, theta),
     or p = (theta0,) and no finite error when theta0 itself is rejected.
@@ -158,22 +189,14 @@ def least_squares(model: Callable[[float], tuple], y: Sequence[float],
     w = np.asarray(weights, dtype=float)
     wy = w * np.asarray(y, dtype=float)
     abs_wy = np.abs(wy)
-    a, spare = np.empty((2, w.size, 1 + offset))
-    a[:, 1:] = spare[:, 1:] = w[:, None]
+    template = np.repeat(w[:, None], 1 + offset, axis=1)
     theta, converged, it = float(theta0), False, 0
-    state = _solve_linear(model, w, wy, theta, a)
+    state = _solve_linear(model, w, wy, theta, template)
     if state is None:
         return np.array([theta]), np.array([math.nan]), math.inf, False, 0
-    dm, a, g, c, r, cost = state
     for it in range(1, MAX_ITER + 1):
-        # Only the part of d(A c)/d(theta) outside the span of A moves the cost.
-        b = w * (dm * c[0])
-        try:
-            jk = b - a @ _gram_solve(g, a.T @ b)
-        except np.linalg.LinAlgError:
-            break
-        curvature = float(jk @ jk)
-        step = -float(b @ r) / curvature if curvature > 0 else math.nan
+        _, r, cost, b, _, s, _ = state
+        step = -float(b @ r) / s if s > 0 else math.nan
         if not math.isfinite(step):
             break
         # A rise within the rounding error of the cost (about 2 eps sum |r| |w y|,
@@ -181,27 +204,18 @@ def least_squares(model: Callable[[float], tuple], y: Sequence[float],
         abs_r = np.abs(r)
         slack = _SLACK_EPS * float(abs_r @ (abs_wy + abs_r))
         for _ in range(MAX_HALVINGS):
-            state = _solve_linear(model, w, wy, theta + step, spare)
-            if state is not None and state[-1] <= cost + slack:
+            trial = _solve_linear(model, w, wy, theta + step, template)
+            if trial is not None and trial[2] <= cost + slack:
                 break
             step /= 2
         else:
             break
         theta += step
-        spare = a
-        dm, a, g, c, r, cost = state
+        state = trial
         if abs(step) <= REL_TOL * abs(theta):
             converged = True
             break
-
-    jac = np.column_stack([a, w * (dm * c[0])])
-    dof = max(r.size - jac.shape[1], 1)
-    try:
-        cov = np.linalg.inv(jac.T @ jac) * (cost / dof)
-        errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    except np.linalg.LinAlgError:
-        errs = np.full(jac.shape[1], np.nan)
-    return np.append(c, theta), errs, cost, converged, it
+    return np.append(state[0], theta), _std_errors(*state), state[2], converged, it
 
 
 def _weights(curve: DecayCurve) -> np.ndarray:

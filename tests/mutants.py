@@ -85,8 +85,11 @@ MUTANTS = (
     (MODEL, "return _t2eff(t2eff) * _unit_sqrt_e_time(n)",
      "return _t2eff(t2eff) ** 0 * _unit_sqrt_e_time(n)",
      "sqrt_e_time without its T2eff factor"),
-    (FITTING, "        spare = a\n", "",
-     "the buffer swap dropped: trials are written into the accepted state's columns"),
+    (FITTING, "        else:\n            break\n",
+     "        else:\n            state = trial or state\n            break\n",
+     "a fit that gives up takes its last refused trial as the accepted state"),
+    (FITTING, "s2 * (gi + xi * xi / s)", "s2 * gi",
+     "x_i^2/s dropped from var c_i: the errors of c ignore their correlation with theta"),
     (CLI, 'if line.count(",") != 2 or', 'if line.count(",") < 2 or',
      "a curve row of 4 or more fields accepted"),
     (CLI, 'return text.isascii() and "_" not in text', "return text.isascii()",
@@ -102,10 +105,15 @@ MUTANTS = (
      "the reset leaves a full buffer of zeros, not an empty one"),
     (ENSEMBLE, 'key = [checked(int, seed, "seed"), checked(int, stream, "stream")]',
      "key = [seed, stream]", "a fractional, bool or string seed or stream let through"),
+    (ENSEMBLE, '    shots = checked(int, shots, "shots")\n    if shots < 1:\n'
+     '        raise ValueError(f"shots must be >= 1, got {shots}")\n', "",
+     "sample_detunings' shots gate dropped: a bool, float, string or count below 1 let through"),
     (CLI, "            if _plain(text):\n", "            if True:\n",
      "'_' and non-ASCII digits accepted in argv numbers and ZENO_SEED"),
     (CLI, '"--seed", type=_int,', '"--seed", type=int,',
      "zeno reproduce --seed read by int(), which accepts '_' and non-ASCII digits"),
+    (CLI, "_json_dumps(_resolved(fit.as_dict()))", "_json_dumps(fit.as_dict())",
+     "zeno scaling printed to more digits than the fit resolves"),
 )
 
 

@@ -16,7 +16,7 @@ from zenosim import cli
 from zenosim.cli import (AMPLITUDE_LOGICAL, T2_STAR, _avg_curve, _json_dumps,
                          build_parser, main, parse_curve_csv)
 from zenosim.ensemble import ExperimentPlan, NoiseModel, run_ensemble, sample_detunings
-from zenosim.fitting import fit_decay
+from zenosim.fitting import fit_decay, fit_scaling
 from zenosim.logical import CARDINAL_2SPIN
 from zenosim.model import decay_curve, sqrt_e_time
 
@@ -552,6 +552,21 @@ class TestScalingCommand:
         assert res["mu"] == pytest.approx(0.77, abs=0.02)
         assert res["nu"] == pytest.approx(0.63, abs=0.02)
 
+    def test_output_at_resolved_precision(self, tmp_path):
+        # as for a decay fit row: each float is fit_scaling's to 9 significant
+        # digits, the normalized times included
+        times = {0: 12.4, 2: 19.83, 4: 24.91, 8: 32.07, 16: 42.13}
+        inp = tmp_path / "times.json"
+        inp.write_text(json.dumps({"times": {str(n): t for n, t in times.items()}}))
+        out = tmp_path / "scaling.json"
+        assert main(["scaling", "--in", str(inp), "--out", str(out)]) == 0
+        res = json.loads(out.read_text())
+        fit = fit_scaling(times).as_dict()
+        for key in ("mu", "nu", "mu_err", "nu_err"):
+            assert res[key] == float(f"{fit[key]:.9g}")
+        assert res["normalized_times"] == {n: float(f"{t:.9g}")
+                                           for n, t in fit["normalized_times"].items()}
+
     def test_missing_n0(self, tmp_path):
         inp = tmp_path / "times.json"
         inp.write_text(json.dumps({"times": {"2": 2.1, "4": 2.8}}))
@@ -656,6 +671,13 @@ class TestReproduce:
         assert summary["mu"] == pytest.approx(0.77, abs=0.02)
         assert summary["nu"] == pytest.approx(0.63, abs=0.02)
         assert (out / "fig5_normalized_times.csv").exists()
+
+    def test_fig5_summary_at_resolved_precision(self, tmp_path):
+        assert main(["reproduce", "fig5", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "fig5_summary.json").read_text())
+        fit = fit_scaling({n: sqrt_e_time(n, 1.0) for n in range(0, 17, 2)})
+        for key in ("mu", "nu", "mu_err", "nu_err"):
+            assert summary[key] == float(f"{getattr(fit, key):.9g}")
 
     def test_fig5_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

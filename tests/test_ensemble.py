@@ -153,6 +153,14 @@ class TestSampleDetunings:
         with pytest.raises(error, match=name):
             sample_detunings(seed, stream, [0], 3, NoiseModel((12.4,)))
 
+    @pytest.mark.parametrize("shots,error", [
+        # True would draw one shot, 2.0 two, "3" three; -1 and 0 no block at all
+        (True, TypeError), (2.0, TypeError), ("3", TypeError), (-1, ValueError), (0, ValueError),
+    ])
+    def test_shots_is_a_positive_int(self, shots, error):
+        with pytest.raises(error, match="shots"):
+            sample_detunings(1, 5, [0], shots, NoiseModel((12.4,)))
+
     def test_seed_and_stream_accept_numpy_ints(self):
         noise = NoiseModel((12.4,))
         assert np.array_equal(sample_detunings(np.uint64(2**64 - 1), np.int64(5), [2], 3, noise),

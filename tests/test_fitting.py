@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zenosim import fitting, model
@@ -411,10 +411,10 @@ class TestVariableProjection:
 
     def test_given_up_fit_keeps_the_accepted_columns(self):
         # After one accepted step every trial is rejected, either by a cost
-        # rise (the trial's columns are written, here of a reversed decay) or
-        # by the model refusing it (nothing is written). Both runs give up at
-        # the accepted T2eff with its standard errors: no trial may be written
-        # into the columns of the accepted state.
+        # rise (the trial's values exist, here of a reversed decay) or by the
+        # model refusing it (there are none). Both runs give up at the
+        # accepted T2eff with its standard errors: no refused trial may
+        # replace the accepted state.
         curve = self._noisy(3)
         table = model._decay_table(2, curve.tau)
         runs = []
@@ -440,6 +440,78 @@ class TestVariableProjection:
     def test_flat_times_are_a_fit_error(self):
         with pytest.raises(FitError):
             fit_scaling({0: 1.0, 2: 1.0, 4: 1.0})
+
+
+def _full_jacobian_errors(fit_model, y, w, p, rss):
+    """sqrt(diag(inv(J^T J)) cost/dof) of the full weighted Jacobian J at p:
+    the oracle of least_squares' standard errors."""
+    m, dm = fit_model(p[-1])
+    jac = np.column_stack([w * m, *([w] if p.size == 3 else []), w * dm * p[0]])
+    return np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)) * rss / max(len(y) - p.size, 1))
+
+
+class TestStdErrors:
+    # The errors come from the reduced step's own solve, by the block inverse
+    # of J^T J; the full Jacobian's LAPACK inverse is the oracle
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, 16), st.booleans(), st.integers(6, 30), st.integers(0, 2**32 - 1),
+           st.floats(0.8, 1.25))
+    def test_decay_errors_match_the_full_jacobian(self, n, offset, points, seed, start):
+        tau = np.linspace(0, 3 * sqrt_e_time(n + n % 2, 6.84), points)
+        rng = np.random.default_rng(seed)
+        y = 0.05 * offset + 0.9 * decay_curve(n, tau, 6.84) + rng.normal(scale=0.01, size=points)
+        w = 1 / rng.uniform(0.005, 0.02, points)
+        table = model._decay_table(n, tau)
+
+        def decay(t):
+            if not t > 0:
+                raise ValueError("refused")
+            return model._decay_and_slope(table, t)
+
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            p, errs, rss, converged, _ = least_squares(decay, y, w, start * 6.84, offset)
+        assume(converged)
+        assert p.size == 2 + offset
+        np.testing.assert_allclose(errs, _full_jacobian_errors(decay, y, w, p, rss),
+                                   rtol=1e-9, atol=0)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.floats(0.2, 2.0), st.floats(0.2, 1.2),
+           st.sets(st.integers(1, 64), min_size=3, max_size=8), st.integers(0, 2**32 - 1))
+    def test_scaling_errors_match_the_full_jacobian(self, mu, nu, ns, seed):
+        rng = np.random.default_rng(seed)
+        times = {0: 1.0, **{n: (1 + mu * n**nu) * (1 + rng.normal(scale=0.02))
+                            for n in sorted(ns)}}
+        try:
+            fit = fit_scaling(times)
+        except FitError:
+            assume(False)
+        x = np.array([n for n in fit.normalized_times if n > 0], dtype=float)
+        y = np.array([t for n, t in fit.normalized_times.items() if n > 0]) - 1.0
+
+        def power_law(nu):
+            return x**nu, x**nu * np.log(x)
+
+        r = fit.mu * x**fit.nu - y
+        want = _full_jacobian_errors(power_law, y, np.ones(x.size), np.array([fit.mu, fit.nu]),
+                                     float(r @ r))
+        np.testing.assert_allclose([fit.mu_err, fit.nu_err], want, rtol=1e-9, atol=0)
+
+    def test_no_curvature_leaves_errors_undefined(self):
+        # dm = 0: the reduced curvature s is 0, so neither the step nor the
+        # errors are defined
+        x = np.linspace(0.0, 2.0, 6)
+        p, errs, _, converged, it = least_squares(
+            lambda theta: (np.exp(-x), np.zeros(x.size)), np.exp(-x), np.ones(x.size), 0.5,
+            offset=True)
+        assert not converged and it == 1 and p.size == 3
+        assert np.isnan(errs).all() and errs.size == 3
+
+    def test_overflowing_inverse_leaves_errors_undefined(self):
+        # g = [[1e-310]] solves g c = 1e-310, but its inverse 1e310 is not finite
+        errs = fitting._std_errors(np.array([1.0]), np.zeros(5), 1.0, None, np.array([0.5]),
+                                   1.0, np.array([[1e-310]]))
+        assert np.isnan(errs).all() and errs.size == 2
 
 
 class TestFitScaling:
