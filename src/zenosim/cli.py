@@ -115,12 +115,9 @@ def plan_from_config(cfg) -> ExperimentPlan:
     missing = [k for k in _PLAN_KEYS if k not in cfg]
     if missing:
         raise ConfigError(f"missing config keys: {missing}")
+    fields = dict(cfg, seed=_effective_seed(cfg["seed"]))
     try:
-        return ExperimentPlan(
-            noise=NoiseModel(cfg["t2_star"]), initial_state=cfg["initial_state"],
-            observable=cfg["observable"], readout=cfg["readout"],
-            n_projections=cfg["n_projections"], tau_grid=cfg["tau_grid"],
-            shots=cfg["shots"], seed=_effective_seed(cfg["seed"]))
+        return ExperimentPlan(noise=NoiseModel(fields.pop("t2_star")), **fields)
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
 
@@ -302,18 +299,31 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _converged(row) -> bool:
+    """A fit row's "converged", which must be JSON true or false; ConfigError naming N.
+
+    A row without the key reads as null.
+    """
+    if type(row.get("converged")) is not bool:
+        raise ConfigError(f"fit row of N={row.get('n_projections')!r}: converged must be "
+                          f"true or false, got {json.dumps(row.get('converged'))}")
+    return row["converged"]
+
+
 def _scaling_times(data) -> Dict[int, float]:
     """N -> decay time: {"times": {N: t}}, or sqrt_e_time of converged even-N fit rows.
 
-    Parses the JSON only: each N must be plain ASCII digits and given once.
-    fit_scaling checks the times, and sqrt_e_time a fit row's T2eff.
+    Parses the JSON only: each N must be plain ASCII digits and given once,
+    and a fit row is taken when its "converged" is true and skipped when it
+    is false (_converged). fit_scaling checks the times, and sqrt_e_time a
+    fit row's T2eff.
     """
     if not isinstance(data, dict):
         raise ConfigError("scaling input must be a JSON object")
     try:
         pairs = (list(data["times"].items()) if "times" in data else
                  [(r.get("n_projections"), r.get("T2eff_ms"))
-                  for r in data.get("fits", []) if r.get("converged")])
+                  for r in data.get("fits", []) if _converged(r)])
     except (AttributeError, TypeError) as e:
         raise ConfigError(f"malformed scaling input: {e}") from e
     times = {}
@@ -467,17 +477,15 @@ _FIGURES = {"fig5": _reproduce_fig5,
 
 
 def cmd_reproduce(args) -> int:
-    if args.shots < 1:
-        raise ConfigError(f"--shots must be >= 1, got {args.shots}")
     seed = _effective_seed(args.seed)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
-    out = Path(args.out)
-    summary = _FIGURES[args.figure](out, args.shots, seed)
-    summary["seed"] = seed
-    summary["shots"] = args.shots
-    _write(out / f"{args.figure}_summary.json", _json_dumps(summary))
-    print(out / f"{args.figure}_summary.json")
+    try:
+        shots, seed = model.shot_count(args.shots, "--shots"), model.key_word(seed, "seed")
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    summary = _FIGURES[args.figure](Path(args.out), shots, seed)
+    path = Path(args.out) / f"{args.figure}_summary.json"
+    _write(path, _json_dumps(dict(summary, seed=seed, shots=shots)))
+    print(path)
     return 0
 
 

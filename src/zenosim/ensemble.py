@@ -38,7 +38,8 @@ import numpy as np
 
 from .channel import project
 from .logical import logical_operator, resolve_state
-from .model import checked, dephasing_times, free_evolution, projection_count
+from .model import (checked, dephasing_times, free_evolution, key_word, projection_count,
+                    shot_count)
 from .spins import basis_signs, pauli_matrix, validate_word
 
 FIDELITY_PREFIX = "F:"
@@ -96,12 +97,13 @@ class ExperimentPlan:
     be a NoiseModel, which checks its own times, else TypeError. Each other
     field is checked and stored as a built-in type (model.checked): the
     state and observable as str, the readouts as a tuple of str, the tau
-    grid as a float tuple, and N, shots and seed as int. numpy scalars pass, so
-    np.int64(2) is stored as 2; a bool, a fractional N, shot count or seed,
-    a string where a number belongs and a bare string of readouts raise
-    TypeError. Equal plans therefore stream, hash and print alike. A value
-    out of range raises ValueError: N is read through model.projection_count
-    (0 <= N <= MAX_PROJECTIONS) and the seed must lie in [0, 2**64).
+    grid as a float tuple, and N, shots and seed as int, each through its
+    gate: model.projection_count (0 <= N <= MAX_PROJECTIONS),
+    model.shot_count (shots >= 1) and model.key_word (a seed in [0, 2**64)).
+    numpy scalars pass, so np.int64(2) is stored as 2; a bool, a fractional
+    N, shot count or seed, a string where a number belongs and a bare string
+    of readouts raise TypeError. Equal plans therefore stream, hash and
+    print alike. A value out of range raises ValueError that names its field.
     """
 
     noise: NoiseModel
@@ -117,20 +119,14 @@ class ExperimentPlan:
         if not isinstance(self.noise, NoiseModel):
             raise TypeError(f"noise must be a NoiseModel, got {self.noise!r}")
         for name, kind in (("initial_state", str), ("observable", str), ("readout", (str,)),
-                           ("n_projections", int), ("tau_grid", (float,)), ("shots", int),
-                           ("seed", int)):
+                           ("tau_grid", (float,))):
             object.__setattr__(self, name, checked(kind, getattr(self, name), name))
+        for name, gate in (("n_projections", projection_count), ("shots", shot_count),
+                           ("seed", key_word)):
+            object.__setattr__(self, name, gate(getattr(self, name), name))
         validate_word(self.observable)
         if len(self.observable) != self.k:
             raise ValueError("observable length must match register size")
-        try:
-            projection_count(self.n_projections)
-        except ValueError as e:
-            raise ValueError(f"n_projections: {e}") from e
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed {self.seed} is not in [0, 2**64)")
-        if self.shots < 1:
-            raise ValueError("need at least one shot")
         taus = self.tau_grid
         # b > a is false for a NaN, and a strictly increasing grid is finite
         # and nonnegative when its two ends are: the gate reads the first end
@@ -183,9 +179,11 @@ def sample_detunings(seed: int, stream: int, points: Sequence[int], shots: int,
 
     Returns each point's (shots, k) block in turn, stacked to
     (len(points) * shots, k); a single index counts as one point. The seed,
-    the stream and the points are read as ints (model.checked, so 0.5, True
-    and "3" raise TypeError) in [0, 2**64), else ValueError, and shots as
-    an int >= 1, as ExperimentPlan reads it. Philox is
+    the stream and each point are read through model.key_word, so 0.5, True
+    and "3" raise TypeError and an int outside [0, 2**64) ValueError, and
+    shots through model.shot_count, as ExperimentPlan reads them; the
+    points are type-checked as one tuple and range-checked at their min and
+    max. Philox is
     keyed by (seed, stream), ExperimentPlan.stream for a plan, with the
     point index in the top counter word: each point's block is the same in
     any execution order and any selection of points, and more shots extend
@@ -196,18 +194,13 @@ def sample_detunings(seed: int, stream: int, points: Sequence[int], shots: int,
     empty buffer, the state a new Philox keyed by (seed, stream) at that
     counter starts in.
     """
-    key = [checked(int, seed, "seed"), checked(int, stream, "stream")]
-    for name, word in zip(("seed", "stream"), key):
-        if not 0 <= word < 2**64:
-            raise ValueError(f"{name} must lie in [0, 2**64), got {word}")
-    shots = checked(int, shots, "shots")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    key = [key_word(seed, "seed"), key_word(stream, "stream")]
+    shots = shot_count(shots, "shots")
     # numpy points as Python ints, so that a 0-d array is one point
     points = getattr(points, "tolist", lambda: points)()
     points = checked((int,), [points] if isinstance(points, Integral) else points, "points")
-    if points and not (0 <= min(points) and max(points) < 2**64):
-        raise ValueError(f"points must lie in [0, 2**64), got {min(points)} to {max(points)}")
+    for end in (min(points), max(points)) if points else ():
+        key_word(end, "points")
     try:
         gen = _THREAD.generator
     except AttributeError:

@@ -16,7 +16,10 @@ given is :func:`checked`. Each input of the physics has one gate that every
 module reads it through: :func:`dephasing_times` for T2*,
 :func:`projection_count` for N and :func:`free_evolution` for the time and
 detunings of a free evolution, which it also bounds together, so that no
-phase overflows.
+phase overflows. The integers of a detuning draw have theirs too:
+:func:`key_word` for a seed, a plan stream or a tau-point index, each a
+64-bit word of Philox's key or counter, and :func:`shot_count` for a
+number of shots.
 """
 
 from __future__ import annotations
@@ -89,16 +92,42 @@ def dephasing_times(t2_star) -> Tuple[float, ...]:
     return t2
 
 
-def projection_count(n_projections) -> int:
+def projection_count(n_projections, what: str = "projection count") -> int:
     """N as a built-in int: the one rule for a projection count.
 
     TypeError unless N is an int (see checked: a bool or a float N is
     refused); ValueError unless 0 <= N <= MAX_PROJECTIONS, the limit of the
-    closed form.
+    closed form. Both name what.
     """
-    n = checked(int, n_projections, "projection count")
+    n = checked(int, n_projections, what)
     if not 0 <= n <= MAX_PROJECTIONS:
-        raise ValueError(f"projection count {n} is past the limits 0 and {MAX_PROJECTIONS}")
+        raise ValueError(f"{what} {n} is past the limits 0 and {MAX_PROJECTIONS}")
+    return n
+
+
+def key_word(value, what: str) -> int:
+    """value as a built-in int: the one rule for a Philox key or counter word.
+
+    A seed, a plan stream and a tau-point index are each one such word.
+    TypeError unless value is an int (see checked: a bool, a float or a
+    string is refused); ValueError "<what> must lie in [0, 2**64), got
+    <value>" for an int that is negative or needs more than 64 bits.
+    """
+    n = checked(int, value, what)
+    if not 0 <= n < 2**64:
+        raise ValueError(f"{what} must lie in [0, 2**64), got {n}")
+    return n
+
+
+def shot_count(shots, what: str) -> int:
+    """shots as a built-in int: the one rule for a number of shots.
+
+    TypeError unless shots is an int (see checked); ValueError "<what> must
+    be >= 1, got <shots>" for fewer than one shot.
+    """
+    n = checked(int, shots, what)
+    if n < 1:
+        raise ValueError(f"{what} must be >= 1, got {n}")
     return n
 
 

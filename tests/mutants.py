@@ -103,17 +103,21 @@ MUTANTS = (
      "the key left out of the reset: a warm generator keeps the key it last drew with"),
     (ENSEMBLE, '"buffer_pos": 4,', '"buffer_pos": 0,',
      "the reset leaves a full buffer of zeros, not an empty one"),
-    (ENSEMBLE, 'key = [checked(int, seed, "seed"), checked(int, stream, "stream")]',
+    (ENSEMBLE, 'key = [key_word(seed, "seed"), key_word(stream, "stream")]',
      "key = [seed, stream]", "a fractional, bool or string seed or stream let through"),
-    (ENSEMBLE, '    shots = checked(int, shots, "shots")\n    if shots < 1:\n'
-     '        raise ValueError(f"shots must be >= 1, got {shots}")\n', "",
+    (ENSEMBLE, '    shots = shot_count(shots, "shots")\n', "",
      "sample_detunings' shots gate dropped: a bool, float, string or count below 1 let through"),
+    (MODEL, "if not 0 <= n < 2**64:", "if not 0 <= n <= 2**64:",
+     "key_word's bound widened to 2**64, one past the largest 64-bit word"),
+    (MODEL, "    if n < 1:\n", "    if n < 0:\n", "shot_count loosened: zero shots let through"),
     (CLI, "            if _plain(text):\n", "            if True:\n",
      "'_' and non-ASCII digits accepted in argv numbers and ZENO_SEED"),
     (CLI, '"--seed", type=_int,', '"--seed", type=int,',
      "zeno reproduce --seed read by int(), which accepts '_' and non-ASCII digits"),
     (CLI, "_json_dumps(_resolved(fit.as_dict()))", "_json_dumps(fit.as_dict())",
      "zeno scaling printed to more digits than the fit resolves"),
+    (CLI, 'if _converged(r)])', 'if r.get("converged")])',
+     "zeno scaling takes a fit row whose converged is truthy but not true"),
 )
 
 

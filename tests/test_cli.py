@@ -541,6 +541,10 @@ def test_json_output_rejects_nan():
         _json_dumps({"mu_err": float("nan")})
 
 
+# a fit row entry left out
+_MISSING = object()
+
+
 class TestScalingCommand:
     def test_times_input(self, tmp_path):
         times = {str(n): sqrt_e_time(n, 1.0) for n in range(0, 17, 2)}
@@ -640,6 +644,40 @@ class TestScalingCommand:
         res = json.loads(out.read_text())
         assert res["normalized_times"] == {"0": 1.0, "2": 2.0, big: 3.0}
         assert np.isfinite([res["mu"], res["nu"], res["mu_err"], res["nu_err"]]).all()
+
+    @staticmethod
+    def _fit_table(path, last):
+        """A fit table of N = 0, 2, 4 (converged) and N = 6 with the given row entries."""
+        rows = [{"converged": True, "n_projections": n, "T2eff_ms": 10.0 + 3 * n}
+                for n in (0, 2, 4)]
+        path.write_text(json.dumps({"fits": rows + [dict(n_projections=6, **last)]}))
+
+    def test_false_row_skipped(self, tmp_path):
+        # a row that did not converge carries no usable T2eff; it is skipped
+        # as if absent
+        self._fit_table(tmp_path / "a.json", {"converged": False, "T2eff_ms": None})
+        self._fit_table(tmp_path / "b.json", {"converged": True, "T2eff_ms": 40.0})
+        code, with_false, err = _main_quiet(["scaling", "--in", str(tmp_path / "a.json")])
+        assert code == 0 and err == ""
+        assert "6" not in json.loads(with_false)["normalized_times"]
+        code, with_true, _ = _main_quiet(["scaling", "--in", str(tmp_path / "b.json")])
+        assert code == 0 and "6" in json.loads(with_true)["normalized_times"]
+
+    @pytest.mark.parametrize("converged,got", [
+        ("false", '"false"'), ("no", '"no"'), (1, "1"), (0, "0"), (None, "null"),
+        (_MISSING, "null"),
+    ], ids=["string false", "string no", "one", "zero", "null", "missing"])
+    def test_converged_must_be_a_json_boolean(self, tmp_path, converged, got):
+        # only JSON true takes a row and only false skips it; anything else,
+        # truthy or not, is an error naming the row's N
+        last = {"T2eff_ms": 40.0}
+        if converged is not _MISSING:
+            last["converged"] = converged
+        self._fit_table(tmp_path / "fits.json", last)
+        code, out, err = _main_quiet(["scaling", "--in", str(tmp_path / "fits.json")])
+        _assert_one_error_line(code, err)
+        assert out == ""
+        assert err == f"error: fit row of N=6: converged must be true or false, got {got}\n"
 
 
 def test_readme_pipeline(tmp_path):
@@ -1182,3 +1220,121 @@ class TestPlainNumbers:
     def test_plain_numbers_read_as_before(self, text, kind, value):
         reader = {int: cli._int, float: cli._float}[kind]
         assert reader(text) == kind(text) == value
+
+
+# The draw integers' rules, in the words of their gates, model.key_word and
+# model.shot_count
+def _range_message(what, value):
+    rule = "must be >= 1" if what.endswith("shots") else "must lie in [0, 2**64)"
+    return f"{what} {rule}, got {value}"
+
+
+def _type_message(what, value):
+    return f"{what} must be int, got {value!r}"
+
+
+# (draw integer, out-of-range value) and the wrong types of a JSON or Python value
+_OUT_OF_RANGE = [("seed", -1), ("seed", 2**64), ("shots", -1), ("shots", 0)]
+_WRONG_TYPES = [True, 1.5, "3"]
+# argv and ZENO_SEED are text, and "3" is a valid int there
+_WRONG_TEXTS = ["True", "1.5"]
+
+
+class TestDrawIntegers:
+    """A bad seed, stream, point or shot count reads the same at every entry point."""
+
+    @pytest.mark.parametrize("key,value", _OUT_OF_RANGE)
+    def test_config_out_of_range(self, config, tmp_path, key, value):
+        path, cfg = config
+        path.write_text(json.dumps(dict(cfg, **{key: value})))
+        code, _, err = _main_quiet(["simulate", "--config", str(path), "--out",
+                                    str(tmp_path / "out")])
+        assert (code, err) == (2, f"error: {_range_message(key, value)}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["seed", "shots"])
+    @pytest.mark.parametrize("value", _WRONG_TYPES)
+    def test_config_wrong_type(self, config, tmp_path, key, value):
+        path, cfg = config
+        path.write_text(json.dumps(dict(cfg, **{key: value})))
+        code, _, err = _main_quiet(["simulate", "--config", str(path), "--out",
+                                    str(tmp_path / "out")])
+        assert (code, err) == (2, f"error: {_type_message(key, value)}\n")
+
+    @staticmethod
+    def _argv(command, config, tmp_path):
+        if command == "simulate":
+            return ["simulate", "--config", str(config[0]), "--out", str(tmp_path / "out")]
+        return ["reproduce", command, "--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("command", ["simulate", "fig2c", "fig5"])
+    @pytest.mark.parametrize("value", [-1, 2**64])
+    def test_zeno_seed_out_of_range(self, config, tmp_path, monkeypatch, command, value):
+        monkeypatch.setenv("ZENO_SEED", str(value))
+        code, _, err = _main_quiet(self._argv(command, config, tmp_path))
+        assert (code, err) == (2, f"error: {_range_message('seed', value)}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "fig2c", "fig5"])
+    @pytest.mark.parametrize("text", _WRONG_TEXTS)
+    def test_zeno_seed_wrong_type(self, config, tmp_path, monkeypatch, command, text):
+        monkeypatch.setenv("ZENO_SEED", text)
+        code, _, err = _main_quiet(self._argv(command, config, tmp_path))
+        assert (code, err) == (2, f"error: ZENO_SEED: invalid int value: {text!r}\n")
+
+    @pytest.mark.parametrize("fig", ["fig2c", "fig5"])
+    @pytest.mark.parametrize("option,value", [("--seed", -1), ("--seed", 2**64),
+                                              ("--shots", -1), ("--shots", 0)])
+    def test_reproduce_out_of_range(self, tmp_path, fig, option, value):
+        out = tmp_path / "out"
+        code, _, err = _main_quiet(["reproduce", fig, "--out", str(out), f"{option}={value}"])
+        # the seed may come from ZENO_SEED, so its rule names the seed itself
+        what = "seed" if option == "--seed" else option
+        assert (code, err) == (2, f"error: {_range_message(what, value)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fig", ["fig2c", "fig5"])
+    @pytest.mark.parametrize("option", ["--seed", "--shots"])
+    @pytest.mark.parametrize("text", _WRONG_TEXTS)
+    def test_reproduce_wrong_type(self, tmp_path, fig, option, text):
+        code, _, err = _main_quiet(["reproduce", fig, "--out", str(tmp_path / "out"),
+                                    option, text])
+        assert (code, err) == (2, f"error: argument {option}: invalid int value: {text!r}\n")
+
+    @staticmethod
+    def _plan(**fields):
+        return ExperimentPlan(**dict(dict(
+            noise=NoiseModel((12.4,)), initial_state="X", observable="X", readout=("X",),
+            n_projections=0, tau_grid=(0.0, 3.0), shots=2, seed=1), **fields))
+
+    @pytest.mark.parametrize("field,value", _OUT_OF_RANGE)
+    def test_plan_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(_range_message(field, value))}$"):
+            self._plan(**{field: value})
+
+    @pytest.mark.parametrize("field", ["seed", "shots"])
+    @pytest.mark.parametrize("value", _WRONG_TYPES)
+    def test_plan_wrong_type(self, field, value):
+        with pytest.raises(TypeError, match=f"^{re.escape(_type_message(field, value))}$"):
+            self._plan(**{field: value})
+
+    @staticmethod
+    def _draw(what, value):
+        args = dict(seed=1, stream=5, points=[0], shots=3)
+        # the points are one sequence, so a bad point is an entry of it
+        args[what] = [value] if what == "points" else value
+        return sample_detunings(**args, noise=NoiseModel((12.4,)))
+
+    @pytest.mark.parametrize("what,value", [
+        (what, value) for what in ("seed", "stream", "points") for value in (-1, 2**64)
+    ] + [("shots", -1), ("shots", 0)])
+    def test_sample_detunings_out_of_range(self, what, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(_range_message(what, value))}$"):
+            self._draw(what, value)
+
+    @pytest.mark.parametrize("what", ["seed", "stream", "points", "shots"])
+    @pytest.mark.parametrize("value", _WRONG_TYPES)
+    def test_sample_detunings_wrong_type(self, what, value):
+        name = "points entry" if what == "points" else what
+        with pytest.raises(TypeError, match=f"^{re.escape(_type_message(name, value))}$"):
+            self._draw(what, value)

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from zenosim import model
 from zenosim.model import (MAX_PROJECTIONS, MAX_SPINS, SQRT_E_LEVEL, decay_curve,
-                           effective_t2, free_evolution, odd_n_asymptote,
-                           projection_count, single_shot_expectation, sqrt_e_time)
+                           effective_t2, free_evolution, key_word, odd_n_asymptote,
+                           projection_count, shot_count, single_shot_expectation,
+                           sqrt_e_time)
 
 
 def exact_decay(n, tau, t2eff):
@@ -24,7 +25,7 @@ def exact_decay(n, tau, t2eff):
 
 
 class TestGates:
-    """projection_count and free_evolution: one rule per input."""
+    """projection_count, key_word, shot_count and free_evolution: one rule per input."""
 
     def test_phase_scale(self):
         t, deltas = free_evolution(1e150, [1e149], 1, "x")
@@ -43,6 +44,34 @@ class TestGates:
         for n in (-1, -2, MAX_PROJECTIONS + 1, 10**400):
             with pytest.raises(ValueError, match="projection count.*limit"):
                 projection_count(n)
+
+    def test_projection_count_names_what(self):
+        with pytest.raises(TypeError, match="^N must be int"):
+            projection_count(2.5, "N")
+        with pytest.raises(ValueError, match="^N -1 is past the limits"):
+            projection_count(-1, "N")
+
+    def test_key_word(self):
+        for value in (0, 7, np.uint64(2**64 - 1), 2**64 - 1):
+            got = key_word(value, "word")
+            assert got == value and type(got) is int
+        for value in (1.5, True, "3", None):
+            with pytest.raises(TypeError, match="^word must be int"):
+                key_word(value, "word")
+        for value in (-1, 2**64, 10**400):
+            with pytest.raises(ValueError, match=r"^word must lie in \[0, 2\*\*64\), got "):
+                key_word(value, "word")
+
+    def test_shot_count(self):
+        for shots in (1, np.int64(40), 10**30):
+            got = shot_count(shots, "n")
+            assert got == shots and type(got) is int
+        for shots in (2.0, True, "3", None):
+            with pytest.raises(TypeError, match="^n must be int"):
+                shot_count(shots, "n")
+        for shots in (0, -1):
+            with pytest.raises(ValueError, match=f"^n must be >= 1, got {shots}$"):
+                shot_count(shots, "n")
 
     def test_evolution_time(self):
         for t in (0.0, -0.0, 3, np.float64(2.5), 1e300):
