@@ -313,17 +313,21 @@ def _converged(row) -> bool:
 def _scaling_times(data) -> Dict[int, float]:
     """N -> decay time: {"times": {N: t}}, or sqrt_e_time of converged even-N fit rows.
 
-    Parses the JSON only: each N must be plain ASCII digits and given once,
-    and a fit row is taken when its "converged" is true and skipped when it
-    is false (_converged). fit_scaling checks the times, and sqrt_e_time a
-    fit row's T2eff.
+    Parses the JSON only: the object holds exactly one of "times" and
+    "fits", each N must be plain ASCII digits and given once, and a fit row
+    is taken when its "converged" is true and skipped when it is false
+    (_converged). fit_scaling checks the times, and sqrt_e_time a fit row's
+    T2eff.
     """
     if not isinstance(data, dict):
         raise ConfigError("scaling input must be a JSON object")
+    if ("times" in data) == ("fits" in data):
+        raise ConfigError('scaling input must hold exactly one of "times" and "fits", '
+                          f"found keys {json.dumps(sorted(data))}")
     try:
         pairs = (list(data["times"].items()) if "times" in data else
                  [(r.get("n_projections"), r.get("T2eff_ms"))
-                  for r in data.get("fits", []) if _converged(r)])
+                  for r in data["fits"] if _converged(r)])
     except (AttributeError, TypeError) as e:
         raise ConfigError(f"malformed scaling input: {e}") from e
     times = {}

@@ -31,7 +31,6 @@ import hashlib
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Integral
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,7 +92,8 @@ class ExperimentPlan:
     must fit the register of k = len(noise.t2_star) spins. Analysis-time
     amplitudes are not part of the plan; the figure pipelines apply them.
 
-    The plan is the one gate for an experiment's description. noise must
+    The plan is the one gate for an experiment's description, and so for
+    every integer of its detuning draw (sample_detunings). noise must
     be a NoiseModel, which checks its own times, else TypeError. Each other
     field is checked and stored as a built-in type (model.checked): the
     state and observable as str, the readouts as a tuple of str, the tau
@@ -157,7 +157,11 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class DecayCurve:
-    """Ensemble mean and standard error per evolution time for one readout."""
+    """Ensemble mean and standard error per evolution time for one readout.
+
+    tau, mean and stderr are stored as float arrays, so a curve built from
+    lists is the curve built from arrays.
+    """
 
     tau: np.ndarray
     mean: np.ndarray
@@ -167,40 +171,29 @@ class DecayCurve:
     metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("tau", "mean", "stderr"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if not (len(self.tau) == len(self.mean) == len(self.stderr)):
             raise ValueError("tau/mean/stderr length mismatch")
         if np.any(self.stderr < 0):
             raise ValueError("standard errors must be nonnegative")
 
 
-def sample_detunings(seed: int, stream: int, points: Sequence[int], shots: int,
-                     noise: NoiseModel) -> np.ndarray:
-    """Quasi-static detuning vectors of every shot at the given tau points.
+def sample_detunings(plan: ExperimentPlan) -> np.ndarray:
+    """Quasi-static detuning vectors of every shot at every tau point of a plan.
 
-    Returns each point's (shots, k) block in turn, stacked to
-    (len(points) * shots, k); a single index counts as one point. The seed,
-    the stream and each point are read through model.key_word, so 0.5, True
-    and "3" raise TypeError and an int outside [0, 2**64) ValueError, and
-    shots through model.shot_count, as ExperimentPlan reads them; the
-    points are type-checked as one tuple and range-checked at their min and
-    max. Philox is
-    keyed by (seed, stream), ExperimentPlan.stream for a plan, with the
-    point index in the top counter word: each point's block is the same in
-    any execution order and any selection of points, and more shots extend
-    it. Draws are zero-mean Gaussians of width sqrt(2)/T2* per spin. Each
-    thread draws from its own generator, made on its first call and reused
-    by every later one. Before each point p every field of its state is
-    written from plain ints: key (seed, stream), counter [0, 0, 0, p] and an
-    empty buffer, the state a new Philox keyed by (seed, stream) at that
-    counter starts in.
+    Returns each point's (plan.shots, k) block in turn, stacked to
+    (len(plan.tau_grid) * plan.shots, k). The plan has gated every integer
+    of the draw: Philox is keyed by (plan.seed, plan.stream), with the
+    index p of each tau point in the top counter word, so each point's
+    block is the same in any execution order, more shots extend it and a
+    longer grid appends blocks. Draws are zero-mean Gaussians of width
+    sqrt(2)/T2* per spin. Each thread draws from its own generator, made on
+    its first call and reused by every later one. Before each point p every
+    field of its state is written from plain ints: key (seed, stream),
+    counter [0, 0, 0, p] and an empty buffer, the state a new Philox keyed
+    by (seed, stream) at that counter starts in.
     """
-    key = [key_word(seed, "seed"), key_word(stream, "stream")]
-    shots = shot_count(shots, "shots")
-    # numpy points as Python ints, so that a 0-d array is one point
-    points = getattr(points, "tolist", lambda: points)()
-    points = checked((int,), [points] if isinstance(points, Integral) else points, "points")
-    for end in (min(points), max(points)) if points else ():
-        key_word(end, "points")
     try:
         gen = _THREAD.generator
     except AttributeError:
@@ -208,16 +201,16 @@ def sample_detunings(seed: int, stream: int, points: Sequence[int], shots: int,
     bg = gen.bit_generator
     # numpy's state setter indexes every word: plain ints read faster than numpy's
     counter = [0, 0, 0, 0]
+    key = [plan.seed, plan.stream]
     state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    k = len(noise.t2_star)
-    out = np.empty((len(points), shots, k))
-    for block, p in zip(out, points):
+    out = np.empty((len(plan.tau_grid), plan.shots, plan.k))
+    for p, block in enumerate(out):
         counter[3] = p
         bg.state = state
         gen.standard_normal(out=block)
-    out *= noise.sigma
-    return out.reshape(-1, k)
+    out *= plan.noise.sigma
+    return out.reshape(-1, plan.k)
 
 
 @lru_cache(maxsize=256)
@@ -435,8 +428,7 @@ def run_ensemble(plan: ExperimentPlan) -> List[DecayCurve]:
     flat batch. Output is deterministic for a given plan.
     """
     taus = np.asarray(plan.tau_grid, dtype=float)
-    deltas = sample_detunings(plan.seed, plan.stream, range(taus.size), plan.shots,
-                              plan.noise)
+    deltas = sample_detunings(plan)
     seg = np.repeat(taus / (plan.n_projections + 1), plan.shots)
     vals = _kernel(plan, deltas, seg).reshape(-1, taus.size, plan.shots)
     means = vals.mean(axis=2)

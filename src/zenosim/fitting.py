@@ -225,7 +225,7 @@ def _weights(curve: DecayCurve) -> np.ndarray:
     (e.g. tau=0, where every shot returns the same value) cannot swamp
     the fit with near-infinite weight.
     """
-    se = np.asarray(curve.stderr, dtype=float)
+    se = curve.stderr
     top = np.max(se)
     if top <= 0:
         return np.ones_like(se)
@@ -264,8 +264,7 @@ def fit_decay(curve: DecayCurve, n_projections: int,
 def _fit_decay(curve: DecayCurve, n_projections: int,
                t2_guess: Optional[float]) -> FitResult:
     """fit_decay's fit of a checked N, run under its np.errstate."""
-    tau = np.asarray(curve.tau, dtype=float)
-    y = np.asarray(curve.mean, dtype=float)
+    tau, y = curve.tau, curve.mean
     if tau.size < 4:
         raise FitError("need at least 4 points for a decay fit")
     if np.ptp(y) < 1e-12:

@@ -16,10 +16,9 @@ given is :func:`checked`. Each input of the physics has one gate that every
 module reads it through: :func:`dephasing_times` for T2*,
 :func:`projection_count` for N and :func:`free_evolution` for the time and
 detunings of a free evolution, which it also bounds together, so that no
-phase overflows. The integers of a detuning draw have theirs too:
-:func:`key_word` for a seed, a plan stream or a tau-point index, each a
-64-bit word of Philox's key or counter, and :func:`shot_count` for a
-number of shots.
+phase overflows. The integers a plan gives its detuning draw have theirs
+too: :func:`key_word` for a seed, one 64-bit word of Philox's key, and
+:func:`shot_count` for a number of shots.
 """
 
 from __future__ import annotations
@@ -106,11 +105,12 @@ def projection_count(n_projections, what: str = "projection count") -> int:
 
 
 def key_word(value, what: str) -> int:
-    """value as a built-in int: the one rule for a Philox key or counter word.
+    """value as a built-in int: the one rule for a seed, a Philox key word.
 
-    A seed, a plan stream and a tau-point index are each one such word.
-    TypeError unless value is an int (see checked: a bool, a float or a
-    string is refused); ValueError "<what> must lie in [0, 2**64), got
+    The other words of a draw, a plan's stream and its tau-point indices,
+    are made by the plan and in range by construction. TypeError unless
+    value is an int (see checked: a bool, a float or a string is
+    refused); ValueError "<what> must lie in [0, 2**64), got
     <value>" for an int that is negative or needs more than 64 bits.
     """
     n = checked(int, value, what)
@@ -209,9 +209,12 @@ def decay_curve(n_projections: int, taus: Sequence[float], t2eff: float,
     projection_count. T2eff must be finite and positive, and every
     |tau|/T2eff below MAX_TIME_RATIO, so that (tau/T)^2 stays finite;
     ValueError otherwise. tau may be negative: the decay is even in tau.
+    The amplitude A and the offset are read as floats (checked: a bool or a
+    string raises TypeError naming it), A in [0, 1] and the offset finite.
     """
     n = projection_count(n_projections)
     t2eff = _t2eff(t2eff)
+    amplitude, offset = checked(float, amplitude, "amplitude"), checked(float, offset, "offset")
     if not 0 <= amplitude <= 1:
         raise ValueError("amplitude must lie in [0, 1]")
     if not math.isfinite(offset):

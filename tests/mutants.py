@@ -95,18 +95,15 @@ MUTANTS = (
     (CLI, 'return text.isascii() and "_" not in text', "return text.isascii()",
      "'_' accepted in a curve number, which float() and int() read as a digit separator"),
     (ENSEMBLE,
-     "    for block, p in zip(out, points):\n        counter[3] = p\n        bg.state = state\n",
-     "    counter[3] = points[0] if points else 0\n    bg.state = state\n"
-     "    for block, p in zip(out, points):\n",
+     "    for p, block in enumerate(out):\n        counter[3] = p\n        bg.state = state\n",
+     "    bg.state = state\n    for p, block in enumerate(out):\n        counter[3] = p\n",
      "the generator reset once per call, not before each point"),
     (ENSEMBLE, '"key": key}', '"key": bg.state["state"]["key"]}',
      "the key left out of the reset: a warm generator keeps the key it last drew with"),
     (ENSEMBLE, '"buffer_pos": 4,', '"buffer_pos": 0,',
      "the reset leaves a full buffer of zeros, not an empty one"),
-    (ENSEMBLE, 'key = [key_word(seed, "seed"), key_word(stream, "stream")]',
-     "key = [seed, stream]", "a fractional, bool or string seed or stream let through"),
-    (ENSEMBLE, '    shots = shot_count(shots, "shots")\n', "",
-     "sample_detunings' shots gate dropped: a bool, float, string or count below 1 let through"),
+    (ENSEMBLE, "key = [plan.seed, plan.stream]", "key = [plan.seed, 0]",
+     "the draw keyed by the seed alone: plans of one seed share their detunings"),
     (MODEL, "if not 0 <= n < 2**64:", "if not 0 <= n <= 2**64:",
      "key_word's bound widened to 2**64, one past the largest 64-bit word"),
     (MODEL, "    if n < 1:\n", "    if n < 0:\n", "shot_count loosened: zero shots let through"),

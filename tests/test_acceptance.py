@@ -15,8 +15,7 @@ import pytest
 
 from zenosim.channel import ancilla_project, project
 from zenosim.cli import _avg_curve, main
-from zenosim.ensemble import (ExperimentPlan, NoiseModel, run_ensemble,
-                              run_shot, sample_detunings)
+from zenosim.ensemble import ExperimentPlan, NoiseModel, run_ensemble, run_shot
 from zenosim.fitting import fit_decay, fit_scaling
 from zenosim.logical import CARDINAL_2SPIN, ENTANGLED_2SPIN
 from zenosim.model import (decay_curve, effective_t2, odd_n_asymptote,

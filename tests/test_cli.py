@@ -620,6 +620,21 @@ class TestScalingCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("data,found", [
+        # a typo of "times", and no key at all
+        ({"time": {"0": 1.0, "2": 1.5}}, '["time"]'), ({}, "[]"),
+        # both keys: the fits, one of which _converged would refuse, are not ignored
+        ({"times": {"0": 1.0, "2": 1.5, "4": 1.9},
+          "fits": [{"n_projections": 0, "converged": "yes"}]}, '["fits", "times"]'),
+    ])
+    def test_times_or_fits_exactly_one(self, tmp_path, capsys, data, found):
+        inp = tmp_path / "scaling.json"
+        inp.write_text(json.dumps(data))
+        assert main(["scaling", "--in", str(inp)]) == 2
+        assert capsys.readouterr().err == (
+            'error: scaling input must hold exactly one of "times" and "fits", '
+            f"found keys {found}\n")
+
     def test_integer_past_the_digit_limit_rejected(self, config, tmp_path):
         # Python reads at most 4300 digits into an int by default; a longer N
         # key or JSON integer is one error line, not a traceback
@@ -863,7 +878,7 @@ def _reproduce_plans(out, fig, shots):
 
 def _first_block(plan):
     """The plan's detunings at its first tau point, as bytes."""
-    return sample_detunings(plan.seed, plan.stream, [0], plan.shots, plan.noise).tobytes()
+    return sample_detunings(plan)[:plan.shots].tobytes()
 
 
 class TestAvgCurve:
@@ -1241,7 +1256,7 @@ _WRONG_TEXTS = ["True", "1.5"]
 
 
 class TestDrawIntegers:
-    """A bad seed, stream, point or shot count reads the same at every entry point."""
+    """A bad seed or shot count reads the same at every entry point."""
 
     @pytest.mark.parametrize("key,value", _OUT_OF_RANGE)
     def test_config_out_of_range(self, config, tmp_path, key, value):
@@ -1317,24 +1332,3 @@ class TestDrawIntegers:
     def test_plan_wrong_type(self, field, value):
         with pytest.raises(TypeError, match=f"^{re.escape(_type_message(field, value))}$"):
             self._plan(**{field: value})
-
-    @staticmethod
-    def _draw(what, value):
-        args = dict(seed=1, stream=5, points=[0], shots=3)
-        # the points are one sequence, so a bad point is an entry of it
-        args[what] = [value] if what == "points" else value
-        return sample_detunings(**args, noise=NoiseModel((12.4,)))
-
-    @pytest.mark.parametrize("what,value", [
-        (what, value) for what in ("seed", "stream", "points") for value in (-1, 2**64)
-    ] + [("shots", -1), ("shots", 0)])
-    def test_sample_detunings_out_of_range(self, what, value):
-        with pytest.raises(ValueError, match=f"^{re.escape(_range_message(what, value))}$"):
-            self._draw(what, value)
-
-    @pytest.mark.parametrize("what", ["seed", "stream", "points", "shots"])
-    @pytest.mark.parametrize("value", _WRONG_TYPES)
-    def test_sample_detunings_wrong_type(self, what, value):
-        name = "points entry" if what == "points" else what
-        with pytest.raises(TypeError, match=f"^{re.escape(_type_message(name, value))}$"):
-            self._draw(what, value)

@@ -79,119 +79,100 @@ def loop_kernel(plan, deltas, seg):
     return (rho @ weights).real
 
 
-def fresh_blocks(seed, stream, points, shots, noise):
-    """Detunings drawn by a new Philox per point: the oracle of sample_detunings."""
-    key, k = np.array([seed, stream], dtype=np.uint64), len(noise.t2_star)
+def fresh_blocks(plan):
+    """Detunings drawn by a new Philox per tau point: the oracle of sample_detunings."""
+    key = np.array([plan.seed, plan.stream], dtype=np.uint64)
     blocks = [np.random.Generator(np.random.Philox(
-        key=key, counter=np.array([0, 0, 0, p], dtype=np.uint64))).standard_normal((shots, k))
-        for p in points]
-    return np.concatenate([np.empty((0, k)), *blocks]) * noise.sigma
+        key=key, counter=np.array([0, 0, 0, p], dtype=np.uint64))).standard_normal(
+            (plan.shots, plan.k)) for p in range(len(plan.tau_grid))]
+    return np.concatenate(blocks) * plan.noise.sigma
 
 
-# Calls that differ in every argument: seed, stream, points, shots and spins
-_CALLS = [(seed, stream, points, shots, NoiseModel((12.4, 8.2, 21.0)[:k]))
-          for seed, stream, points, shots, k in (
-              (0, 0, [0], 1, 1), (2**64 - 1, 5, [3, 1, 4], 7, 2),
-              (7, 2**64 - 1, range(5), 2, 3), (7, 6, [2**40, 0], 33, 1),
-              (99, 6, [1], 2000, 2), (0, 1, [], 4, 3), (1, 0, [9, 9], 3, 2))]
+def draw_plan(k, points, shots, seed, n=0, readout=None):
+    """A plan of k spins, N = n and `points` tau points: what a draw reads."""
+    return make_plan(noise=NoiseModel((12.4, 8.2, 21.0, 5.5)[:k]),
+                     initial_state=",".join("X" * k), observable="X" * k,
+                     readout=readout or ("X" * k,), n_projections=n,
+                     tau_grid=tuple(map(float, range(points))), shots=shots, seed=seed)
+
+
+# Plans that differ in every input of a draw: spins, tau points, shots, seed
+# and stream
+_CALLS = [draw_plan(*args) for args in (
+    (1, 1, 1, 0), (2, 3, 7, 2**64 - 1), (3, 5, 2, 7), (2, 1, 2000, 99), (4, 2, 3, 1, 2))]
 
 
 def _draw_calls(order):
     """(i, sample_detunings of _CALLS[i]) for each i in order."""
-    return [(i, sample_detunings(*_CALLS[i])) for i in order]
+    return [(i, sample_detunings(_CALLS[i])) for i in order]
 
 
 class TestSampleDetunings:
     def test_deterministic(self):
-        noise = NoiseModel((12.4, 8.2))
-        a = sample_detunings(42, 5, [3], 7, noise)
-        b = sample_detunings(42, 5, [3], 7, noise)
-        assert a.shape == (7, 2)
-        assert np.array_equal(a, b)
-        # a longer block extends the same stream
-        assert np.array_equal(sample_detunings(42, 5, [3], 20, noise)[:7], a)
-        # one index, as an int, a numpy scalar or a 0-d array, is one point
-        for point in (3, np.uint64(3), np.array(3)):
-            assert np.array_equal(sample_detunings(42, 5, point, 7, noise), a)
+        plan = draw_plan(2, 3, 7, 42)
+        a = sample_detunings(plan)
+        assert a.shape == (21, 2)
+        assert np.array_equal(a, sample_detunings(plan))
 
     def test_distinct_across_shots(self):
-        noise = NoiseModel((12.4,))
-        draws = {tuple(row) for row in sample_detunings(1, 5, [0], 50, noise)}
+        draws = {tuple(row) for row in sample_detunings(draw_plan(1, 1, 50, 1))}
         assert len(draws) == 50
 
     def test_distinct_across_points(self):
-        noise = NoiseModel((12.4, 8.2))
-        blocks = [sample_detunings(1, 5, [p], 50, noise) for p in range(3)]
-        draws = {tuple(row) for b in blocks for row in b}
+        draws = {tuple(row) for row in sample_detunings(draw_plan(2, 3, 50, 1))}
         assert len(draws) == 150
 
     def test_sample_width(self):
-        noise = NoiseModel((12.4,))
-        x = sample_detunings(5, 5, [0], 100_000, noise)[:, 0]
+        x = sample_detunings(draw_plan(1, 1, 100_000, 5))[:, 0]
         sigma = math.sqrt(2) / 12.4
         assert abs(x.std() - sigma) / sigma < 0.01
         assert abs(x.mean()) < 4 * sigma / math.sqrt(100_000)
 
-    @pytest.mark.parametrize("points,error", [
-        # 0.5 would draw point 0's block, a stream collision
-        (0.5, TypeError), ([0, 0.5], TypeError), (True, TypeError),
-        (-1, ValueError), ([2**64], ValueError),
-    ])
-    def test_points_are_nonnegative_ints(self, points, error):
-        with pytest.raises(error, match="points"):
-            sample_detunings(1, 5, points, 3, NoiseModel((12.4,)))
-
-    @pytest.mark.parametrize("seed,stream,error,name", [
-        # 1.5 and True would draw seed 1's stream, and "3" seed 3's
-        (1.5, 5, TypeError, "seed"), (True, 5, TypeError, "seed"), ("3", 5, TypeError, "seed"),
-        (-1, 5, ValueError, "seed"), (2**64, 5, ValueError, "seed"),
-        (1, 0.5, TypeError, "stream"), (1, False, TypeError, "stream"),
-        (1, "5", TypeError, "stream"), (1, -1, ValueError, "stream"),
-        (1, 2**64, ValueError, "stream"),
-    ])
-    def test_seed_and_stream_are_64_bit_ints(self, seed, stream, error, name):
-        with pytest.raises(error, match=name):
-            sample_detunings(seed, stream, [0], 3, NoiseModel((12.4,)))
-
-    @pytest.mark.parametrize("shots,error", [
-        # True would draw one shot, 2.0 two, "3" three; -1 and 0 no block at all
-        (True, TypeError), (2.0, TypeError), ("3", TypeError), (-1, ValueError), (0, ValueError),
-    ])
-    def test_shots_is_a_positive_int(self, shots, error):
-        with pytest.raises(error, match="shots"):
-            sample_detunings(1, 5, [0], shots, NoiseModel((12.4,)))
-
     def test_seed_and_stream_accept_numpy_ints(self):
-        noise = NoiseModel((12.4,))
-        assert np.array_equal(sample_detunings(np.uint64(2**64 - 1), np.int64(5), [2], 3, noise),
-                              sample_detunings(2**64 - 1, 5, [2], 3, noise))
+        # a plan stores numpy ints as built-in ints, so they key the same draw
+        plan = draw_plan(1, 2, 3, np.uint64(2**64 - 1), n=np.int64(2))
+        assert (plan.seed, plan.stream) == (2**64 - 1, draw_plan(1, 2, 3, 0, n=2).stream)
+        assert np.array_equal(sample_detunings(plan),
+                              sample_detunings(draw_plan(1, 2, 3, 2**64 - 1, n=2)))
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.integers(1, 4),
            st.just(1) | st.integers(1, 50).map(lambda s: 2 * s + 1) | st.integers(2000, 2100),
-           st.integers(1, 40).map(range) | st.just((2**40,)),
-           st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
-    def test_blocks_match_a_fresh_generator_per_point(self, k, shots, points, seed, stream):
+           st.integers(1, 40), st.integers(0, 2**64 - 1), st.integers(0, 6))
+    def test_blocks_match_a_fresh_generator_per_point(self, k, shots, points, seed, n):
         # oracle: a new Philox at each point's counter, the construction the
         # shared generator replaces
-        noise = NoiseModel((12.4, 8.2, 21.0, 5.5)[:k])
-        key = np.array([seed, stream], dtype=np.uint64)
-        stacked = sample_detunings(seed, stream, points, shots, noise)
-        assert stacked.shape == (len(points) * shots, k)
-        for i, p in enumerate(points):
-            bg = np.random.Philox(key=key, counter=np.array([0, 0, 0, p], dtype=np.uint64))
-            want = np.random.Generator(bg).standard_normal((shots, k)) * noise.sigma
-            assert np.array_equal(stacked[i * shots:(i + 1) * shots], want)
-            assert np.array_equal(sample_detunings(seed, stream, [p], shots, noise), want)
+        plan = draw_plan(k, points, shots, seed, n)
+        drawn = sample_detunings(plan)
+        assert drawn.shape == (points * shots, k)
+        assert np.array_equal(drawn, fresh_blocks(plan))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 60), st.integers(1, 12), st.integers(1, 12),
+           st.integers(0, 2**64 - 1))
+    def test_longer_grids_and_more_shots_extend_the_draw(self, k, shots, points, more, seed):
+        blocks = sample_detunings(draw_plan(k, points, shots, seed)).reshape(points, shots, k)
+        longer = sample_detunings(draw_plan(k, points + more, shots, seed))
+        assert np.array_equal(longer[:points * shots], blocks.reshape(-1, k))
+        wider = sample_detunings(draw_plan(k, points, shots + more, seed))
+        assert np.array_equal(wider.reshape(points, shots + more, k)[:, :shots], blocks)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**64 - 1))
+    def test_readouts_leave_the_draw_alone(self, k, seed):
+        plans = [draw_plan(k, 3, 5, seed, readout=readout)
+                 for readout in (None, ("Z" * k, "F:" + ",".join("X" * k)), ("I" * (k - 1) + "Y",))]
+        draws = [sample_detunings(plan) for plan in plans]
+        assert all(np.array_equal(d, draws[0]) for d in draws[1:])
 
 
 class TestReusedGenerator:
     """Each thread reuses one generator; every call still draws the fresh-Philox blocks."""
 
     def test_interleaved_calls_match_fresh_generators(self):
-        order = [0, 1, 2, 3, 4, 5, 6, 1, 0, 4, 2, 6, 3, 3, 1]
+        order = [0, 1, 2, 3, 4, 1, 0, 4, 2, 3, 3, 1]
         for i, got in _draw_calls(order):
-            assert np.array_equal(got, fresh_blocks(*_CALLS[i])), _CALLS[i]
+            assert np.array_equal(got, fresh_blocks(_CALLS[i])), _CALLS[i]
 
     def test_a_second_thread_matches_fresh_generators(self):
         results = []
@@ -202,7 +183,7 @@ class TestReusedGenerator:
         assert not worker.is_alive()
         assert [i for i, _ in results] == list(range(len(_CALLS)))
         for i, got in results:
-            assert np.array_equal(got, fresh_blocks(*_CALLS[i])), _CALLS[i]
+            assert np.array_equal(got, fresh_blocks(_CALLS[i])), _CALLS[i]
 
     def test_concurrent_threads_match_fresh_generators(self):
         # the main thread and three workers draw at once in different
@@ -229,15 +210,15 @@ class TestReusedGenerator:
         finally:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
-        want = [fresh_blocks(*call) for call in _CALLS]
+        want = [fresh_blocks(plan) for plan in _CALLS]
         for order, result in zip(orders, results):
             assert [i for i, _ in result] == order
             for i, got in result:
                 assert np.array_equal(got, want[i]), _CALLS[i]
 
     def test_a_warm_call_builds_no_philox(self):
-        # on a new thread: a rejected call builds nothing, the first draw
-        # builds the thread's one generator, later draws reuse it
+        # on a new thread: the first draw builds the thread's one generator,
+        # later draws reuse it
         built, counts, results = [], [], []
         real = np.random.Philox
 
@@ -246,27 +227,20 @@ class TestReusedGenerator:
             return real(*args, **kwargs)
 
         def work():
-            try:
-                sample_detunings(-1, 5, [0], 3, _CALLS[0][4])
-            except ValueError:
-                counts.append(len(built))
             for i in (1, 2, 1):
-                results.append((i, sample_detunings(*_CALLS[i])))
+                results.append((i, sample_detunings(_CALLS[i])))
                 counts.append(len(built))
 
         with mock.patch.object(np.random, "Philox", spy):
             worker = threading.Thread(target=work)
             worker.start()
             worker.join(timeout=60)
-        assert not worker.is_alive() and counts == [0, 1, 1, 1]
+        assert not worker.is_alive() and counts == [1, 1, 1]
         for i, got in results:
-            assert np.array_equal(got, fresh_blocks(*_CALLS[i]))
+            assert np.array_equal(got, fresh_blocks(_CALLS[i]))
 
 
 class TestPlanStream:
-    def block(self, plan):
-        return sample_detunings(plan.seed, plan.stream, 0, plan.shots, plan.noise)
-
     @pytest.mark.parametrize("change", [
         {"initial_state": "-X"}, {"n_projections": 2}, {"observable": "Y"},
         {"noise": NoiseModel((8.2,))}, {"noise": NoiseModel((12.4 * (1 + 2**-52),))},
@@ -274,8 +248,8 @@ class TestPlanStream:
     def test_physics_changes_the_block(self, change):
         base, other = make_plan(), make_plan(**change)
         assert other.stream != base.stream
-        assert not np.array_equal(self.block(other) / other.noise.sigma,
-                                  self.block(base) / base.noise.sigma)
+        assert not np.array_equal(sample_detunings(other) / other.noise.sigma,
+                                  sample_detunings(base) / base.noise.sigma)
 
     def test_readout_grid_and_shots_keep_the_stream(self):
         base = make_plan()
@@ -444,9 +418,8 @@ class TestRunEnsemble:
                       for n in (0, 1, 2, 5)]
         for plan in plans:
             curves = run_ensemble(plan)
-            for p, tau in enumerate(plan.tau_grid):
-                block = sample_detunings(plan.seed, plan.stream, [p], plan.shots,
-                                         plan.noise)
+            blocks = sample_detunings(plan).reshape(len(plan.tau_grid), plan.shots, plan.k)
+            for p, (tau, block) in enumerate(zip(plan.tau_grid, blocks)):
                 vals = np.stack([dense_reference(plan, d, tau) for d in block])
                 curve_means = np.array([c.mean[p] for c in curves])
                 assert np.allclose(curve_means, vals.mean(axis=0), atol=1e-12)

@@ -13,10 +13,7 @@ from zenosim.model import decay_curve, sqrt_e_time
 
 
 def curve_from(tau, y, stderr=None, n=0):
-    tau = np.asarray(tau, dtype=float)
-    y = np.asarray(y, dtype=float)
-    se = np.zeros_like(y) if stderr is None else np.asarray(stderr, dtype=float)
-    return DecayCurve(tau, y, se, n, "X")
+    return DecayCurve(tau, y, np.zeros(len(y)) if stderr is None else stderr, n, "X")
 
 
 class TestFitGaussian:
@@ -57,6 +54,16 @@ class TestFitDecay:
         assert res.amplitude == pytest.approx(0.85, abs=1e-6)
         assert res.t2eff == pytest.approx(6.5, abs=1e-6)
         assert res.offset == pytest.approx(0.1, abs=1e-6)
+
+    def test_list_curve_fits_like_an_array_curve(self):
+        # DecayCurve stores its columns as float arrays, so ints in lists
+        # fit as the same floats would
+        columns = ([0, 1, 2, 3, 4, 5], [1, .8, .6, .4, .3, .25], [.01] * 6)
+        listed = DecayCurve(*columns, 2, "X")
+        assert all(type(c) is np.ndarray and c.dtype == float
+                   for c in (listed.tau, listed.mean, listed.stderr))
+        arrays = DecayCurve(*(np.array(c, dtype=float) for c in columns), 2, "X")
+        assert fit_decay(listed, 2).as_dict() == fit_decay(arrays, 2).as_dict()
 
     @pytest.mark.parametrize("guess", [None, 6.0])
     def test_projection_limit_fails_up_front(self, guess):

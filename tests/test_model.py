@@ -265,6 +265,18 @@ class TestDecayCurve:
         with pytest.raises(TypeError):
             decay_curve(2, [1.0], True)
 
+    @pytest.mark.parametrize("name,value", [
+        # True would read as A = 1 and "1" as offset 1
+        ("amplitude", True), ("amplitude", "0.5"), ("offset", False), ("offset", "1"),
+    ])
+    def test_amplitude_and_offset_are_numbers(self, name, value):
+        with pytest.raises(TypeError, match=f"^{name} must be float, got {value!r}$"):
+            decay_curve(2, [1.0], 5.0, **{name: value})
+
+    def test_amplitude_and_offset_accept_numpy_numbers(self):
+        assert np.array_equal(decay_curve(2, [1.0, 4.0], 5.0, np.float64(0.5), np.int64(1)),
+                              decay_curve(2, [1.0, 4.0], 5.0, 0.5, 1.0))
+
     def test_time_ratio_limit(self):
         ratio = model.MAX_TIME_RATIO
         assert decay_curve(0, [0.0, 0.5 * ratio], 1.0).tolist() == [1.0, 0.0]
