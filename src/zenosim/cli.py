@@ -314,10 +314,11 @@ def _scaling_times(data) -> Dict[int, float]:
     """N -> decay time: {"times": {N: t}}, or sqrt_e_time of converged even-N fit rows.
 
     Parses the JSON only: the object holds exactly one of "times" and
-    "fits", each N must be plain ASCII digits and given once, and a fit row
-    is taken when its "converged" is true and skipped when it is false
-    (_converged). fit_scaling checks the times, and sqrt_e_time a fit row's
-    T2eff.
+    "fits", each N is given once, a "times" key must be plain ASCII digits
+    and a fit row's N a JSON integer that passes model.projection_count,
+    and a fit row is taken when its "converged" is true and skipped when it
+    is false (_converged). fit_scaling checks the times, and sqrt_e_time a
+    fit row's T2eff.
     """
     if not isinstance(data, dict):
         raise ConfigError("scaling input must be a JSON object")
@@ -332,14 +333,20 @@ def _scaling_times(data) -> Dict[int, float]:
         raise ConfigError(f"malformed scaling input: {e}") from e
     times = {}
     for n, t in pairs:
+        if "fits" in data:
+            try:
+                key = model.projection_count(n, "fit row projection count")
+            except (TypeError, ValueError) as e:
+                raise ConfigError(str(e)) from e
         # ASCII only: str.isdigit also accepts digits such as "²" and "١"
-        if isinstance(n, bool) or not (str(n).isascii() and str(n).isdigit()):
+        elif not (n.isascii() and n.isdigit()):
             raise ConfigError(f"projection count {n!r} is not a nonnegative integer")
-        try:
-            key = int(n)
-        except ValueError as e:
-            # past Python's limit on the digits of an int read from text
-            raise ConfigError(f"projection count of {len(n)} digits is too long") from e
+        else:
+            try:
+                key = int(n)
+            except ValueError as e:
+                # past Python's limit on the digits of an int read from text
+                raise ConfigError(f"projection count of {len(n)} digits is too long") from e
         if key in times:
             raise ConfigError(f"projection count {n!r} repeats N={key}")
         times[key] = t

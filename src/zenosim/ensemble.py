@@ -160,7 +160,8 @@ class DecayCurve:
     """Ensemble mean and standard error per evolution time for one readout.
 
     tau, mean and stderr are stored as float arrays, so a curve built from
-    lists is the curve built from arrays.
+    lists is the curve built from arrays. ValueError unless all three are
+    1-D of one length and every standard error is >= 0 (a NaN is not).
     """
 
     tau: np.ndarray
@@ -173,9 +174,11 @@ class DecayCurve:
     def __post_init__(self):
         for name in ("tau", "mean", "stderr"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if not self.tau.ndim == self.mean.ndim == self.stderr.ndim == 1:
+            raise ValueError("tau, mean and stderr must be 1-D")
         if not (len(self.tau) == len(self.mean) == len(self.stderr)):
             raise ValueError("tau/mean/stderr length mismatch")
-        if np.any(self.stderr < 0):
+        if not (self.stderr >= 0).all():
             raise ValueError("standard errors must be nonnegative")
 
 

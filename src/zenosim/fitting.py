@@ -27,8 +27,8 @@ from typing import Callable, Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from .ensemble import DecayCurve
-from .model import (_decay_and_slope, _decay_table, _t2eff, checked, projection_count,
-                    sqrt_e_time)
+from .model import (SQRT_E_LEVEL, _decay_and_slope, _decay_table, _t2eff, checked,
+                    projection_count, sqrt_e_time)
 
 MAX_ITER = 200
 REL_TOL = 1e-9
@@ -154,7 +154,8 @@ def _std_errors(c, r, cost, _, x, s, g):
     """Standard errors of (*c, theta) from the values of the last accepted trial.
 
     With J = [A, b], the block inverse of J^T J gives var theta = s2/s and
-    var c_i = s2 ((g^-1)_ii + x_i^2/s), with s2 = cost/dof; the diagonal of
+    var c_i = s2 ((g^-1)_ii + x_i^2/s), with s2 = cost/dof and dof the
+    points less the parameters, at least 1 in every fit; the diagonal of
     g^-1 is _gram_solve's on the unit vectors. NaN where s <= 0 or g^-1 is
     not finite.
     """
@@ -164,7 +165,7 @@ def _std_errors(c, r, cost, _, x, s, g):
         s = math.nan  # an inverse past the float range: no error is defined
     if not s > 0:
         return np.full(c.size + 1, math.nan)
-    s2 = cost / max(r.size - c.size - 1, 1)
+    s2 = cost / (r.size - c.size - 1)
     var = [s2 * (gi + xi * xi / s) for gi, xi in zip(g_inv, x.tolist())] + [s2 / s]
     return np.sqrt(np.maximum(var, 0.0))
 
@@ -181,7 +182,8 @@ def least_squares(model: Callable[[float], tuple], y: Sequence[float],
     halved while the cost rises; a rejected trial counts as a rise. A trial
     is a tuple of fresh values: it shares no array with the accepted one,
     which it replaces only when accepted. Standard errors come from the
-    last accepted trial's own values (_std_errors), scaled by cost/dof.
+    last accepted trial's own values (_std_errors), scaled by cost/dof;
+    the points must outnumber the parameters, as in both fits.
 
     Returns (p, std_errors, rss, converged, iterations) with p = (*c, theta),
     or p = (theta0,) and no finite error when theta0 itself is rejected.
@@ -263,7 +265,12 @@ def fit_decay(curve: DecayCurve, n_projections: int,
 
 def _fit_decay(curve: DecayCurve, n_projections: int,
                t2_guess: Optional[float]) -> FitResult:
-    """fit_decay's fit of a checked N, run under its np.errstate."""
+    """fit_decay's fit of a checked N, run under its np.errstate.
+
+    The model refuses a trial T2eff only when it is not > 0; a trial so
+    small that the model overflows is refused by that np.errstate, so no
+    fit stops at a bound of its own.
+    """
     tau, y = curve.tau, curve.mean
     if tau.size < 4:
         raise FitError("need at least 4 points for a decay fit")
@@ -276,16 +283,14 @@ def _fit_decay(curve: DecayCurve, n_projections: int,
         # Heuristic: locate the 1/sqrt(e) crossing of the normalized data
         # and divide out the stretch factor of N rounded up to even.
         ynorm = (y - y[-1]) / max(y[0] - y[-1], 1e-9)
-        below = np.nonzero(ynorm < math.exp(-0.5))[0]
+        below = np.nonzero(ynorm < SQRT_E_LEVEL)[0]
         tau_e = tau[below[0]] if below.size else tau[-1] / 2
         t2_guess = tau_e / sqrt_e_time(n_projections + n_projections % 2, 1.0)
     t2_guess = max(float(t2_guess), 1e-6)
-    # Below this T2eff, (tau/T)^2 could overflow; no decay is that fast.
-    t_min = 1e-9 * float(np.max(np.abs(tau)))
     table = _decay_table(n_projections, tau)
 
     def decay(t):
-        if not t > t_min:
+        if not t > 0:
             raise ValueError(f"T2eff {t!r} out of range")
         return _decay_and_slope(table, t)
 
@@ -310,9 +315,11 @@ def fit_scaling(times: Mapping[int, float]) -> ScalingFit:
 
     Checks its own table and raises FitError unless every N is an int
     (not a bool) in [0, MAX_SCALE], every time a finite positive number,
-    N = 0 and at least two other N are present, and every normalized time
-    lies in [1/MAX_SCALE, MAX_SCALE]. Trial nu are kept to N**|nu| <=
-    MAX_SCALE, so the normal equations square nothing past the float range.
+    N = 0 and at least three other N are present, so that the two
+    parameters leave one degree of freedom for their errors, and every
+    normalized time lies in [1/MAX_SCALE, MAX_SCALE]. Trial nu are kept to
+    N**|nu| <= MAX_SCALE, so the normal equations square nothing past the
+    float range.
     """
     try:
         table = {checked(int, n, "projection count"): checked(float, t, "decay time")
@@ -326,8 +333,8 @@ def fit_scaling(times: Mapping[int, float]) -> ScalingFit:
             raise FitError(f"decay time {t!r} for N={n} is not finite and positive")
     if 0 not in table:
         raise FitError("scaling fit requires the N=0 decay time")
-    if len(table) < 3:
-        raise FitError("need at least 3 distinct N values")
+    if len(table) < 4:
+        raise FitError("scaling fit needs N=0 and at least 3 other N")
     base = table[0]
     # N stays an int key: an N past 2**53 would not survive a float round trip
     norm = {n: t / base for n, t in sorted(table.items())}

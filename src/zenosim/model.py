@@ -6,10 +6,11 @@ quasi-static Gaussian detuning noise folded into a single effective
 dephasing time. :func:`decay_curve` evaluates it for a whole tau grid at
 once, in log space: each binomial weight is formed as exp(log weight -
 exponent) with normalized log weights, so the sum stays finite for every
-N, and only the O(sqrt(N)) weights that do not underflow are kept. The
-fits also need the derivative in T2eff, which comes from the same terms;
-a fit builds the tau f_l part of its table once and reuses it for every
-trial T2eff.
+N, and only the O(sqrt(N)) weights that do not underflow are kept. Every
+evaluation forms the same two sums over those terms, the decay and its
+x^2 moment: decay_curve reads the first, and the fits the derivative in
+T2eff that the second gives. A fit builds the tau f_l part of its table
+once and reuses it for every trial T2eff.
 Intermediate fixed-detuning expressions are kept as deterministic oracles
 for the matrix-level simulator. The type rule of every value a module is
 given is :func:`checked`. Each input of the physics has one gate that every
@@ -224,8 +225,7 @@ def decay_curve(n_projections: int, taus: Sequence[float], t2eff: float,
         raise ValueError("evolution times must be finite")
     if float(np.abs(taus).max(initial=0.0)) >= MAX_TIME_RATIO * t2eff:
         raise ValueError(f"largest |tau|/T2eff must stay below {MAX_TIME_RATIO:g}")
-    total, _ = _decay_sums(_decay_table(n, taus), t2eff, moment=False)
-    return offset + amplitude * total
+    return offset + amplitude * _decay_sums(_decay_table(n, taus), t2eff)[0]
 
 
 def _decay_table(n_projections: int, taus: np.ndarray) -> tuple:
@@ -241,26 +241,25 @@ def _decay_table(n_projections: int, taus: np.ndarray) -> tuple:
     return (taus[:, None] * frac if one_block else None), logw, taus, frac
 
 
-def _decay_sums(table, t2eff: float, moment: bool):
-    """Per tau, sum_l w_l e^{-x_l^2} and, if moment, sum_l w_l e^{-x_l^2} x_l^2 (else None).
+def _decay_sums(table, t2eff: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Per tau, sum_l w_l e^{-x_l^2} and sum_l w_l e^{-x_l^2} x_l^2, with x = tau f_l / T.
 
-    table is _decay_table's; x = tau f_l / T. A grid of more than one block
-    is summed in blocks of at most _CURVE_ENTRIES entries.
+    table is _decay_table's. Both sums are finite wherever x^2 is: each
+    term of the second is at most w_l x_l^2 e^{-x_l^2} <= w_l / e. A grid
+    of more than one block is summed in blocks of at most _CURVE_ENTRIES
+    entries.
     """
     tau_frac, logw, taus, frac = table
     if tau_frac is None:
         rows = max(1, _CURVE_ENTRIES // frac.size)
-        blocks = [_decay_sums((taus[lo:lo + rows, None] * frac, logw, None, None), t2eff, moment)
+        blocks = [_decay_sums((taus[lo:lo + rows, None] * frac, logw, None, None), t2eff)
                   for lo in range(0, taus.size, rows)]
-        value = np.concatenate([v for v, _ in blocks])
-        return value, (np.concatenate([s for _, s in blocks]) if moment else None)
+        return tuple(np.concatenate(sums) for sums in zip(*blocks))
     x2 = tau_frac / t2eff
     x2 *= x2
     terms = np.subtract(logw, x2)
     np.exp(terms, out=terms)
     value = np.add.reduce(terms, axis=1)
-    if not moment:
-        return value, None
     terms *= x2
     return value, np.add.reduce(terms, axis=1)
 
@@ -268,11 +267,11 @@ def _decay_sums(table, t2eff: float, moment: bool):
 def _decay_and_slope(table, t2eff: float) -> Tuple[np.ndarray, np.ndarray]:
     """Unit decay m(tau) and its derivative dm/dT for the fits; inputs unchecked.
 
-    table is _decay_table(N, taus), built once per fit. m is
-    decay_curve(N, taus, T) to the bit, and dm/dT = sum_l w_l e^{-x_l^2}
-    2 x_l^2 / T comes from the same (tau, l) terms.
+    table is _decay_table(N, taus), built once per fit. m and the moment
+    are _decay_sums', so m is decay_curve(N, taus, T) to the bit, and
+    dm/dT = sum_l w_l e^{-x_l^2} 2 x_l^2 / T is 2/T times the moment.
     """
-    value, second = _decay_sums(table, t2eff, moment=True)
+    value, second = _decay_sums(table, t2eff)
     return value, second * (2.0 / t2eff)
 
 

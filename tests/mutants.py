@@ -115,6 +115,18 @@ MUTANTS = (
      "zeno scaling printed to more digits than the fit resolves"),
     (CLI, 'if _converged(r)])', 'if r.get("converged")])',
      "zeno scaling takes a fit row whose converged is truthy but not true"),
+    (FITTING, "if not t > 0:", "if not t > 1e-9 * float(np.max(np.abs(tau))):",
+     "the decay fit's private floor put back: trial T2eff below 1e-9 max |tau| refused"),
+    (FITTING, "if len(table) < 4:", "if len(table) < 3:",
+     "the scaling minimum put back to N = 0 and two other N, which leave no degree of freedom"),
+    (CLI, 'model.projection_count(n, "fit row projection count")',
+     'model.projection_count(int(n), "fit row projection count")',
+     "a string N accepted in a fit row"),
+    (ENSEMBLE, "        if not self.tau.ndim == self.mean.ndim == self.stderr.ndim == 1:\n"
+     '            raise ValueError("tau, mean and stderr must be 1-D")\n', "",
+     "a curve whose columns are not 1-D accepted"),
+    (ENSEMBLE, "if not (self.stderr >= 0).all():", "if np.any(self.stderr < 0):",
+     "a NaN standard error let through"),
 )
 
 

@@ -579,11 +579,12 @@ class TestScalingCommand:
     def test_flat_times_rejected(self, tmp_path, capsys):
         # No enhancement at all: mu = 0 leaves nu and both errors undefined.
         inp = tmp_path / "times.json"
-        inp.write_text(json.dumps({"times": {"0": 1, "2": 1, "4": 1}}))
+        inp.write_text(json.dumps({"times": {"0": 1, "2": 1, "4": 1, "8": 1}}))
         out = tmp_path / "scaling.json"
         assert main(["scaling", "--in", str(inp), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: scaling fit") and err.count("\n") == 1, err
+        assert "converge" in err or "undefined" in err, err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", [
@@ -607,11 +608,14 @@ class TestScalingCommand:
         '{"fits": [' + ", ".join(
             f'{{"converged": true, "n_projections": {n}, "T2eff_ms": 10.0}}'
             for n in (0, 2, 10**9 + 2, 4)) + ']}',
+        # N = 0 and two other N fix mu and nu exactly, leaving no degree of
+        # freedom for their errors
+        '{"times": {"0": 1.0, "2": 1.5, "4": 2.0}}',
         # 2/1e-320 is not finite
-        '{"times": {"0": 1e-320, "2": 2, "4": 3}}',
+        '{"times": {"0": 1e-320, "2": 2, "4": 3, "8": 4}}',
         # normalized times too large and too small for the fit to square
-        '{"times": {"0": 1e-300, "2": 2, "4": 3}}',
-        '{"times": {"0": 1, "2": 1e-300, "4": 3}}',
+        '{"times": {"0": 1e-300, "2": 2, "4": 3, "8": 4}}',
+        '{"times": {"0": 1, "2": 1e-300, "4": 3, "8": 4}}',
     ])
     def test_bad_input_rejected(self, tmp_path, capsys, text):
         inp = tmp_path / "bad.json"
@@ -652,19 +656,19 @@ class TestScalingCommand:
         # float(N) is 99999999999999991611392: N must not pass through float
         big = "99999999999999999999999"
         inp = tmp_path / "times.json"
-        inp.write_text(f'{{"times": {{"0": 1, "2": 2, "{big}": 3}}}}')
+        inp.write_text(f'{{"times": {{"0": 1, "2": 2, "4": 2.5, "{big}": 3}}}}')
         out = tmp_path / "scaling.json"
         assert main(["scaling", "--in", str(inp), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         res = json.loads(out.read_text())
-        assert res["normalized_times"] == {"0": 1.0, "2": 2.0, big: 3.0}
+        assert res["normalized_times"] == {"0": 1.0, "2": 2.0, "4": 2.5, big: 3.0}
         assert np.isfinite([res["mu"], res["nu"], res["mu_err"], res["nu_err"]]).all()
 
     @staticmethod
     def _fit_table(path, last):
-        """A fit table of N = 0, 2, 4 (converged) and N = 6 with the given row entries."""
+        """A fit table of N = 0, 2, 4, 8 (converged) and N = 6 with the given row entries."""
         rows = [{"converged": True, "n_projections": n, "T2eff_ms": 10.0 + 3 * n}
-                for n in (0, 2, 4)]
+                for n in (0, 2, 4, 8)]
         path.write_text(json.dumps({"fits": rows + [dict(n_projections=6, **last)]}))
 
     def test_false_row_skipped(self, tmp_path):
@@ -693,6 +697,20 @@ class TestScalingCommand:
         _assert_one_error_line(code, err)
         assert out == ""
         assert err == f"error: fit row of N=6: converged must be true or false, got {got}\n"
+
+    @pytest.mark.parametrize("n,got", [
+        ("6", "'6'"), (6.0, "6.0"), (True, "True"), (None, "None"), ([6], "[6]"),
+    ], ids=["string", "float", "bool", "null", "list"])
+    def test_fit_row_n_is_a_json_integer(self, tmp_path, n, got):
+        # the digit-text rule is for "times" keys; a fit row's N is a JSON
+        # integer, as zeno fit writes it
+        self._fit_table(tmp_path / "fits.json", {"converged": True, "T2eff_ms": 40.0})
+        data = json.loads((tmp_path / "fits.json").read_text())
+        data["fits"][-1]["n_projections"] = n
+        (tmp_path / "fits.json").write_text(json.dumps(data))
+        code, out, err = _main_quiet(["scaling", "--in", str(tmp_path / "fits.json")])
+        _assert_one_error_line(code, err)
+        assert out == "" and err == f"error: fit row projection count must be int, got {got}\n"
 
 
 def test_readme_pipeline(tmp_path):

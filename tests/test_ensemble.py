@@ -1026,3 +1026,22 @@ class TestValidation:
             DecayCurve(np.array([1.0]), np.array([0.5]), np.array([-0.1]), 0, "X")
         with pytest.raises(ValueError, match="length mismatch"):
             DecayCurve(np.array([1.0, 2.0]), np.array([0.5]), np.array([0.1]), 0, "X")
+
+    @pytest.mark.parametrize("shape", ["all 2-D", "tau 2-D", "scalars"])
+    def test_curve_columns_are_1d(self, shape):
+        # a 2-D curve would reach curve_to_csv and fit_decay and fail there,
+        # far from the cause
+        columns = [[0, 1, 2, 3, 4, 5], [1, .8, .6, .4, .3, .25], [.01] * 6]
+        if shape == "all 2-D":
+            columns = [[c] for c in columns]
+        elif shape == "tau 2-D":
+            columns[0] = [columns[0]]
+        else:
+            columns = [c[0] for c in columns]
+        with pytest.raises(ValueError, match="tau, mean and stderr must be 1-D"):
+            DecayCurve(*columns, 2, "X")
+
+    def test_nan_stderr_refused(self):
+        # NaN < 0 is false: the check asks every error to be >= 0 instead
+        with pytest.raises(ValueError, match="standard errors must be nonnegative"):
+            DecayCurve([0.0, 1.0, 2.0], [1.0, 0.6, 0.3], [0.01, math.nan, 0.01], 0, "X")

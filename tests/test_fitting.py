@@ -65,6 +65,17 @@ class TestFitDecay:
         arrays = DecayCurve(*(np.array(c, dtype=float) for c in columns), 2, "X")
         assert fit_decay(listed, 2).as_dict() == fit_decay(arrays, 2).as_dict()
 
+    @pytest.mark.parametrize("n", [0, 2])
+    @pytest.mark.parametrize("guess", [None, 1.0])
+    def test_fast_decay_fits_below_any_floor(self, n, guess):
+        # T2eff = 1e-11 ms on a grid reaching 1 ms: the only trial bound is
+        # T2eff > 0, so the fit does not stop at a floor tied to max |tau|
+        tau = np.concatenate([[0.0], np.logspace(-12, 0, 25)])
+        y = 0.05 + 0.9 * decay_curve(n, tau, 1e-11)
+        res = fit_decay(curve_from(tau, y, np.full(tau.size, 0.01), n=n), n, t2_guess=guess)
+        assert res.t2eff == pytest.approx(1e-11, rel=1e-6)
+        assert res.amplitude == pytest.approx(0.9, rel=1e-6)
+
     @pytest.mark.parametrize("guess", [None, 6.0])
     def test_projection_limit_fails_up_front(self, guess):
         tau = np.linspace(0, 40, 30)
@@ -318,8 +329,8 @@ class TestVariableProjection:
         with mock.patch.object(fitting, "least_squares",
                                return_value=(np.array([0.7, 0.6]), np.array([np.nan, 0.1]),
                                              0.1, True, 5)):
-            with pytest.raises(FitError):
-                fit_scaling({0: 1.0, 2: 2.0, 4: 2.7})
+            with pytest.raises(FitError, match="undefined standard errors"):
+                fit_scaling({0: 1.0, 2: 2.0, 4: 2.7, 8: 3.6})
 
     @pytest.mark.parametrize("guess", [1e-300, 1e12])
     def test_flat_model_is_a_fit_error(self, guess):
@@ -373,7 +384,7 @@ class TestVariableProjection:
             with pytest.raises(FitError, match=r"decay fit \(N=2\) did not converge"):
                 fit_decay(self._noisy(1), 2, t2_guess=6.0)
             with pytest.raises(FitError, match="scaling fit did not converge"):
-                fit_scaling({0: 1.0, 2: 2.0, 4: 2.7})
+                fit_scaling({0: 1.0, 2: 2.0, 4: 2.7, 8: 3.6})
 
     def _fit_with_trials(self, curve, guess, refuse=()):
         """fit_decay(curve, 2) from guess and its trial T2eff; the trials at the
@@ -445,8 +456,8 @@ class TestVariableProjection:
         assert np.array_equal(errs, want[1]) and np.isfinite(errs).all()
 
     def test_flat_times_are_a_fit_error(self):
-        with pytest.raises(FitError):
-            fit_scaling({0: 1.0, 2: 1.0, 4: 1.0})
+        with pytest.raises(FitError, match="did not converge|undefined"):
+            fit_scaling({0: 1.0, 2: 1.0, 4: 1.0, 8: 1.0})
 
 
 def _full_jacobian_errors(fit_model, y, w, p, rss):
@@ -548,18 +559,21 @@ class TestFitScaling:
             fit_scaling({2: 2.1, 4: 2.8, 8: 3.9})
 
     def test_too_few(self):
-        with pytest.raises(FitError):
-            fit_scaling({0: 1.0, 2: 2.1})
+        # two N besides N = 0 fix mu and nu exactly and leave no degree of
+        # freedom for their errors
+        for times in ({0: 1.0, 2: 2.1}, {0: 1.0, 2: 2.1, 4: 2.8}):
+            with pytest.raises(FitError, match="needs N=0 and at least 3 other N"):
+                fit_scaling(times)
 
     def test_n_past_float_precision_stays_an_int_key(self):
         big = 10**23 - 1  # float(big) is 99999999999999991611392
-        fit = fit_scaling({0: 1.0, 2: 2.0, big: 3.0})
-        assert list(fit.normalized_times) == [0, 2, big]
+        fit = fit_scaling({0: 1.0, 2: 2.0, 4: 2.5, big: 3.0})
+        assert list(fit.normalized_times) == [0, 2, 4, big]
         assert np.isfinite([fit.mu, fit.nu, fit.mu_err, fit.nu_err]).all()
 
     def test_non_finite_normalized_time(self):
         with pytest.raises(FitError, match="not finite"):
-            fit_scaling({0: 1e-320, 2: 2.0, 4: 3.0})
+            fit_scaling({0: 1e-320, 2: 2.0, 4: 3.0, 8: 4.0})
 
     @pytest.mark.parametrize("times", [
         # a fractional N, which int() would fit as N = 2
@@ -571,8 +585,8 @@ class TestFitScaling:
         {0: 1.0, True: 1.5, 2: 2.0, 4: 2.5},
         {0: 1.0, 2: "1.5", 4: 2.0},
         # normalized times the normal equations could not square
-        {0: 1e-300, 2: 2.0, 4: 3.0},
-        {0: 1.0, 2: 1e-300, 4: 3.0},
+        {0: 1e-300, 2: 2.0, 4: 3.0, 8: 4.0},
+        {0: 1.0, 2: 1e-300, 4: 3.0, 8: 4.0},
     ])
     def test_table_checked(self, times):
         with pytest.raises(FitError):
@@ -588,7 +602,7 @@ class TestFitScaling:
             return real(power_law, *args, **kwargs)
 
         with mock.patch.object(fitting, "least_squares", spy):
-            fit_scaling({0: 1.0, 2: 2.0, 16: 5.0})
+            fit_scaling({0: 1.0, 2: 2.0, 4: 3.0, 16: 5.0})
         nu_max = math.log(fitting.MAX_SCALE) / math.log(16)
         seen[0](nu_max)
         for nu in (1.01 * nu_max, -1.01 * nu_max, math.nan):
