@@ -34,7 +34,7 @@ import numpy as np
 from . import logical, model
 from .ensemble import (FIDELITY_PREFIX, LOGICAL_PREFIX, DecayCurve, ExperimentPlan,
                        NoiseModel, readout_operator, run_ensemble)
-from .fitting import REL_TOL, FitError, fit_decay, fit_scaling
+from .fitting import REL_TOL, FitError, fit_decays, fit_scaling
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -263,12 +263,11 @@ def cmd_analytic(args) -> int:
     return 0
 
 
-def _fit_row(curve: DecayCurve, n: int, t2_guess: Optional[float]) -> Dict:
-    """fit_decay's result as a JSON row at resolved precision, or {"converged": False, ...}."""
-    try:
-        return _resolved(fit_decay(curve, n, t2_guess=t2_guess).as_dict())
-    except FitError as e:
-        return {"converged": False, "error": str(e)}
+def _fit_rows(fits) -> List[Dict]:
+    """fit_decays' result per (curve, N, guess) as a JSON row at resolved precision,
+    or {"converged": False, "error": ...}."""
+    return [{"converged": False, "error": str(result)} if isinstance(result, FitError)
+            else _resolved(result.as_dict()) for result in fit_decays(fits)]
 
 
 def cmd_fit(args) -> int:
@@ -280,7 +279,7 @@ def cmd_fit(args) -> int:
     paths = sorted(glob.glob(args.input))
     if not paths:
         raise ConfigError(f"no files match {args.input!r}")
-    rows = []
+    fits = []
     for path in paths:
         try:
             curve = parse_curve_csv(Path(path).read_text())
@@ -291,8 +290,9 @@ def cmd_fit(args) -> int:
         n = args.n if args.n is not None else curve.n_projections
         if n is None:
             raise ConfigError(f"{path} has no '# n_projections:' header; give --n")
-        rows.append({"file": os.path.basename(path), "n_projections": n,
-                     **_fit_row(curve, n, args.t2_guess)})
+        fits.append((curve, n, args.t2_guess))
+    rows = [{"file": os.path.basename(path), "n_projections": n, **row}
+            for path, (_, n, _), row in zip(paths, fits, _fit_rows(fits))]
     _emit(args.out, _json_dumps({"fits": rows}))
     if not any(row["converged"] for row in rows):
         raise ConfigError(f"no curve could be fitted; {rows[0]['file']}: {rows[0]['error']}")
@@ -310,15 +310,16 @@ def _converged(row) -> bool:
     return row["converged"]
 
 
-def _scaling_times(data) -> Dict[int, float]:
-    """N -> decay time: {"times": {N: t}}, or sqrt_e_time of converged even-N fit rows.
+def _scaling_times(data) -> tuple:
+    """(N -> decay time, skipped odd N): {"times": {N: t}}, or sqrt_e_time of converged fit rows.
 
     Parses the JSON only: the object holds exactly one of "times" and
     "fits", each N is given once, a "times" key must be plain ASCII digits
     and a fit row's N a JSON integer that passes model.projection_count,
     and a fit row is taken when its "converged" is true and skipped when it
-    is false (_converged). fit_scaling checks the times, and sqrt_e_time a
-    fit row's T2eff.
+    is false (_converged). A converged fit row of odd N has no 1/sqrt(e)
+    time (sqrt_e_time) and is skipped too; its N is listed. fit_scaling
+    checks the times, and sqrt_e_time a fit row's T2eff.
     """
     if not isinstance(data, dict):
         raise ConfigError("scaling input must be a JSON object")
@@ -351,18 +352,21 @@ def _scaling_times(data) -> Dict[int, float]:
             raise ConfigError(f"projection count {n!r} repeats N={key}")
         times[key] = t
     if "times" in data:
-        return times
+        return times, []
     try:
-        return {n: model.sqrt_e_time(n, t) for n, t in times.items() if n % 2 == 0}
+        return ({n: model.sqrt_e_time(n, t) for n, t in times.items() if n % 2 == 0},
+                [n for n in times if n % 2])
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e
 
 
 def cmd_scaling(args) -> int:
+    times, odd = _scaling_times(_read_json(args.input))
     try:
-        fit = fit_scaling(_scaling_times(_read_json(args.input)))
+        fit = fit_scaling(times)
     except FitError as e:
-        raise ConfigError(str(e)) from e
+        skipped = f"; odd-N fit rows are skipped (N={', '.join(map(str, odd))})" if odd else ""
+        raise ConfigError(f"{e}{skipped}") from e
     _emit(args.out, _json_dumps(_resolved(fit.as_dict())))
     return 0
 
@@ -413,7 +417,8 @@ def _avg_curve(t2_star, states, prefix, n, taus, shots, seed, amplitude,
 
 def _fits(curves) -> Dict:
     """Each N's decay fit from the nominal T2*, and its 1/sqrt(e) time (None if failed)."""
-    rows = {str(n): _fit_row(curve, n, T2_STAR[0]) for _, n, curve in curves}
+    rows = dict(zip((str(n) for _, n, _ in curves),
+                    _fit_rows([(curve, n, T2_STAR[0]) for _, n, curve in curves])))
     return {"fits": rows, "sqrt_e_times_ms": {
         n: model.sqrt_e_time(int(n), row["T2eff_ms"]) if row["converged"] else None
         for n, row in rows.items()}}

@@ -9,20 +9,21 @@ exact derivatives of the model. Parameter standard errors come from the
 same solve as the last step, by the block inverse of the analytic J^T J,
 scaled by the reduced chi-square.
 
-least_squares reads a model through one callback per trial, which returns
-the model and its derivative in the nonlinear parameter as 1-D arrays. A
-trial is a tuple of values that shares no array with any other trial. A
-fit holds no column buffer and makes no LAPACK call: its 1x1 and 2x2
-normal equations, steps and errors are all solved by _gram_solve in Python
-floats. A decay fit builds the tau part of its model table once
-(model._decay_table) for all its trial T2eff.
+least_squares steps a stack of fits in lockstep: one model callback per
+round, with one trial value per fit. Every per-fit sum is a segment sum
+(np.add.reduceat) over the fit's own points, and the normal equations are
+solved elementwise over the stack (_gram_solve), so no sum goes through
+BLAS and a fit's numbers do not depend on the other fits of its stack.
+fit_decays fits every curve of a call in one stack on one flat model
+table (model._decay_table); fit_decay is a stack of one, and fit_scaling
+makes one fit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,16 +61,10 @@ class FitResult:
     iterations: int
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "A": self.amplitude,
-            "T2eff_ms": self.t2eff,
-            "offset": self.offset,
-            "std_errors": dict(self.std_errors),
-            "rss": self.rss,
-            "chi2_dof": self.chi2_dof,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
+        return {"A": self.amplitude, "T2eff_ms": self.t2eff, "offset": self.offset,
+                "std_errors": dict(self.std_errors), "rss": self.rss,
+                "chi2_dof": self.chi2_dof, "converged": self.converged,
+                "iterations": self.iterations}
 
 
 @dataclass(frozen=True)
@@ -87,239 +82,241 @@ class ScalingFit:
                 "normalized_times": {str(n): t for n, t in self.normalized_times.items()}}
 
 
-def _gram_solve(g, rhs):
-    """x with g @ x = rhs for a 1x1 or 2x2 Gram matrix g, worked in Python floats.
+def _gram_solve(aug) -> np.ndarray:
+    """x of shape (q, k, fits) with g x = b per fit, for aug = [g | b] of shape (q, q + k, fits).
 
-    The 2x2 system is solved by elimination with partial pivoting: the rows
-    are swapped when |g10| > |g00|. Raises np.linalg.LinAlgError when a pivot
-    is 0 or not finite, or when x is not finite.
+    g is 1x1 or 2x2; a 2x2 system is solved by elimination with partial
+    pivoting, its rows swapped where |g10| > |g00|. x is not finite where a
+    pivot is 0 or not finite.
     """
-    g, rhs = g.tolist(), rhs.tolist()
-    if len(rhs) == 1:
-        x = [rhs[0] / _pivot(g[0][0])]
-    else:
-        (g00, g01), (g10, g11) = g
-        r0, r1 = rhs
-        if abs(g10) > abs(g00):
-            g00, g01, r0, g10, g11, r1 = g10, g11, r1, g00, g01, r0
-        factor = g10 / _pivot(g00)
-        x1 = (r1 - factor * r0) / _pivot(g11 - factor * g01)
-        x = [(r0 - g01 * x1) / g00, x1]
-    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):
-        raise np.linalg.LinAlgError("normal equations have no finite solution")
-    return np.array(x)
+    if len(aug) == 1:
+        return (aug[0, 1:] / np.where(np.isfinite(aug[0, 0]), aug[0, 0], np.nan))[None]
+    top, low = np.where(np.abs(aug[1, 0]) > np.abs(aug[0, 0]), aug[::-1], aug)
+    # a pivot 0 makes x 0/0 or infinite by itself; one that is not finite is made NaN
+    low = low[1:] - low[0] / top[0] * top[1:]
+    x1 = low[1:] / np.where(np.isfinite(top[0]) & np.isfinite(low[0]), low[0], np.nan)
+    return np.array([(top[2:] - top[1] * x1) / top[0], x1])
 
 
-def _pivot(p):
-    """p, unless it is 0 or not finite (np.linalg.LinAlgError)."""
-    if p == 0 or not math.isfinite(p):
-        raise np.linalg.LinAlgError(f"normal equations have pivot {p!r}")
-    return p
+def _std_errors(state, q: int, dof) -> np.ndarray:
+    """Standard errors of (*c, theta) per fit, from least_squares' rows of its last accepted trial.
 
-
-def _solve_linear(model, w, wy, theta, template):
-    """The values of the trial theta, (c, r, cost, b, x, s, g), or None where it is rejected.
-
-    model(theta) returns m and dm/dtheta. The weighted columns A are a fresh
-    copy of template, whose column 0 is set to w*m (its other column, if
-    any, holds w). c solves the normal equations g c = A^T (w y) with
-    g = A^T A, and r = A c - w y. b = w dm c0 is d(A c)/d(theta); x solves
-    g x = A^T b, and s = |b - A x|^2 is the part of |b|^2 outside the span
-    of A. Both solves are _gram_solve's. theta is rejected when model
-    raises ValueError or a float error, when either solve is singular, when
-    forming A, g or b raises a float error (under np.errstate) or when the
-    cost is not finite.
+    q counts c, and dof = points - parameters >= 1. With J = [A, b], the
+    block inverse of J^T J gives var theta = s2/s and var c_i = s2 ((g^-1)_ii
+    + x_i^2/s), s2 = cost/dof, with g^-1 from _gram_solve on the unit
+    vectors. NaN where s <= 0 or g^-1 is not finite.
     """
-    try:
-        m, dm = model(theta)
-    except (ValueError, FloatingPointError):
-        return None
-    a = template.copy()
-    try:
-        np.multiply(w, m, out=a[:, 0])
-        g = a.T @ a
-        c = _gram_solve(g, a.T @ wy)
-        b = w * (dm * c[0])
-        x = _gram_solve(g, a.T @ b)
-    except (np.linalg.LinAlgError, FloatingPointError):
-        return None
-    r = a @ c - wy
-    cost = float(r @ r)
-    # Only the part of d(A c)/d(theta) outside the span of A moves the cost.
-    jk = b - a @ x
-    return (c, r, cost, b, x, float(jk @ jk), g) if math.isfinite(cost) else None
+    g = state[:q * (q + 2)].reshape(q, q + 2, -1)[:, :q]
+    solved, (cost, sb) = state[q * (q + 2):-4].reshape(q, 2, -1), state[-4:-2]
+    c0 = solved[0, 0]
+    x, s = c0 * solved[:, 1], c0 * c0 * sb
+    units = np.eye(q)[:, :, None] * np.ones(s.size)
+    g_inv = _gram_solve(np.concatenate([g, units], axis=1))[range(q), range(q)]
+    var = np.vstack([cost / dof * (g_inv + x * x / s), cost / dof / s])
+    errs = np.sqrt(np.maximum(var, 0.0))
+    errs[:, ~((s > 0) & np.isfinite(g_inv).all(axis=0))] = np.nan
+    return errs
 
 
-def _std_errors(c, r, cost, _, x, s, g):
-    """Standard errors of (*c, theta) from the values of the last accepted trial.
+def least_squares(model: Callable[[np.ndarray], tuple], y: Sequence[float],
+                  weights: Sequence[float], sizes: Sequence[int], theta0: Sequence[float],
+                  offset: bool) -> tuple:
+    """Variable-projection Gauss-Newton fits of y ~ c0 m(theta) (+ c1 with offset), in lockstep.
 
-    With J = [A, b], the block inverse of J^T J gives var theta = s2/s and
-    var c_i = s2 ((g^-1)_ii + x_i^2/s), with s2 = cost/dof and dof the
-    points less the parameters, at least 1 in every fit; the diagonal of
-    g^-1 is _gram_solve's on the unit vectors. NaN where s <= 0 or g^-1 is
-    not finite.
+    y and weights run over the points of every fit, sizes[i] points for fit
+    i (more than its parameters), and theta0 holds a start per fit.
+    model(theta) takes a trial theta per fit and returns m and dm/dtheta
+    over all points. Per trial c solves g c = A^T (w y), A = [w m (, w)] and
+    g = A^T A; b = c0 w dm is d(A c)/d(theta), x = c0 xb solves g x = A^T b
+    and s = |b - A x|^2 is the reduced (Kaufman) curvature. A fit refuses a
+    trial where one of its values but the step (its NaN model rows too) is
+    not finite, as a value past the float range is: np.errstate ignores it.
+    Each fit takes the step -(b.r)/s, r = A c - w y, of its accepted trial,
+    halved while the cost |r|^2 rises past its rounding slack or the trial
+    is refused. It stops when the step falls to REL_TOL of theta
+    (converged), is not finite, after MAX_HALVINGS refusals in a row or
+    after MAX_ITER steps; a mask then keeps its values. Returns per-fit
+    arrays (p, std_errors, rss, converged, iterations), p[i] = (*c, theta);
+    a fit whose theta0 is refused has NaN c and errors, rss inf, 0 steps.
     """
-    try:
-        g_inv = [_gram_solve(g, e)[i] for i, e in enumerate(np.eye(c.size))]
-    except np.linalg.LinAlgError:
-        s = math.nan  # an inverse past the float range: no error is defined
-    if not s > 0:
-        return np.full(c.size + 1, math.nan)
-    s2 = cost / (r.size - c.size - 1)
-    var = [s2 * (gi + xi * xi / s) for gi, xi in zip(g_inv, x.tolist())] + [s2 / s]
-    return np.sqrt(np.maximum(var, 0.0))
-
-
-def least_squares(model: Callable[[float], tuple], y: Sequence[float],
-                  weights: Sequence[float], theta0: float, offset: bool) -> tuple:
-    """Variable-projection Gauss-Newton fit of y ~ c0 m(theta) (+ c1 with offset).
-
-    model(theta) returns the model m and its theta-derivative dm as 1-D
-    arrays over the points. For each trial theta, _solve_linear solves the
-    linear parameters c exactly from the weighted normal equations and the
-    reduced (Kaufman) curvature s of the cost in theta, both by _gram_solve.
-    theta then takes the Gauss-Newton step -(b.r)/s of the accepted trial,
-    halved while the cost rises; a rejected trial counts as a rise. A trial
-    is a tuple of fresh values: it shares no array with the accepted one,
-    which it replaces only when accepted. Standard errors come from the
-    last accepted trial's own values (_std_errors), scaled by cost/dof;
-    the points must outnumber the parameters, as in both fits.
-
-    Returns (p, std_errors, rss, converged, iterations) with p = (*c, theta),
-    or p = (theta0,) and no finite error when theta0 itself is rejected.
-    """
+    sizes = np.asarray(sizes)
+    starts, rows = np.cumsum(sizes) - sizes, np.repeat(np.arange(sizes.size), sizes)
+    q = 1 + offset
     w = np.asarray(weights, dtype=float)
     wy = w * np.asarray(y, dtype=float)
     abs_wy = np.abs(wy)
-    template = np.repeat(w[:, None], 1 + offset, axis=1)
-    theta, converged, it = float(theta0), False, 0
-    state = _solve_linear(model, w, wy, theta, template)
-    if state is None:
-        return np.array([theta]), np.array([math.nan]), math.inf, False, 0
-    for it in range(1, MAX_ITER + 1):
-        _, r, cost, b, _, s, _ = state
-        step = -float(b @ r) / s if s > 0 else math.nan
-        if not math.isfinite(step):
-            break
+    # per point the columns of A (w m, and w with an offset), w y and w dm
+    z = np.array([w, w, wy, w][1 - offset:])
+    # per point r^2, |w dm - A xb|^2, |r| (|w y| + |r|) and w dm r
+    terms = np.empty((4, w.size))
+    aug_rows = q * (q + 2)
+
+    def trial(theta):
+        """Per fit: [g | A^T (w y), A^T (w dm)], (c_i, xb_i), cost, sb, cost bound, step."""
+        m, dm = model(theta)
+        np.multiply(w, m, out=z[0])
+        np.multiply(w, dm, out=z[-1])
+        values = np.empty((aug_rows + 2 * q + 4, theta.size))
+        aug = np.add.reduceat(z[:q, None] * z, starts, axis=2,
+                              out=values[:aug_rows].reshape(q, q + 2, -1))
+        values[aug_rows:-4] = solved = _gram_solve(aug).reshape(2 * q, -1)
+        # r and A xb - w dm per point: only the part of b outside the span of A moves the cost
+        fitted = np.take(solved, rows, axis=1).reshape(q, 2, -1)
+        fitted *= z[:q, None]
+        diff = (fitted[0] + fitted[1] if offset else fitted[0]) - z[q:]
+        np.multiply(diff, diff, out=terms[:2])
+        np.abs(diff[0], out=terms[2])
+        terms[2] *= abs_wy + terms[2]
+        np.multiply(z[-1], diff[0], out=terms[3])
+        cost, sb, bound, step = np.add.reduceat(terms, starts, axis=1, out=values[-4:])
         # A rise within the rounding error of the cost (about 2 eps sum |r| |w y|,
         # here with a margin) cannot be told from a fall, so it is accepted.
-        abs_r = np.abs(r)
-        slack = _SLACK_EPS * float(abs_r @ (abs_wy + abs_r))
-        for _ in range(MAX_HALVINGS):
-            trial = _solve_linear(model, w, wy, theta + step, template)
-            if trial is not None and trial[2] <= cost + slack:
-                break
-            step /= 2
-        else:
-            break
-        theta += step
-        state = trial
-        if abs(step) <= REL_TOL * abs(theta):
-            converged = True
-            break
-    return np.append(state[0], theta), _std_errors(*state), state[2], converged, it
+        bound *= _SLACK_EPS
+        bound += cost
+        step /= -solved[0] * sb  # -(b.r)/s with s = c0^2 sb
+        return values
+
+    with np.errstate(all="ignore"):
+        theta = np.array(theta0, dtype=float)
+        state = trial(theta)
+        started = np.isfinite(state[:-1]).all(axis=0)
+        it = started.astype(int)
+        step = state[-1]
+        active = started & np.isfinite(step)
+        halvings, converged = np.zeros(it.size, dtype=int), np.zeros(it.size, dtype=bool)
+        while active.any():
+            moved = theta + step
+            values = trial(moved)
+            accept = active & np.isfinite(values[:-1]).all(axis=0) & (values[-4] <= state[-2])
+            theta = np.where(accept, moved, theta)
+            state = np.where(accept, values, state)
+            halvings = np.where(accept, 0, halvings + 1)
+            done = accept & (np.abs(step) <= REL_TOL * np.abs(theta))
+            converged |= done
+            more = accept & ~done & (it < MAX_ITER)
+            it += more
+            step = np.where(more, state[-1], step / 2)
+            active &= np.where(accept, more & np.isfinite(step), halvings < MAX_HALVINGS)
+        c = np.where(started, state[aug_rows:-4:2], np.nan)
+        errs = np.where(started, _std_errors(state, q, sizes - q - 1), np.nan)
+        return (np.vstack([c, theta]).T, errs.T, np.where(started, state[-4], math.inf), converged,
+                it)
 
 
 def _weights(curve: DecayCurve) -> np.ndarray:
     """1/stderr weights when available, unweighted fallback otherwise.
 
-    Errors are floored at 1e-3 of the largest one so that exact points
-    (e.g. tau=0, where every shot returns the same value) cannot swamp
-    the fit with near-infinite weight.
+    Errors are floored at 1e-3 of the largest one, so that exact points
+    (tau = 0, where every shot agrees) cannot swamp the fit.
     """
     se = curve.stderr
-    top = np.max(se)
+    top = se.max()
     if top <= 0:
         return np.ones_like(se)
-    return 1.0 / np.clip(se, 1e-3 * top, None)
+    return 1.0 / np.maximum(se, 1e-3 * top)
 
 
 def fit_decay(curve: DecayCurve, n_projections: int,
               t2_guess: Optional[float] = None) -> FitResult:
-    """Fit the N-projection binomial-sum decay with free (A, T2eff, offset).
+    """Fit the N-projection binomial-sum decay with free (A, T2eff, offset): a stack of one.
 
-    Serves every N that passes model.projection_count; at N = 0 the model
-    is offset + A*exp(-(tau/T)^2). A and offset need no start values: they
-    are solved exactly for every trial T2eff. The T2eff guess should be
-    the quadrature combination of nominal per-spin values; without one a
-    crossing-time heuristic on the data is used. A given guess is read as
-    an effective dephasing time (a finite positive float, model._t2eff).
-    Raises FitError for any other N or guess, for constant means or a tau
-    grid whose points are all equal, and for data whose fit leaves the
-    float range (values or error bars near its ends), rather than
-    warn: the fit runs with numpy's overflow, division and invalid-value
-    errors raised.
+    Serves every N that passes model.projection_count (N = 0: offset +
+    A*exp(-(tau/T)^2)). The guess, an effective dephasing time (_t2eff),
+    should combine nominal per-spin values in quadrature; without one a
+    crossing-time heuristic on the data is used. Raises FitError for any
+    other N or guess, constant means, equal taus, data at the ends of the
+    float range, and a fit that does not converge.
+    """
+    (result,) = fit_decays([(curve, n_projections, t2_guess)])
+    if isinstance(result, FitError):
+        raise result
+    return result
+
+
+def fit_decays(fits: Sequence[Tuple[DecayCurve, int, Optional[float]]]
+               ) -> List[Union[FitResult, FitError]]:
+    """fit_decay of each (curve, N, T2eff guess), one least_squares stack: FitResults or FitErrors.
+
+    Each curve is checked on its own (_decay_start), so a curve that fails,
+    or converges sooner, changes no other result. A trial T2eff is refused
+    when it is not > 0 or the model overflows: no fit stops at a bound.
+    """
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        starts = [_decay_start(*fit) for fit in fits]
+    stack = [start for start in starts if not isinstance(start, FitError)]
+    if not stack:
+        return starts
+    ns, taus, ys, ws, guesses = zip(*stack)
+    table = _decay_table(ns, taus)
+
+    def decay(t):
+        return _decay_and_slope(table, np.where(t > 0, t, np.nan))
+
+    def result(n, size, p, errs, rss, converged, it):
+        (a, off, t), (a_err, off_err, t_err) = p, errs
+        return _failure(converged, errs, f"decay fit (N={n})") or FitResult(
+            a, t, off, {"A": a_err, "T2eff_ms": t_err, "offset": off_err}, rss,
+            rss / (size - 3), converged, it)
+
+    sizes = [tau.size for tau in taus]
+    fitted = least_squares(decay, np.concatenate(ys), np.concatenate(ws), sizes, guesses,
+                           offset=True)
+    done = zip(ns, sizes, *(a.tolist() for a in fitted))
+    return [start if isinstance(start, FitError) else result(*next(done)) for start in starts]
+
+
+def _decay_start(curve: DecayCurve, n_projections, t2_guess) -> Union[tuple, FitError]:
+    """(N, tau, mean, weights, T2eff guess) of a curve that passes fit_decay's checks, or FitError.
+
+    Runs under fit_decays' np.errstate(raise): data whose weights, or the
+    cost sum (w y)^2 of a zero model, leave the float range fail here.
     """
     try:
         n_projections = projection_count(n_projections)
         if t2_guess is not None:
             t2_guess = _t2eff(t2_guess)
     except (TypeError, ValueError) as e:
-        raise FitError(str(e)) from e
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _fit_decay(curve, n_projections, t2_guess)
-    except FloatingPointError as e:
-        raise FitError(f"decay fit (N={n_projections}) left the float range: {e}") from e
-
-
-def _fit_decay(curve: DecayCurve, n_projections: int,
-               t2_guess: Optional[float]) -> FitResult:
-    """fit_decay's fit of a checked N, run under its np.errstate.
-
-    The model refuses a trial T2eff only when it is not > 0; a trial so
-    small that the model overflows is refused by that np.errstate, so no
-    fit stops at a bound of its own.
-    """
+        return FitError(str(e))
     tau, y = curve.tau, curve.mean
     if tau.size < 4:
-        raise FitError("need at least 4 points for a decay fit")
-    if np.ptp(y) < 1e-12:
-        raise FitError("degenerate data: curve is constant")
-    if (tau == tau[0]).all():
-        raise FitError("degenerate data: every tau is equal")
-    w = _weights(curve)
-    if t2_guess is None:
-        # Heuristic: locate the 1/sqrt(e) crossing of the normalized data
-        # and divide out the stretch factor of N rounded up to even.
-        ynorm = (y - y[-1]) / max(y[0] - y[-1], 1e-9)
-        below = np.nonzero(ynorm < SQRT_E_LEVEL)[0]
-        tau_e = tau[below[0]] if below.size else tau[-1] / 2
-        t2_guess = tau_e / sqrt_e_time(n_projections + n_projections % 2, 1.0)
-    t2_guess = max(float(t2_guess), 1e-6)
-    table = _decay_table(n_projections, tau)
-
-    def decay(t):
-        if not t > 0:
-            raise ValueError(f"T2eff {t!r} out of range")
-        return _decay_and_slope(table, t)
-
-    p, errs, rss, converged, it = least_squares(decay, y, w, t2_guess, offset=True)
-    _check(converged, errs, f"decay fit (N={n_projections})")
-    a, off, t = p
-    return FitResult(a, t, off,
-                     {"A": errs[0], "T2eff_ms": errs[2], "offset": errs[1]},
-                     rss, rss / (tau.size - 3), converged, it)
+        return FitError("need at least 4 points for a decay fit")
+    try:
+        if y.max() - y.min() < 1e-12:
+            return FitError("degenerate data: curve is constant")
+        if (tau == tau[0]).all():
+            return FitError("degenerate data: every tau is equal")
+        w = _weights(curve)
+        wy = w * y
+        np.add.reduce(wy * wy)
+        if t2_guess is None:
+            # Heuristic: locate the 1/sqrt(e) crossing of the normalized data
+            # and divide out the stretch factor of N rounded up to even.
+            ynorm = (y - y[-1]) / max(y[0] - y[-1], 1e-9)
+            below = np.nonzero(ynorm < SQRT_E_LEVEL)[0]
+            tau_e = tau[below[0]] if below.size else tau[-1] / 2
+            t2_guess = tau_e / sqrt_e_time(n_projections + n_projections % 2, 1.0)
+    except FloatingPointError as e:
+        return FitError(f"decay fit (N={n_projections}) left the float range: {e}")
+    return n_projections, tau, y, w, max(float(t2_guess), 1e-6)
 
 
-def _check(converged: bool, errs: np.ndarray, what: str) -> None:
-    """FitError unless the fit converged with finite standard errors."""
+def _failure(converged: bool, errs, what: str) -> Optional[FitError]:
+    """The FitError of a fit that did not converge or has an error that is not finite, or None."""
     if not converged:
-        raise FitError(f"{what} did not converge")
-    if not np.isfinite(errs).all():
-        raise FitError(f"{what} has undefined standard errors")
+        return FitError(f"{what} did not converge")
+    if not all(map(math.isfinite, errs)):
+        return FitError(f"{what} has undefined standard errors")
+    return None
 
 
 def fit_scaling(times: Mapping[int, float]) -> ScalingFit:
-    """Fit 1 + mu*N^nu to decay times normalized by the N=0 value.
+    """Fit 1 + mu*N^nu to decay times normalized by the N=0 value: a stack of one fit.
 
-    Checks its own table and raises FitError unless every N is an int
-    (not a bool) in [0, MAX_SCALE], every time a finite positive number,
-    N = 0 and at least three other N are present, so that the two
-    parameters leave one degree of freedom for their errors, and every
-    normalized time lies in [1/MAX_SCALE, MAX_SCALE]. Trial nu are kept to
-    N**|nu| <= MAX_SCALE, so the normal equations square nothing past the
-    float range.
+    FitError unless every N is an int (not a bool) in [0, MAX_SCALE], every
+    time finite and positive, N = 0 and at least three other N are present
+    (one degree of freedom for the errors), and every normalized time lies
+    in [1/MAX_SCALE, MAX_SCALE]. Trial nu keep N**|nu| <= MAX_SCALE, so the
+    normal equations square nothing past the float range.
     """
     try:
         table = {checked(int, n, "projection count"): checked(float, t, "decay time")
@@ -347,12 +344,14 @@ def fit_scaling(times: Mapping[int, float]) -> ScalingFit:
     nu_max = math.log(MAX_SCALE) / float(log_ns.max())
 
     def power_law(nu):
-        if not abs(nu) <= nu_max:
-            raise ValueError(f"nu {nu!r} out of range")
-        power = ns**nu
+        if not abs(nu[0]) <= nu_max:
+            return np.full((2, ns.size), math.nan)  # NaN rows refuse a trial past the range
+        power = ns**nu[0]
         return power, power * log_ns
 
-    p, errs, _, converged, _ = least_squares(power_law, ys - 1.0, np.ones(ns.size), 0.6,
-                                             offset=False)
-    _check(converged, errs, "scaling fit")
-    return ScalingFit(p[0], p[1], errs[0], errs[1], norm)
+    (p,), (errs,), _, (converged,), _ = least_squares(power_law, ys - 1.0, np.ones(ns.size),
+                                                      [ns.size], [0.6], offset=False)
+    failure = _failure(converged, errs, "scaling fit")
+    if failure:
+        raise failure
+    return ScalingFit(*p.tolist(), *errs.tolist(), norm)

@@ -8,9 +8,11 @@ once, in log space: each binomial weight is formed as exp(log weight -
 exponent) with normalized log weights, so the sum stays finite for every
 N, and only the O(sqrt(N)) weights that do not underflow are kept. Every
 evaluation forms the same two sums over those terms, the decay and its
-x^2 moment: decay_curve reads the first, and the fits the derivative in
-T2eff that the second gives. A fit builds the tau f_l part of its table
-once and reuses it for every trial T2eff.
+x^2 moment, each an np.add.reduceat over one tau's terms: decay_curve
+reads the first, and the fits the derivative in T2eff that the second
+gives. A stack of fits lays the tau f_l part of every fit's table out
+flat once, fits of different N side by side, and reuses it for every
+trial T2eff.
 Intermediate fixed-detuning expressions are kept as deterministic oracles
 for the matrix-level simulator. The type rule of every value a module is
 given is :func:`checked`. Each input of the physics has one gate that every
@@ -225,54 +227,79 @@ def decay_curve(n_projections: int, taus: Sequence[float], t2eff: float,
         raise ValueError("evolution times must be finite")
     if float(np.abs(taus).max(initial=0.0)) >= MAX_TIME_RATIO * t2eff:
         raise ValueError(f"largest |tau|/T2eff must stay below {MAX_TIME_RATIO:g}")
-    return offset + amplitude * _decay_sums(_decay_table(n, taus), t2eff)[0]
+    return offset + amplitude * _decay_sums(_decay_table([n], [taus]), np.array([t2eff]))[0]
 
 
-def _decay_table(n_projections: int, taus: np.ndarray) -> tuple:
-    """(tau f, log w, taus, f): the part of x = tau f_l / T that does not depend on T.
+def _decay_table(ns: Sequence[int], taus: Sequence[np.ndarray]) -> tuple:
+    """(fits, layout, row fit): the part of x = tau f_l / T that does not depend on T, per fit.
 
-    tau f = taus[:, None] * f_l is built here once when the grid fits in one
-    block of _CURVE_ENTRIES (tau, l) entries, so that a fit forms it once
-    for all its trial T2eff; for a larger grid it is None, and _decay_sums
-    forms it one block at a time. N must have passed projection_count.
+    Fit i has N = ns[i] and the tau grid taus[i]. Each tau is a row, and
+    the entries of a row are the kept terms l of its N (_binomial_terms):
+    the layout runs fit after fit, row after row, term after term, with no
+    padding, so that no sum of a row depends on any other row. layout is
+    _layout(fits), built here once when the stack has at most
+    _CURVE_ENTRIES entries, so that a fit stack forms it once for all its
+    trial T2eff; for a larger stack it is None, and _decay_sums forms it
+    for one fit's rows at a time. row fit is the fit of each row. Each N
+    must have passed projection_count.
     """
-    frac, logw = _binomial_terms(n_projections)
-    one_block = taus.size <= max(1, _CURVE_ENTRIES // frac.size)
-    return (taus[:, None] * frac if one_block else None), logw, taus, frac
+    fits = [(*_binomial_terms(n), np.asarray(t, dtype=float)) for n, t in zip(ns, taus)]
+    entries = sum(frac.size * t.size for frac, _, t in fits)
+    layout = _layout(fits) if entries <= _CURVE_ENTRIES else None
+    return fits, layout, np.repeat(np.arange(len(fits)), [t.size for *_, t in fits])
 
 
-def _decay_sums(table, t2eff: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Per tau, sum_l w_l e^{-x_l^2} and sum_l w_l e^{-x_l^2} x_l^2, with x = tau f_l / T.
+def _layout(fits) -> tuple:
+    """(tau f, log w, row starts, fit of each entry) of fits [(f, log w, taus)], laid out flat."""
+    tau_frac = np.concatenate([np.multiply.outer(t, frac).ravel() for frac, _, t in fits])
+    logw = np.concatenate([np.tile(lw, t.size) for _, lw, t in fits])
+    lengths = np.repeat([frac.size for frac, _, _ in fits], [t.size for *_, t in fits])
+    entry_fit = np.repeat(np.arange(len(fits)), [frac.size * t.size for frac, _, t in fits])
+    return tau_frac, logw, np.cumsum(lengths) - lengths, entry_fit
 
-    table is _decay_table's. Both sums are finite wherever x^2 is: each
-    term of the second is at most w_l x_l^2 e^{-x_l^2} <= w_l / e. A grid
-    of more than one block is summed in blocks of at most _CURVE_ENTRIES
-    entries.
+
+def _decay_sums(table, t2eff: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row, sum_l w_l e^{-x_l^2} and sum_l w_l e^{-x_l^2} x_l^2, with x = tau f_l / T.
+
+    table is _decay_table's and t2eff holds one T per fit. Each sum is an
+    np.add.reduceat over its own row's entries, the one summation rule of
+    decay_curve and the fits. Both sums are finite wherever x^2 is: each
+    term of the second is at most w_l x_l^2 e^{-x_l^2} <= w_l / e. A
+    table without a layout is summed in blocks of one fit's rows, of at
+    most _CURVE_ENTRIES entries (at least one row).
     """
-    tau_frac, logw, taus, frac = table
-    if tau_frac is None:
-        rows = max(1, _CURVE_ENTRIES // frac.size)
-        blocks = [_decay_sums((taus[lo:lo + rows, None] * frac, logw, None, None), t2eff)
-                  for lo in range(0, taus.size, rows)]
-        return tuple(np.concatenate(sums) for sums in zip(*blocks))
-    x2 = tau_frac / t2eff
+    fits, layout, _ = table
+    if layout is not None:
+        return _sums(layout, t2eff)
+    blocks = [_sums(_layout([(frac, logw, taus[lo:lo + rows])]), t2eff[i:i + 1])
+              for i, (frac, logw, taus) in enumerate(fits)
+              for rows in [max(1, _CURVE_ENTRIES // frac.size)]
+              for lo in range(0, taus.size, rows)]
+    return tuple(np.concatenate(sums) for sums in zip(*blocks))
+
+
+def _sums(layout, t2eff: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """_decay_sums of one laid-out block."""
+    tau_frac, logw, starts, entry_fit = layout
+    x2 = tau_frac / t2eff[entry_fit]
     x2 *= x2
-    terms = np.subtract(logw, x2)
-    np.exp(terms, out=terms)
-    value = np.add.reduce(terms, axis=1)
-    terms *= x2
-    return value, np.add.reduce(terms, axis=1)
+    terms = np.empty((2, x2.size))
+    np.subtract(logw, x2, out=terms[0])
+    np.exp(terms[0], out=terms[0])
+    np.multiply(terms[0], x2, out=terms[1])
+    return tuple(np.add.reduceat(terms, starts, axis=1))
 
 
-def _decay_and_slope(table, t2eff: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Unit decay m(tau) and its derivative dm/dT for the fits; inputs unchecked.
+def _decay_and_slope(table, t2eff: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Unit decay m(tau) and its derivative dm/dT per row, for the fits; inputs unchecked.
 
-    table is _decay_table(N, taus), built once per fit. m and the moment
-    are _decay_sums', so m is decay_curve(N, taus, T) to the bit, and
-    dm/dT = sum_l w_l e^{-x_l^2} 2 x_l^2 / T is 2/T times the moment.
+    table is _decay_table(ns, taus), built once per fit stack, and t2eff
+    holds one T per fit. m and the moment are _decay_sums', so each fit's
+    m is decay_curve(N, taus, T) to the bit, and dm/dT = sum_l w_l
+    e^{-x_l^2} 2 x_l^2 / T is 2/T times the moment.
     """
     value, second = _decay_sums(table, t2eff)
-    return value, second * (2.0 / t2eff)
+    return value, second * (2.0 / t2eff)[table[2]]
 
 
 def single_shot_expectation(deltas: Sequence[float], t: float, n_projections: int) -> float:

@@ -80,15 +80,15 @@ MUTANTS = (
      "binomial log weights not normalized to sum to 1"),
     (MODEL, "return value, second * (2.0 / t2eff)", "return value, second",
      "the factor 2/T dropped from dm/dT"),
-    (FITTING, "if abs(g10) > abs(g00):", "if abs(g10) < abs(g00):",
+    (FITTING, "np.abs(aug[1, 0]) > np.abs(aug[0, 0])", "np.abs(aug[1, 0]) < np.abs(aug[0, 0])",
      "the rows of a 2x2 Gram matrix swapped when |g10| is the smaller pivot"),
     (MODEL, "return _t2eff(t2eff) * _unit_sqrt_e_time(n)",
      "return _t2eff(t2eff) ** 0 * _unit_sqrt_e_time(n)",
      "sqrt_e_time without its T2eff factor"),
-    (FITTING, "        else:\n            break\n",
-     "        else:\n            state = trial or state\n            break\n",
+    (FITTING, "state = np.where(accept, values, state)",
+     "state = np.where(accept | active & (halvings == MAX_HALVINGS - 1), values, state)",
      "a fit that gives up takes its last refused trial as the accepted state"),
-    (FITTING, "s2 * (gi + xi * xi / s)", "s2 * gi",
+    (FITTING, "cost / dof * (g_inv + x * x / s)", "cost / dof * g_inv",
      "x_i^2/s dropped from var c_i: the errors of c ignore their correlation with theta"),
     (CLI, 'if line.count(",") != 2 or', 'if line.count(",") < 2 or',
      "a curve row of 4 or more fields accepted"),
@@ -115,7 +115,8 @@ MUTANTS = (
      "zeno scaling printed to more digits than the fit resolves"),
     (CLI, 'if _converged(r)])', 'if r.get("converged")])',
      "zeno scaling takes a fit row whose converged is truthy but not true"),
-    (FITTING, "if not t > 0:", "if not t > 1e-9 * float(np.max(np.abs(tau))):",
+    (FITTING, "np.where(t > 0, t, np.nan)",
+     "np.where(t > 1e-9 * float(np.max(np.abs(np.concatenate(taus)))), t, np.nan)",
      "the decay fit's private floor put back: trial T2eff below 1e-9 max |tau| refused"),
     (FITTING, "if len(table) < 4:", "if len(table) < 3:",
      "the scaling minimum put back to N = 0 and two other N, which leave no degree of freedom"),
@@ -127,6 +128,13 @@ MUTANTS = (
      "a curve whose columns are not 1-D accepted"),
     (ENSEMBLE, "if not (self.stderr >= 0).all():", "if np.any(self.stderr < 0):",
      "a NaN standard error let through"),
+    (FITTING, "starts, rows = np.cumsum(sizes) - sizes,",
+     "starts, rows = np.maximum(np.cumsum(sizes) - sizes - 1, 0),",
+     "a fit's segment sums spill into the fit before it in the stack"),
+    (FITTING, "accept = active & np.isfinite(", "accept = np.isfinite(",
+     "a fit that has stopped keeps taking the trials it accepts"),
+    (FITTING, "np.isfinite(values[:-1]).all(axis=0)", "np.isfinite(values[:-1]).all()",
+     "one fit's trial that is not finite refuses the trial of every fit in the stack"),
 )
 
 

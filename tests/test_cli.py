@@ -682,6 +682,18 @@ class TestScalingCommand:
         code, with_true, _ = _main_quiet(["scaling", "--in", str(tmp_path / "b.json")])
         assert code == 0 and "6" in json.loads(with_true)["normalized_times"]
 
+    def test_odd_rows_named_when_too_few_n_remain(self, tmp_path):
+        # converged rows at N = 0, 1, 2 and 4 list three N besides N = 0, but
+        # the odd N = 1 has no 1/sqrt(e) time; the error says it was skipped
+        rows = [{"converged": True, "n_projections": n, "T2eff_ms": 10.0 + n}
+                for n in (0, 1, 2, 4)]
+        (tmp_path / "fits.json").write_text(json.dumps({"fits": rows}))
+        code, out, err = _main_quiet(["scaling", "--in", str(tmp_path / "fits.json")])
+        _assert_one_error_line(code, err)
+        assert out == ""
+        assert err == ("error: scaling fit needs N=0 and at least 3 other N; "
+                       "odd-N fit rows are skipped (N=1)\n")
+
     @pytest.mark.parametrize("converged,got", [
         ("false", '"false"'), ("no", '"no"'), (1, "1"), (0, "0"), (None, "null"),
         (_MISSING, "null"),

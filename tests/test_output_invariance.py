@@ -8,18 +8,20 @@ of every comparison:
   reproduce of every figure at --shots 40 --seed 7, where every figure
   plan fits in one kernel chunk, and of every curve figure at the default
   shots, where their plans span several chunks; fit and scaling on the
-  default-shot fig2c curves, whose normal equations are summed by a BLAS
-  matrix product; and simulate of the pinned plan (pinned_outputs.SIMULATE)
-  at N = 0 and 3, the one plan here whose kernel table is complex with Q
-  and D terms, whose D terms read O rho0 O, a dense matrix product;
+  default-shot fig2c curves; and simulate of the pinned plan
+  (pinned_outputs.SIMULATE) at N = 0 and 3, the one plan here whose kernel
+  table is complex with Q and D terms, whose D terms read O rho0 O, a
+  dense matrix product;
 - under OpenBLAS's Prescott and Haswell kernels (OPENBLAS_CORETYPE), the
-  files of CORE_RUN: fig5 at --shots 40 --seed 7 and `zeno scaling` on a
-  pinned times table. A DYNAMIC_ARCH OpenBLAS (numpy's wheels ship one)
-  picks its kernels per CPU, and the variable overrides the pick. Scaling
-  fits solve their normal equations and standard errors in Python floats
-  and print at the precision the fit resolves, so they must not move.
-  Without OpenBLAS the variable does nothing, and this comparison is
-  skipped rather than passed.
+  files of CORE_RUN: fig2c and fig5 at --shots 40 --seed 7, `zeno fit` on
+  those fig2c curves and `zeno scaling` on a pinned times table. A
+  DYNAMIC_ARCH OpenBLAS (numpy's wheels ship one) picks its kernels per
+  CPU, and the variable overrides the pick. Decay and scaling fits take
+  every sum as a segment sum (np.add.reduceat) and solve their normal
+  equations and standard errors elementwise, with no BLAS call, and print
+  at the precision the fit resolves, so they must not move. Without
+  OpenBLAS the variable does nothing, and this comparison is skipped
+  rather than passed.
 Another command to compare across core types is one more row of CORE_RUN.
 """
 
@@ -45,8 +47,11 @@ TIMES = {"0": 12.4, "2": 19.83, "4": 24.91, "6": 28.52, "8": 32.07, "10": 34.66,
          "14": 39.95, "16": 42.13}
 
 # zeno argv lists; {out} is the run's directory and {tmp} the one all runs share
+# its first two rows are rows of THREAD_RUN too
 CORE_RUN = [
+    ["reproduce", "fig2c", "--shots", 40, "--seed", 7, "--out", "{out}/shots40"],
     ["reproduce", "fig5", "--shots", 40, "--seed", 7, "--out", "{out}/shots40"],
+    ["fit", "--in", "{out}/shots40/fig2c_N*.csv", "--out", "{out}/fits_shots40.json"],
     ["scaling", "--in", "{tmp}/times.json", "--out", "{out}/scaling_times.json"],
 ]
 THREAD_RUN = [
@@ -61,7 +66,7 @@ THREAD_RUN = [
 # run name -> (environment variables set for the child only, commands);
 # the default run's commands cover those of every other run
 RUNS = {
-    "default": ({}, THREAD_RUN + CORE_RUN[1:]),
+    "default": ({}, THREAD_RUN + CORE_RUN[2:]),
     "threads1": ({"OPENBLAS_NUM_THREADS": "1"}, THREAD_RUN),
     "Prescott": ({"OPENBLAS_CORETYPE": "Prescott"}, CORE_RUN),
     "Haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, CORE_RUN),
@@ -119,10 +124,10 @@ def test_outputs_are_byte_identical_across_blas_thread_counts(runs):
     one, default = runs["threads1"], runs["default"]
     # 23 curve CSVs and 4 summaries at 40 shots, plus fig5's table and
     # summary, the same 27 at the default shots, the fit and scaling tables,
-    # and each simulate config's two curves; the default run adds its
-    # scaling of the pinned times
+    # and each simulate config's two curves; the default run adds its fit
+    # of the 40-shot fig2c curves and its scaling of the pinned times
     assert len(one) == 29 + 27 + 2 + 2 * 2
-    assert sorted(default) == sorted([*one, "scaling_times.json"])
+    assert sorted(default) == sorted([*one, "fits_shots40.json", "scaling_times.json"])
     for name in one:
         assert one[name] == default[name], name
 
@@ -133,7 +138,22 @@ def test_fig5_and_scaling_are_byte_identical_across_openblas_kernels(runs):
                     "cannot vary the BLAS kernel")
     default = runs["default"]
     for core in CORETYPES:
-        assert sorted(runs[core]) == ["scaling_times.json", "shots40/fig5_normalized_times.csv",
-                                      "shots40/fig5_summary.json"]
+        for name in ("scaling_times.json", "shots40/fig5_normalized_times.csv",
+                     "shots40/fig5_summary.json"):
+            assert runs[core][name] == default[name], (core, name)
+
+
+def test_fig2c_and_its_fits_are_byte_identical_across_openblas_kernels(runs):
+    # fig2c's summary holds its five decay fits, one lockstep stack, and
+    # `zeno fit` fits the same curves again
+    if not _has_openblas():
+        pytest.skip("numpy.show_config() shows no OpenBLAS, so OPENBLAS_CORETYPE "
+                    "cannot vary the BLAS kernel")
+    default = runs["default"]
+    fig2c = [f"shots40/fig2c_N{n}.csv" for n in (0, 2, 4, 8, 16)] + ["shots40/fig2c_summary.json"]
+    for core in CORETYPES:
+        assert sorted(runs[core]) == sorted(["fits_shots40.json", "scaling_times.json",
+                                             "shots40/fig5_normalized_times.csv",
+                                             "shots40/fig5_summary.json", *fig2c])
         for name, data in runs[core].items():
             assert data == default[name], (core, name)
