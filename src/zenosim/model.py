@@ -271,10 +271,11 @@ def _decay_sums(table, t2eff: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     fits, layout, _ = table
     if layout is not None:
         return _sums(layout, t2eff)
-    blocks = [_sums(_layout([(frac, logw, taus[lo:lo + rows])]), t2eff[i:i + 1])
-              for i, (frac, logw, taus) in enumerate(fits)
-              for rows in [max(1, _CURVE_ENTRIES // frac.size)]
-              for lo in range(0, taus.size, rows)]
+    blocks = []
+    for i, (frac, logw, taus) in enumerate(fits):
+        rows = max(1, _CURVE_ENTRIES // frac.size)
+        blocks += [_sums(_layout([(frac, logw, taus[lo:lo + rows])]), t2eff[i:i + 1])
+                   for lo in range(0, taus.size, rows)]
     return tuple(np.concatenate(sums) for sums in zip(*blocks))
 
 
